@@ -27,7 +27,6 @@ from .jarzynski import (
     free_energy_estimate,
     jackknife_error,
     lattice_increment,
-    lattice_work,
     oscillator_increment,
     profile_from_distributions,
     sample_work_paths,

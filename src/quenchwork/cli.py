@@ -153,45 +153,98 @@ def _model_params(config: RunConfig):
     return OscillatorParams(**kw)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def validate(config: RunConfig) -> list[str]:
     """Static checks; an empty list means the run would start."""
     violations = []
     if config.kind not in KINDS:
         violations.append(f"kind: '{config.kind}' is not one of {KINDS}")
         return violations
+    mtype = config.model["type"]
+    if mtype not in _MODEL_DEFAULTS or config.kind.split("-")[0] not in (mtype, "temperature"):
+        violations.append(f"model.type: '{mtype}' cannot run kind '{config.kind}'")
+        return violations
+    params = None
     try:
-        _model_params(config)
+        params = _model_params(config)
     except (TypeError, ValueError) as exc:
         violations.append(f"model: {exc}")
     if config.kind in _SAMPLING_KINDS:
         seed = config.sampler.get("seed")
         if not isinstance(seed, int):
             violations.append("sampler.seed: required (integer) for sampling runs")
-        n_paths = config.sampler.get("n_paths", 0)
-        if not isinstance(n_paths, int) or n_paths < 1:
+        if not _is_count(config.sampler.get("n_paths"), 1):
             violations.append("sampler.n_paths: must be a positive integer")
-        if config.temperature is None or config.temperature <= 0:
-            violations.append("temperature: must be positive for estimator runs")
+        if not _is_number(config.temperature) or config.temperature <= 0:
+            violations.append("temperature: must be a positive number for estimator runs")
     if config.kind in ("oscillator-je", "lattice-je", "lattice-run"):
         proto = config.protocol or {}
-        if proto.get("stations", 0) < 2:
-            violations.append("protocol.stations: need at least 2 stations")
-        if not isinstance(proto.get("step"), (int, float)):
-            violations.append("protocol.step: required")
+        if not _is_count(proto.get("stations"), 2):
+            violations.append("protocol.stations: need an integer of at least 2")
+        for key in ("lambda_start", "step"):
+            if not _is_number(proto.get(key)):
+                violations.append(f"protocol.{key}: required (number)")
     if config.kind == "oscillator-sweep":
         sw = config.sweep
-        if not (0 < sw.get("y_min", 0) < sw.get("y_max", 0)):
+        y_min, y_max = sw.get("y_min"), sw.get("y_max")
+        if not (_is_number(y_min) and _is_number(y_max) and 0 < y_min < y_max):
             violations.append("sweep: need 0 < y_min < y_max")
-        if sw.get("points", 0) < 2:
-            violations.append("sweep.points: need at least 2")
+        if not _is_count(sw.get("points"), 2):
+            violations.append("sweep.points: need an integer of at least 2")
     if config.kind == "temperature":
-        if config.quench.get("dlam", 0) <= 0:
-            violations.append("quench.dlam: must be positive")
-    for key, value in config.tolerances.items():
-        if value is not None and value <= 0:
-            violations.append(f"tolerances.{key}: must be positive")
-    if config.evolution.get("dt", 0.1) <= 0:
-        violations.append("evolution.dt: must be positive")
+        q = config.quench
+        if not _is_number(q.get("dlam")) or q["dlam"] <= 0:
+            violations.append("quench.dlam: must be a positive number")
+        for key in ("lambda", "eps"):
+            if q.get(key) is not None and not _is_number(q[key]):
+                violations.append(f"quench.{key}: must be a number")
+    tol = config.tolerances
+    for key, value in tol.items():
+        if not _is_number(value) or value <= 0:
+            violations.append(f"tolerances.{key}: must be a positive number")
+    if _is_number(tol["prob_cutoff"]) and tol["prob_cutoff"] > lattice.MAX_PROB_CUTOFF:
+        violations.append(f"tolerances.prob_cutoff: must be at most {lattice.MAX_PROB_CUTOFF:g}")
+    if not isinstance(tol["max_states"], int):
+        violations.append("tolerances.max_states: must be an integer")
+    lattice_evolves = config.kind in ("lattice-je", "lattice-run")
+    violations.extend(_evolution_violations(config.evolution, params if lattice_evolves else None))
+    for key, name in config.filenames.items():
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            violations.append(f"filenames.{key}: must be a file name without a directory part")
+    return violations
+
+
+def _evolution_violations(evolution: dict, params) -> list[str]:
+    """Evolution settings; given lattice params, also the horizon and sample
+    count that evolve_center_of_mass and time_average_distribution accept."""
+    dt, tau = evolution.get("dt"), evolution.get("tau")
+    if not _is_number(dt) or dt <= 0:
+        return ["evolution.dt: must be a positive number"]
+    if tau is not None and not _is_number(tau):
+        return ["evolution.tau: must be a number"]
+    violations = []
+    if not _is_count(evolution.get("bins"), 1):
+        violations.append("evolution.bins: must be a positive integer")
+    featured = evolution.get("featured_lambda")
+    if featured is not None and not _is_number(featured):
+        violations.append("evolution.featured_lambda: must be a number")
+    if isinstance(params, LatticeParams):
+        n2 = params.n_sites**2
+        # the length of np.arange(0, horizon + dt/2, dt), the series' time grid
+        samples = math.ceil(((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt)
+        if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
+            violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
+        if samples < lattice.MIN_SERIES_SAMPLES:
+            violations.append(
+                f"evolution.dt: tau/dt gives fewer than {lattice.MIN_SERIES_SAMPLES} samples"
+            )
     return violations
 
 
@@ -234,55 +287,6 @@ def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[
     return [name]
 
 
-def _run_oscillator_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    params = _model_params(config)
-    proto = _protocol(config)
-    beta = 1.0 / config.temperature
-    y = oscillator.y_parameter(params, proto.step)
-    dists = [
-        oscillator.position_distribution(params, lam, y, tail_tol=config.tolerances["tail_tol"])
-        for lam in proto.lambdas[:-1]
-    ]
-    inc = lambda x, a, b: jarzynski.oscillator_increment(x, a, b, params.stiffness)
-    target = lambda l: params.stiffness * l**2 / 4.0
-    profile = jarzynski.profile_from_distributions(
-        dists, proto.lambdas, inc, beta,
-        config.sampler["n_paths"], config.sampler["seed"], target,
-    )
-    files = []
-    name = config.filenames.get("profile", "profile.csv")
-    _write_profile(out, name, profile)
-    files.append(name)
-    for i, dist in enumerate(dists, start=1):
-        fname = f"dist_station_{i:02d}.csv"
-        _write_distribution(out, fname, dist)
-        files.append(fname)
-    files.append(_write_work_histogram(config, out, dists, proto, inc))
-    manifest["temperature"] = config.temperature
-    manifest["min_ess"] = float(profile.ess.min())
-    return files
-
-
-def _write_work_histogram(config, out: Path, dists, proto, increment) -> str:
-    works = jarzynski.sample_work_paths(
-        dists, proto.lambdas, increment,
-        config.sampler["n_paths"], config.sampler["seed"],
-    )
-    counts, edges = np.histogram(works.samples, bins=60)
-    name = config.filenames.get("work_histogram", "work_hist.csv")
-    _write_csv(out / name, ["W", "count"], zip(0.5 * (edges[:-1] + edges[1:]), counts))
-    return name
-
-
-def _station_distribution(config: RunConfig, params, lam: float):
-    proto = _protocol(config)
-    initial = lattice.ground_state(params, lam - proto.step)
-    series = lattice.evolve_center_of_mass(
-        initial, params, lam, tau=config.evolution["tau"], dt=config.evolution["dt"]
-    )
-    return lattice.time_average_distribution(series, bins=config.evolution["bins"])
-
-
 def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
     proto = _protocol(config)
@@ -301,35 +305,31 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     return files
 
 
-def _run_lattice_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    params = _model_params(config)
-    proto = _protocol(config)
-    beta = 1.0 / config.temperature
-    dists = [
-        _station_distribution(config, params, lam) for lam in proto.lambdas[:-1]
-    ]
-    inc = lambda x, a, b: jarzynski.lattice_increment(
-        x, a, b, params.trap, params.n_particles
+def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
+    evolution = config.evolution
+    profile = jarzynski.build_profile(
+        config.model["type"], _model_params(config), _protocol(config),
+        1.0 / config.temperature, config.sampler["n_paths"], config.sampler["seed"],
+        tail_tol=config.tolerances["tail_tol"],
+        tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
     )
-    target = lambda l: params.trap * params.n_particles * (l - params.center) ** 2 / 2.0
-    profile = jarzynski.profile_from_distributions(
-        dists, proto.lambdas, inc, beta,
-        config.sampler["n_paths"], config.sampler["seed"], target,
-    )
-    files = []
     name = config.filenames.get("profile", "profile.csv")
     _write_profile(out, name, profile)
-    files.append(name)
-    featured = config.evolution.get("featured_lambda")
-    for i, (lam, dist) in enumerate(zip(proto.lambdas[:-1], dists), start=1):
-        hname = f"hist_station_{i:02d}.csv"
-        _write_distribution(out, hname, dist)
-        files.append(hname)
+    files = [name]
+    prefix = "dist" if config.model["type"] == "oscillator" else "hist"
+    featured = evolution.get("featured_lambda")
+    for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
+        fname = f"{prefix}_station_{i:02d}.csv"
+        _write_distribution(out, fname, dist)
+        files.append(fname)
         if featured is not None and math.isclose(lam, featured):
             fname = config.filenames.get("featured_histogram", "featured_hist.csv")
             _write_distribution(out, fname, dist)
             files.append(fname)
-    files.append(_write_work_histogram(config, out, dists, proto, inc))
+    counts, edges = np.histogram(profile.final_work, bins=60)
+    name = config.filenames.get("work_histogram", "work_hist.csv")
+    _write_csv(out / name, ["W", "count"], zip(0.5 * (edges[:-1] + edges[1:]), counts))
+    files.append(name)
     manifest["temperature"] = config.temperature
     manifest["min_ess"] = float(profile.ess.min())
     return files
@@ -341,25 +341,17 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     dlam = float(config.quench["dlam"])
     eps = config.quench.get("eps")
     eps = 0.1 * dlam if eps is None else float(eps)
-    files = []
+    tol = config.tolerances
     if config.model["type"] == "lattice":
-        ens_a = lattice.diagonal_ensemble(
-            params, lam, dlam,
-            prob_cutoff=config.tolerances["prob_cutoff"],
-            max_states=config.tolerances["max_states"],
-        )
-        ens_b = lattice.diagonal_ensemble(
-            params, lam, dlam + eps,
-            prob_cutoff=config.tolerances["prob_cutoff"],
-            max_states=config.tolerances["max_states"],
+        ensemble = lambda dl: lattice.diagonal_ensemble(
+            params, lam, dl, prob_cutoff=tol["prob_cutoff"], max_states=tol["max_states"]
         )
         closed = None
     else:
-        ens_a = oscillator.poisson_ensemble(params, lam, dlam, config.tolerances["tail_tol"])
-        ens_b = oscillator.poisson_ensemble(params, lam, dlam + eps, config.tolerances["tail_tol"])
-        closed = oscillator.temperature_closed_form(
-            params, oscillator.y_parameter(params, dlam)
-        )
+        ensemble = lambda dl: oscillator.poisson_ensemble(params, lam, dl, tol["tail_tol"])
+        closed = oscillator.temperature_closed_form(params, oscillator.y_parameter(params, dlam))
+    ens_a, ens_b = (ensemble(dl) for dl in (dlam, dlam + eps))
+    files = []
     for tag, ens, dl in (("a", ens_a, dlam), ("b", ens_b, dlam + eps)):
         name = f"ensemble_{tag}.csv"
         write_ensemble(ens, out / name, lam=lam, dlam=dl)
@@ -380,9 +372,9 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
 
 _RUNNERS = {
     "oscillator-sweep": _run_oscillator_sweep,
-    "oscillator-je": _run_oscillator_je,
+    "oscillator-je": _run_je,
     "lattice-run": _run_lattice_run,
-    "lattice-je": _run_lattice_je,
+    "lattice-je": _run_je,
     "temperature": _run_temperature,
 }
 

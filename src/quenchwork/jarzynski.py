@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from . import lattice, oscillator
 from .distributions import PositionDistribution, QuenchProtocol
 
 _MIN_ESS = 10.0
@@ -62,6 +63,9 @@ class FreeEnergyProfile:
     ``work_std`` are the standard deviations of the partial work sums (the
     conventional error bar), ``jackknife`` the delete-one errors of the
     exponential estimator, ``ess`` the effective sample sizes.
+    ``distributions`` are the station distributions the coordinates were
+    drawn from (one per step) and ``final_work`` the total work of every
+    sampled path.
     """
 
     lambdas: np.ndarray
@@ -69,6 +73,8 @@ class FreeEnergyProfile:
     work_std: np.ndarray
     jackknife: np.ndarray
     ess: np.ndarray
+    distributions: tuple[PositionDistribution, ...]
+    final_work: np.ndarray
     targets: np.ndarray | None = None
 
     @property
@@ -92,30 +98,26 @@ def lattice_increment(
     return trap * n_particles * (lam_next - lam_i) * (lam_i + lam_next - 2.0 * np.asarray(x))
 
 
-def lattice_work(
-    xs: Sequence[float], protocol: QuenchProtocol, trap: float, n_particles: int
-) -> float:
-    """Total path work V*N_b*dlambda * sum_i (2*lambda_i + dlambda - 2*x_i)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size != protocol.stations - 1:
-        raise ValueError(
-            f"need {protocol.stations - 1} coordinates, got {xs.size}"
-        )
-    lams = protocol.lambdas[:-1]
-    return float(
-        trap * n_particles * protocol.step * np.sum(2.0 * lams + protocol.step - 2.0 * xs)
-    )
-
-
-def _station_draws(
-    dists: Sequence[PositionDistribution], n_paths: int, seed: int
+def _partial_work(
+    dists: Sequence[PositionDistribution],
+    lambdas: np.ndarray,
+    increment: Callable,
+    n_paths: int,
+    seed: int,
 ) -> np.ndarray:
-    """(n_paths, stations-1) coordinate draws, independent across stations and
-    bit-reproducible for a given seed."""
+    """(n_paths, stations-1) partial work sums; column i holds the work of
+    steps 1..i+1.  Coordinates are drawn independently across stations and
+    bit-reproducibly for a given seed."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if len(dists) != lambdas.size - 1:
+        raise ValueError("need one distribution per quench step")
     rng = np.random.default_rng(seed)
-    return np.column_stack([d.sample(rng, n_paths) for d in dists])
+    draws = np.column_stack([d.sample(rng, n_paths) for d in dists])
+    steps = np.column_stack(
+        [increment(draws[:, i], lambdas[i], lambdas[i + 1]) for i in range(len(dists))]
+    )
+    return np.cumsum(steps, axis=1)
 
 
 def sample_work_paths(
@@ -131,14 +133,8 @@ def sample_work_paths(
     ``lambdas`` lists all station coordinates, so the i-th step contributes
     ``increment(x_i, lambdas[i], lambdas[i+1])``.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(dists) != lambdas.size - 1:
-        raise ValueError("need one distribution per quench step")
-    draws = _station_draws(dists, n_paths, seed)
-    total = np.zeros(n_paths)
-    for i in range(len(dists)):
-        total += increment(draws[:, i], lambdas[i], lambdas[i + 1])
-    return WorkDistribution(samples=total)
+    partial = _partial_work(dists, np.asarray(lambdas, dtype=float), increment, n_paths, seed)
+    return WorkDistribution(samples=partial[:, -1])
 
 
 def _as_samples(works) -> np.ndarray:
@@ -190,11 +186,7 @@ def profile_from_distributions(
     sums of steps 1..i-1; the first station is pinned at zero.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    draws = _station_draws(dists, n_paths, seed)
-    steps = np.column_stack(
-        [increment(draws[:, i], lambdas[i], lambdas[i + 1]) for i in range(len(dists))]
-    )
-    partial = np.cumsum(steps, axis=1)
+    partial = _partial_work(dists, lambdas, increment, n_paths, seed)
 
     s = lambdas.size
     delta_f = np.zeros(s)
@@ -223,6 +215,8 @@ def profile_from_distributions(
         work_std=work_std,
         jackknife=jk,
         ess=ess,
+        distributions=tuple(dists),
+        final_work=partial[:, -1],
         targets=targets,
     )
 
@@ -235,7 +229,6 @@ def build_profile(
     n_paths: int,
     seed: int,
     *,
-    grid_points: int = 2001,
     tail_tol: float = 1e-12,
     tau: float | None = None,
     dt: float = 0.1,
@@ -243,33 +236,28 @@ def build_profile(
 ) -> FreeEnergyProfile:
     """Assemble per-station distributions for a model and run the estimator.
 
-    ``model`` is "oscillator" (analytic densities on a grid) or "lattice"
-    (histograms of the evolved center of mass).  The station-i ensemble is
-    generated by the quench (lambda_i - step) -> lambda_i, matching the
-    protocol that measures work when stepping lambda_i -> lambda_{i+1}.
+    This is the one place that defines each model's station distributions,
+    work increment and target profile.  ``model`` is "oscillator" (analytic
+    densities on the default grid) or "lattice" (histograms of the evolved
+    center of mass).  The station-i ensemble is generated by the quench
+    (lambda_i - step) -> lambda_i, matching the protocol that measures work
+    when stepping lambda_i -> lambda_{i+1}.
     """
     lams = protocol.lambdas
     if model == "oscillator":
-        from . import oscillator as osc
-
-        y = osc.y_parameter(params, protocol.step)
+        y = oscillator.y_parameter(params, protocol.step)
         dists = [
-            osc.position_distribution(
-                params, l, y, grid=osc.default_grid(params, l, y, grid_points),
-                tail_tol=tail_tol,
-            )
+            oscillator.position_distribution(params, l, y, tail_tol=tail_tol)
             for l in lams[:-1]
         ]
         increment = lambda x, a, b: oscillator_increment(x, a, b, params.stiffness)
         target_fn = lambda l: params.stiffness * l**2 / 4.0
     elif model == "lattice":
-        from . import lattice as lat
-
         dists = []
         for l in lams[:-1]:
-            initial = lat.ground_state(params, l - protocol.step)
-            series = lat.evolve_center_of_mass(initial, params, l, tau=tau, dt=dt)
-            dists.append(lat.time_average_distribution(series, bins=bins))
+            initial = lattice.ground_state(params, l - protocol.step)
+            series = lattice.evolve_center_of_mass(initial, params, l, tau=tau, dt=dt)
+            dists.append(lattice.time_average_distribution(series, bins=bins))
         increment = lambda x, a, b: lattice_increment(
             x, a, b, params.trap, params.n_particles
         )

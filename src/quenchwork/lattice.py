@@ -33,7 +33,9 @@ from .distributions import PositionDistribution
 from .ensembles import DiagonalEnsemble, TemperatureEstimate, temperature_from_pair
 
 _EDGE_OCCUPANCY_WARN = 1e-6
-_ORTHONORMALITY_WARN = 1e-6
+MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
+MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
+_EVOLVE_CHUNK = 4096  # time samples per block of the evolution tensor
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -128,11 +130,14 @@ class TimeSeries:
         return float(self.times[-1] - self.times[0])
 
 
+def _trap_diagonal(params: LatticeParams, lam: float) -> np.ndarray:
+    k = params.sites
+    return params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
+
+
 def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
     """Dense symmetric N x N matrix: -J off the diagonal, both traps on it."""
-    k = params.sites
-    diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
-    h = np.diag(diag)
+    h = np.diag(_trap_diagonal(params, lam))
     off = -params.hopping * np.ones(params.n_sites - 1)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
@@ -142,10 +147,8 @@ def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
 def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     """Eigen-decomposition of the tridiagonal one-body matrix, cached per
     (params, lambda)."""
-    k = params.sites
-    diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
     off = np.full(params.n_sites - 1, -params.hopping)
-    values, vectors = eigh_tridiagonal(diag, off)
+    values, vectors = eigh_tridiagonal(_trap_diagonal(params, lam), off)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return SingleParticleSpectrum(values=values, vectors=vectors)
@@ -237,8 +240,8 @@ def diagonal_ensemble(
     EnsembleConvergenceError
         If ``max_states`` is exhausted with less than 0.99 captured.
     """
-    if prob_cutoff > 1e-6:
-        raise ValueError("prob_cutoff must be <= 1e-6")
+    if prob_cutoff > MAX_PROB_CUTOFF:
+        raise ValueError(f"prob_cutoff must be <= {MAX_PROB_CUTOFF:g}")
     spec = spectrum(params, lam)
     initial = ground_state(params, lam - dlam)
     amp = spec.vectors.T @ initial.orbitals  # level alpha overlap with orbital b
@@ -312,12 +315,6 @@ def lattice_temperature(
     return temperature_from_pair(ens_a, ens_b)
 
 
-def _reorthonormalize(p: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(p)
-    # fix the QR sign gauge so the orbitals stay close to the input
-    return q * np.sign(np.diag(r))
-
-
 def evolve_center_of_mass(
     initial: SlaterState,
     params: LatticeParams,
@@ -325,7 +322,6 @@ def evolve_center_of_mass(
     tau: float | None = None,
     dt: float = 0.1,
     allow_short: bool = False,
-    chunk: int = 4096,
 ) -> TimeSeries:
     """Exact evolution of the center of mass under H(lambda).
 
@@ -349,30 +345,19 @@ def evolve_center_of_mass(
     ks = params.sites
     xs = np.empty(times.size)
     edge_occ = 0.0
-    last_pt = None
-    for lo in range(0, times.size, chunk):
-        tt = times[lo : lo + chunk]
+    for lo in range(0, times.size, _EVOLVE_CHUNK):
+        tt = times[lo : lo + _EVOLVE_CHUNK]
         phases = np.exp(-1j * tt[:, None] * spec.values[None, :])
         pt = u[None, :, :] @ (phases[:, :, None] * b[None, :, :])
         dens = (np.abs(pt) ** 2).sum(axis=2)
         xs[lo : lo + tt.size] = dens @ ks / params.n_particles
         edge_occ = max(edge_occ, dens[:, 0].max(), dens[:, -1].max())
-        last_pt = pt[-1]
     if edge_occ > _EDGE_OCCUPANCY_WARN:
         warnings.warn(
             f"edge occupancy reached {edge_occ:.3e}; open-boundary reflections "
             "may distort the trajectory",
             stacklevel=2,
         )
-    gram = last_pt.conj().T @ last_pt
-    drift = np.abs(gram - np.eye(gram.shape[0])).max()
-    if drift > _ORTHONORMALITY_WARN:
-        warnings.warn(
-            f"orbital orthonormality drifted to {drift:.3e}; re-orthonormalizing",
-            stacklevel=2,
-        )
-        fixed = _reorthonormalize(last_pt)
-        xs[-1] = (np.abs(fixed) ** 2).sum(axis=1) @ ks / params.n_particles
     return TimeSeries(times=times, values=xs, n_sites=params.n_sites)
 
 
@@ -407,8 +392,10 @@ def time_average_distribution(
     with ``allow_short``); the dephasing argument behind the approximation
     needs both.
     """
-    if series.values.size < 1000:
-        raise ValueError("need at least 1000 samples for a stable histogram")
+    if series.values.size < MIN_SERIES_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SERIES_SAMPLES} samples for a stable histogram"
+        )
     if series.span < series.n_sites**2 and not allow_short:
         raise ValueError(
             f"series spans {series.span:g} < N^2 = {series.n_sites**2}; "

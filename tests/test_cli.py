@@ -98,16 +98,23 @@ def test_manifest_hash_semantics(tmp_path):
 
 
 def test_byte_identical_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import quenchwork
+
+    # the child imports the same package as this process, installed or not
+    src = str(Path(quenchwork.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_OSC_JE))
     for d in ("p1", "p2"):
         proc = subprocess.run(
             [sys.executable, "-m", "quenchwork.cli", "--config", str(path),
              "--out", str(tmp_path / d), "--quiet"],
-            capture_output=True,
+            capture_output=True, env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
     a = (tmp_path / "p1" / "profile.csv").read_bytes()
@@ -218,3 +225,69 @@ def test_main_seed_override_changes_output(tmp_path, capsys):
     assert a != b
     manifest = json.loads((tmp_path / "s2" / "manifest.json").read_text())
     assert manifest["seed"] == 77
+
+
+def main_violations(tmp_path, capsys, raw):
+    """Exit code and violations of ``main`` on a config file holding ``raw``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "validation_failed"
+    return code, out["violations"]
+
+
+def with_changes(base, **sections):
+    raw = copy.deepcopy(base)
+    for section, values in sections.items():
+        if isinstance(raw.get(section), dict):
+            raw[section].update(values)
+        else:
+            raw[section] = values
+    return raw
+
+
+LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
+                       "quench": {"lambda": 15.0, "dlam": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        (with_changes(SMALL_LATTICE_JE, evolution={"tau": 50.0, "dt": 0.04}), "evolution.tau"),
+        (with_changes(SMALL_LATTICE_JE, evolution={"tau": 64.0, "dt": 0.0638}), "evolution.tau"),
+        (with_changes(SMALL_LATTICE_JE, evolution={"dt": 0.5}), "evolution.dt"),
+        (with_changes(LATTICE_TEMPERATURE, tolerances={"prob_cutoff": 1e-5}),
+         "tolerances.prob_cutoff"),
+        (with_changes(SMALL_OSC_JE, model={"type": "lattice"}), "model.type"),
+    ],
+    ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "loose-cutoff",
+         "model-kind-mismatch"],
+)
+def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert [v.split(":")[0] for v in violations] == [field]
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_rejects_non_numbers(tmp_path, capsys):
+    raw = with_changes(
+        SMALL_OSC_JE, temperature="hot", tolerances={"tail_tol": "tight"},
+        protocol={"stations": "4"},
+    )
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert sorted(v.split(":")[0] for v in violations) == [
+        "protocol.stations", "temperature", "tolerances.tail_tol",
+    ]
+
+
+@pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "..", "", 3])
+def test_validate_keeps_output_inside_out_dir(tmp_path, capsys, name):
+    raw = copy.deepcopy(PRESETS["fig2"])
+    raw["filenames"] = {"sweep": name}
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert violations == ["filenames.sweep: must be a file name without a directory part"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]

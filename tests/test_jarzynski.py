@@ -11,7 +11,6 @@ from quenchwork.jarzynski import (
     free_energy_estimate,
     jackknife_error,
     lattice_increment,
-    lattice_work,
     oscillator_increment,
     profile_from_distributions,
     sample_work_paths,
@@ -56,33 +55,22 @@ def test_lattice_increment_matches_potential_difference():
         )
 
 
+def lattice_path_work(xs, proto, trap=0.0225, n_b=10):
+    lams = proto.lambdas
+    return sum(
+        lattice_increment(x, lams[i], lams[i + 1], trap, n_b) for i, x in enumerate(xs)
+    )
+
+
 def test_lattice_work_symmetry_zero():
     proto = QuenchProtocol(13.0, 1.0, 8)
     xs = proto.lambdas[:-1] + 0.5  # x_i at the midpoint of each step
-    assert lattice_work(xs, proto, 0.0225, 10) == pytest.approx(0.0, abs=1e-12)
+    assert lattice_path_work(xs, proto) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lattice_work_single_step():
     proto = QuenchProtocol(13.0, 1.0, 2)
-    w = lattice_work([13.0], proto, 0.0225, 10)
-    assert w == pytest.approx(0.225, abs=1e-12)
-
-
-def test_lattice_work_equals_summed_increments():
-    proto = QuenchProtocol(13.0, 1.0, 8)
-    rng = np.random.default_rng(8)
-    xs = rng.uniform(12.0, 18.0, proto.stations - 1)
-    total = sum(
-        lattice_increment(x, l, l + 1.0, 0.0225, 10)
-        for x, l in zip(xs, proto.lambdas[:-1])
-    )
-    assert lattice_work(xs, proto, 0.0225, 10) == pytest.approx(total, rel=1e-12)
-
-
-def test_lattice_work_length_mismatch():
-    proto = QuenchProtocol(13.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        lattice_work([13.0, 14.0], proto, 0.0225, 10)
+    assert lattice_path_work([13.0], proto) == pytest.approx(0.225, abs=1e-12)
 
 
 def test_sample_work_paths_zero_increment():
@@ -217,6 +205,24 @@ def test_high_temperature_profile_sits_above_target():
     proto = QuenchProtocol(0.0, 4.0, 11)
     profile = build_profile("oscillator", params, proto, 1.0 / 3.52, 50_000, 13)
     assert profile.delta_f[-1] > profile.targets[-1]
+
+
+def test_profile_final_work_is_the_sampled_path_work():
+    """The profile keeps its draws: final_work is bit for bit the total work
+    sample_work_paths draws for the same inputs and seed."""
+    from quenchwork.oscillator import position_distribution, y_parameter
+
+    params = OscillatorParams()
+    proto = QuenchProtocol(0.0, 0.6935, 5)
+    y = y_parameter(params, proto.step)
+    dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
+    profile = profile_from_distributions(
+        dists, proto.lambdas, oscillator_increment, 1.0 / 0.35, 4000, 21
+    )
+    works = sample_work_paths(dists, proto.lambdas, oscillator_increment, 4000, 21)
+    assert profile.final_work.tobytes() == works.samples.tobytes()
+    assert len(profile.distributions) == len(dists)
+    assert all(a is b for a, b in zip(profile.distributions, dists))
 
 
 def test_build_profile_rejects_unknown_model():

@@ -11,7 +11,6 @@ from quenchwork.lattice import (
     SingleParticleSpectrum,
     SlaterState,
     TimeSeries,
-    _reorthonormalize,
     diagonal_ensemble,
     eigenstate,
     energy_expectation,
@@ -239,16 +238,6 @@ def test_evolution_warns_when_trap_reaches_edge():
     initial = ground_state(params, 1.5)
     with pytest.warns(UserWarning, match="edge occupancy"):
         evolve_center_of_mass(initial, params, 2.5, tau=120.0, dt=0.1)
-
-
-def test_reorthonormalize_restores_columns():
-    rng = np.random.default_rng(5)
-    p = np.linalg.qr(rng.normal(size=(12, 4)))[0]
-    drifted = p + 1e-4 * rng.normal(size=p.shape)
-    fixed = _reorthonormalize(drifted)
-    gram = fixed.T @ fixed
-    assert np.abs(gram - np.eye(4)).max() < 1e-12
-    assert np.abs(fixed - p).max() < 1e-3  # gauge-fixed close to the input
 
 
 def test_time_series_validation():
