@@ -48,6 +48,7 @@ from .lattice import (
     lattice_temperature,
     one_body_hamiltonian,
     overlap_probability,
+    quench_series,
     spectrum,
     time_average_distribution,
 )

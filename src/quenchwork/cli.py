@@ -26,6 +26,9 @@ from .oscillator import OscillatorParams
 
 KINDS = ("oscillator-sweep", "oscillator-je", "lattice-run", "lattice-je", "temperature")
 _SAMPLING_KINDS = ("oscillator-je", "lattice-je")
+_SECTIONS = (
+    "model", "protocol", "sampler", "evolution", "sweep", "quench", "tolerances", "filenames"
+)
 
 _MODEL_DEFAULTS = {
     "oscillator": {"mass": 1.0, "stiffness": 0.5, "hbar": 1.0},
@@ -161,6 +164,25 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _shape_violations(raw) -> list[str]:
+    """Checks a raw config must pass before ``RunConfig.from_dict`` can read it."""
+    if not isinstance(raw, dict):
+        return ["config: must be a JSON object"]
+    violations = [
+        f"{key}: must be an object" for key in _SECTIONS
+        if key in raw and not isinstance(raw[key], dict)
+    ]
+    violations.extend(
+        f"{key}: must be a string" for key in ("kind", "out_dir")
+        if key in raw and not isinstance(raw[key], str)
+    )
+    model = raw.get("model")
+    mtype = model.get("type") if isinstance(model, dict) else None
+    if mtype is not None and not isinstance(mtype, str):
+        violations.append("model.type: must be a string")
+    return violations
+
+
 def validate(config: RunConfig) -> list[str]:
     """Static checks; an empty list means the run would start."""
     violations = []
@@ -177,9 +199,8 @@ def validate(config: RunConfig) -> list[str]:
     except (TypeError, ValueError) as exc:
         violations.append(f"model: {exc}")
     if config.kind in _SAMPLING_KINDS:
-        seed = config.sampler.get("seed")
-        if not isinstance(seed, int):
-            violations.append("sampler.seed: required (integer) for sampling runs")
+        if not _is_count(config.sampler.get("seed"), 0):
+            violations.append("sampler.seed: required (non-negative integer) for sampling runs")
         if not _is_count(config.sampler.get("n_paths"), 1):
             violations.append("sampler.n_paths: must be a positive integer")
         if not _is_number(config.temperature) or config.temperature <= 0:
@@ -211,6 +232,8 @@ def validate(config: RunConfig) -> list[str]:
             violations.append(f"tolerances.{key}: must be a positive number")
     if _is_number(tol["prob_cutoff"]) and tol["prob_cutoff"] > lattice.MAX_PROB_CUTOFF:
         violations.append(f"tolerances.prob_cutoff: must be at most {lattice.MAX_PROB_CUTOFF:g}")
+    if _is_number(tol["tail_tol"]) and tol["tail_tol"] > oscillator.MAX_TAIL_TOL:
+        violations.append(f"tolerances.tail_tol: must be at most {oscillator.MAX_TAIL_TOL:g}")
     if not isinstance(tol["max_states"], int):
         violations.append("tolerances.max_states: must be an integer")
     lattice_evolves = config.kind in ("lattice-je", "lattice-run")
@@ -218,6 +241,16 @@ def validate(config: RunConfig) -> list[str]:
     for key, name in config.filenames.items():
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             violations.append(f"filenames.{key}: must be a file name without a directory part")
+    if config.kind == "oscillator-je" and not violations:
+        # Poisson occupations past the oscillator's level cap leave mass off
+        # every station grid, which position_distribution rejects mid-run
+        step = config.protocol["step"]
+        y = oscillator.y_parameter(params, step)
+        if oscillator.poisson_probs(y, tol["tail_tol"]).sum() < oscillator.MIN_GRID_MASS:
+            violations.append(
+                f"protocol.step: {step:g} gives Poisson mean y = {y:.4g}, beyond the "
+                "levels the oscillator keeps"
+            )
     return violations
 
 
@@ -270,8 +303,10 @@ def _protocol(config: RunConfig) -> QuenchProtocol:
 
 def _write_profile(out: Path, name: str, profile) -> None:
     targets = profile.targets if profile.targets is not None else np.zeros_like(profile.delta_f)
-    rows = zip(profile.lambdas, profile.delta_f, targets, profile.work_std, profile.ess)
-    _write_csv(out / name, ["lambda", "dF_JE", "dF_target", "work_std", "ESS"], rows)
+    rows = zip(
+        profile.lambdas, profile.delta_f, targets, profile.work_std, profile.jackknife, profile.ess
+    )
+    _write_csv(out / name, ["lambda", "dF_JE", "dF_target", "work_std", "jackknife", "ESS"], rows)
 
 
 def _write_distribution(out: Path, name: str, dist) -> None:
@@ -292,9 +327,8 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     proto = _protocol(config)
     files = []
     for i, lam in enumerate(proto.lambdas[:-1], start=1):
-        initial = lattice.ground_state(params, lam - proto.step)
-        series = lattice.evolve_center_of_mass(
-            initial, params, lam, tau=config.evolution["tau"], dt=config.evolution["dt"]
+        series = lattice.quench_series(
+            params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         sname = f"series_station_{i:02d}.csv"
         _write_csv(out / sname, ["t", "x"], zip(series.times, series.values))
@@ -410,18 +444,24 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    raw = copy.deepcopy(PRESETS[args.preset]) if args.preset else json.loads(
-        args.config.read_text()
-    )
-    if args.out is not None:
-        raw["out_dir"] = str(args.out)
-    if args.seed is not None:
-        raw.setdefault("sampler", {})["seed"] = args.seed
-    if args.quiet:
-        raw["quiet"] = True
-
-    config = RunConfig.from_dict(raw)
-    violations = validate(config)
+    raw, violations = None, []
+    if args.preset:
+        raw = copy.deepcopy(PRESETS[args.preset])
+    else:
+        try:
+            raw = json.loads(args.config.read_text())
+        except (OSError, ValueError) as exc:
+            violations = [f"config: cannot read JSON: {exc}"]
+    violations = violations or _shape_violations(raw)
+    if not violations:
+        if args.out is not None:
+            raw["out_dir"] = str(args.out)
+        if args.seed is not None:
+            raw.setdefault("sampler", {})["seed"] = args.seed
+        if args.quiet:
+            raw["quiet"] = True
+        config = RunConfig.from_dict(raw)
+        violations = validate(config)
     if violations:
         print(json.dumps({"error": "validation_failed", "violations": violations}))
         return 2

@@ -253,11 +253,12 @@ def build_profile(
         increment = lambda x, a, b: oscillator_increment(x, a, b, params.stiffness)
         target_fn = lambda l: params.stiffness * l**2 / 4.0
     elif model == "lattice":
-        dists = []
-        for l in lams[:-1]:
-            initial = lattice.ground_state(params, l - protocol.step)
-            series = lattice.evolve_center_of_mass(initial, params, l, tau=tau, dt=dt)
-            dists.append(lattice.time_average_distribution(series, bins=bins))
+        dists = [
+            lattice.time_average_distribution(
+                lattice.quench_series(params, l, protocol.step, tau=tau, dt=dt), bins=bins
+            )
+            for l in lams[:-1]
+        ]
         increment = lambda x, a, b: lattice_increment(
             x, a, b, params.trap, params.n_particles
         )

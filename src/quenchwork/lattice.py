@@ -14,14 +14,16 @@ linear algebra on N x N_b orbital matrices:
   one-body matrix,
 * overlap probabilities between Slater states are squared determinants of the
   N_b x N_b orbital Gram matrix,
-* time evolution acts orbital-by-orbital through the spectral decomposition
-  of the one-body matrix,
+* time evolution is a quadratic form in the level basis of the one-body
+  matrix, so x(t) costs O(N^2) per time sample and never forms the evolved
+  orbitals,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
   coupled to the movable trap.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +37,7 @@ from .ensembles import DiagonalEnsemble, TemperatureEstimate, temperature_from_p
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
 MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
-_EVOLVE_CHUNK = 4096  # time samples per block of the evolution tensor
+_EVOLVE_CHUNK = 4096  # time samples per block of level phases in the evolution
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -58,6 +60,11 @@ class LatticeParams:
     center: float = 13.0
 
     def __post_init__(self):
+        if not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            for n in (self.n_sites, self.n_particles)
+        ):
+            raise TypeError("n_sites and n_particles must be integers")
         if not 1 <= self.n_particles <= self.n_sites:
             raise ValueError("need 1 <= n_particles <= n_sites")
         if self.hopping <= 0:
@@ -325,10 +332,17 @@ def evolve_center_of_mass(
 ) -> TimeSeries:
     """Exact evolution of the center of mass under H(lambda).
 
-    Orbitals propagate through the spectral decomposition,
-    P(t) = U exp(-i D t) U^+ P(0), and the reaction coordinate is
-    x(t) = sum_k k n_k(t) / N_b on a uniform time grid of step ``dt`` up to
-    horizon ``tau`` (default 2 N^2, in hbar/J units).
+    In the level basis of H(lambda) the state is b = U^T P(0) and the level
+    phases are d(t) = exp(-i eps t), so the reaction coordinate
+    x(t) = sum_k k n_k(t) / N_b is the quadratic form
+
+        x(t) = Re[d(t)^+ M d(t)],   M = (X o rho^T) / N_b,
+
+    with X = U^T diag(k) U, rho = b b^+ and o the elementwise product.  Each
+    time sample costs O(N^2); the orbitals P(t) are never formed.  The grid
+    is uniform with step ``dt`` up to horizon ``tau`` (default 2 N^2, in
+    hbar/J units).  The occupancy of the end sites comes from the same phases,
+    n_1(t) = sum_a |((d o U[0, :]) b)_a|^2 and likewise for site N.
 
     Horizons below N^2 give poorly converged time averages and are rejected
     unless ``allow_short`` is set.
@@ -341,17 +355,18 @@ def evolve_center_of_mass(
     spec = spectrum(params, lam)
     u = spec.vectors
     b = u.T @ initial.orbitals
+    rho = b @ b.conj().T
+    m = (u.T @ (params.sites[:, None] * u)) * rho.T / params.n_particles
     times = np.arange(0.0, tau + dt / 2.0, dt)
-    ks = params.sites
     xs = np.empty(times.size)
     edge_occ = 0.0
     for lo in range(0, times.size, _EVOLVE_CHUNK):
         tt = times[lo : lo + _EVOLVE_CHUNK]
         phases = np.exp(-1j * tt[:, None] * spec.values[None, :])
-        pt = u[None, :, :] @ (phases[:, :, None] * b[None, :, :])
-        dens = (np.abs(pt) ** 2).sum(axis=2)
-        xs[lo : lo + tt.size] = dens @ ks / params.n_particles
-        edge_occ = max(edge_occ, dens[:, 0].max(), dens[:, -1].max())
+        xs[lo : lo + tt.size] = (phases.conj() * (phases @ m)).real.sum(axis=1)
+        for edge in (u[0], u[-1]):
+            occ = (np.abs((phases * edge) @ b) ** 2).sum(axis=1)
+            edge_occ = max(edge_occ, occ.max())
     if edge_occ > _EDGE_OCCUPANCY_WARN:
         warnings.warn(
             f"edge occupancy reached {edge_occ:.3e}; open-boundary reflections "
@@ -359,6 +374,14 @@ def evolve_center_of_mass(
             stacklevel=2,
         )
     return TimeSeries(times=times, values=xs, n_sites=params.n_sites)
+
+
+def quench_series(
+    params: LatticeParams, lam: float, step: float, tau: float | None = None, dt: float = 0.1
+) -> TimeSeries:
+    """x(t) after the sudden quench (lambda - step) -> lambda: the ground state
+    of H(lambda - step) evolved under H(lambda)."""
+    return evolve_center_of_mass(ground_state(params, lam - step), params, lam, tau=tau, dt=dt)
 
 
 def energy_series(

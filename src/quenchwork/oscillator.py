@@ -30,6 +30,8 @@ from .ensembles import DiagonalEnsemble
 
 _SERIES_TOL = 1e-15
 _MAX_LEVELS = 200
+MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
+MIN_GRID_MASS = 1.0 - 1e-4  # least probability mass a position grid must capture
 
 
 class GridTooNarrowError(ValueError):
@@ -67,8 +69,8 @@ def poisson_probs(y: float, tail_tol: float = 1e-12, max_levels: int = _MAX_LEVE
     """Poisson occupations truncated at the smallest n with tail mass < tail_tol."""
     if y < 0:
         raise ValueError("y must be non-negative")
-    if not 0.0 < tail_tol <= 1e-6:
-        raise ValueError("tail_tol must lie in (0, 1e-6]")
+    if not 0.0 < tail_tol <= MAX_TAIL_TOL:
+        raise ValueError(f"tail_tol must lie in (0, {MAX_TAIL_TOL:g}]")
     if y == 0.0:
         return np.array([1.0])
     probs = [math.exp(-y)]
@@ -211,7 +213,7 @@ def position_distribution(
     phi = hermite_functions(probs.size - 1, xi)
     density = probs @ (phi**2) * scale
     mass = np.trapezoid(density, grid)
-    if mass < 1.0 - 1e-4:
+    if mass < MIN_GRID_MASS:
         raise GridTooNarrowError(
             f"grid captures only {mass:.6f} of the probability mass"
         )

@@ -72,7 +72,7 @@ def test_oscillator_je_outputs(tmp_path):
     assert (out / "work_hist.csv").exists()
     assert (out / "manifest.json").exists()
     header = (out / "profile.csv").read_text().splitlines()[0]
-    assert header == "lambda,dF_JE,dF_target,work_std,ESS"
+    assert header == "lambda,dF_JE,dF_target,work_std,jackknife,ESS"
     assert manifest["config_hash"] == config.config_hash()
 
 
@@ -131,7 +131,7 @@ def test_lattice_je_outputs(tmp_path):
     assert (out / "hist_station_01.csv").exists()
     assert (out / "featured_hist.csv").exists()
     rows = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
-    assert rows.shape == (3, 5)
+    assert rows.shape == (3, 6)
     assert rows[0, 1] == 0.0  # dF at the first station
     assert manifest["min_ess"] > 0
 
@@ -281,6 +281,37 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
     assert sorted(v.split(":")[0] for v in violations) == [
         "protocol.stations", "temperature", "tolerances.tail_tol",
     ]
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        ({**SMALL_OSC_JE, "sampler": 3}, "sampler"),
+        ([1, 2], "config"),
+        (with_changes(SMALL_OSC_JE, model={"type": ["oscillator"]}), "model.type"),
+        (with_changes(SMALL_OSC_JE, sampler={"seed": -1}), "sampler.seed"),
+        (with_changes(SMALL_LATTICE_JE, model={"n_sites": 8.5}), "model"),
+        (with_changes(SMALL_OSC_JE, protocol={"step": 500}), "protocol.step"),
+        (with_changes(SMALL_OSC_JE, tolerances={"tail_tol": 1e-3}), "tolerances.tail_tol"),
+    ],
+    ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
+         "fractional-sites", "step-past-level-cap", "loose-tail-tol"],
+)
+def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, field):
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert [v.split(":")[0] for v in violations] == [field]
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_rejects_unreadable_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{")
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "validation_failed"
+    assert out["violations"][0].startswith("config:")
+    assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
 @pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "..", "", 3])

@@ -227,6 +227,28 @@ def test_evolution_conserves_energy():
     assert np.abs(energies - energies[0]).max() < 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_center_of_mass_series_matches_dense_oracle():
+    """x(t) point by point against explicit many-body evolution."""
+    series = evolve_center_of_mass(ground_state(SMALL, 2.0), SMALL, 3.0, tau=200.0, dt=0.1)
+    exact = SMALL_ORACLE.com_series(3.0, 1.0, series.times)
+    assert np.abs(series.values - exact).max() < 1e-10
+
+
+def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
+    initial = ground_state(DEFAULTS, 13.0)
+    with pytest.warns(UserWarning, match=r"edge occupancy reached 1\.189e-05"):
+        series = evolve_center_of_mass(initial, DEFAULTS, 14.0)
+    assert series.span == 2 * DEFAULTS.n_sites**2
+    spec = spectrum(DEFAULTS, 14.0)
+    b = spec.vectors.T @ initial.orbitals
+    picks = np.linspace(0, series.times.size - 1, 50).astype(int)
+    for t, x in zip(series.times[picks], series.values[picks]):
+        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
+        direct = (np.abs(pt) ** 2).sum(axis=1) @ DEFAULTS.sites / DEFAULTS.n_particles
+        assert abs(x - direct) < 1e-12
+
+
 def test_evolution_rejects_short_horizon():
     initial = ground_state(SMALL, 2.0)
     with pytest.raises(ValueError):
