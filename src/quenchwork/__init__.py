@@ -21,7 +21,6 @@ from .ensembles import (
 )
 from .jarzynski import (
     FreeEnergyProfile,
-    WorkDistribution,
     build_profile,
     effective_sample_size,
     free_energy_estimate,
@@ -29,7 +28,6 @@ from .jarzynski import (
     lattice_increment,
     oscillator_increment,
     profile_from_distributions,
-    sample_work_paths,
 )
 from .lattice import (
     DegenerateFermiLevelError,

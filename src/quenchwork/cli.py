@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,16 +31,7 @@ _SECTIONS = (
     "model", "protocol", "sampler", "evolution", "sweep", "quench", "tolerances", "filenames"
 )
 
-_MODEL_DEFAULTS = {
-    "oscillator": {"mass": 1.0, "stiffness": 0.5, "hbar": 1.0},
-    "lattice": {
-        "n_sites": 40,
-        "n_particles": 10,
-        "hopping": 1.0,
-        "trap": 0.0225,
-        "center": 13.0,
-    },
-}
+_MODELS = {"oscillator": OscillatorParams, "lattice": LatticeParams}
 
 PRESETS: dict[str, dict] = {
     "fig2": {
@@ -106,7 +98,8 @@ class RunConfig:
         mtype = model.pop("type", None) or (
             "lattice" if kind.startswith("lattice") else "oscillator"
         )
-        merged = dict(_MODEL_DEFAULTS.get(mtype, {}))
+        params_cls = _MODELS.get(mtype)
+        merged = {f.name: f.default for f in dataclasses.fields(params_cls)} if params_cls else {}
         merged.update(model)
         merged["type"] = mtype
         sampler = {"n_paths": 100000}
@@ -151,9 +144,7 @@ class RunConfig:
 
 def _model_params(config: RunConfig):
     kw = {k: v for k, v in config.model.items() if k != "type"}
-    if config.model.get("type") == "lattice":
-        return LatticeParams(**kw)
-    return OscillatorParams(**kw)
+    return _MODELS[config.model["type"]](**kw)
 
 
 def _is_number(value) -> bool:
@@ -190,7 +181,7 @@ def validate(config: RunConfig) -> list[str]:
         violations.append(f"kind: '{config.kind}' is not one of {KINDS}")
         return violations
     mtype = config.model["type"]
-    if mtype not in _MODEL_DEFAULTS or config.kind.split("-")[0] not in (mtype, "temperature"):
+    if mtype not in _MODELS or config.kind.split("-")[0] not in (mtype, "temperature"):
         violations.append(f"model.type: '{mtype}' cannot run kind '{config.kind}'")
         return violations
     params = None
@@ -217,6 +208,8 @@ def validate(config: RunConfig) -> list[str]:
         y_min, y_max = sw.get("y_min"), sw.get("y_max")
         if not (_is_number(y_min) and _is_number(y_max) and 0 < y_min < y_max):
             violations.append("sweep: need 0 < y_min < y_max")
+        elif y_max > oscillator.MAX_POISSON_MEAN:
+            violations.append(f"sweep.y_max: must be at most {oscillator.MAX_POISSON_MEAN:g}")
         if not _is_count(sw.get("points"), 2):
             violations.append("sweep.points: need an integer of at least 2")
     if config.kind == "temperature":
@@ -241,14 +234,27 @@ def validate(config: RunConfig) -> list[str]:
     for key, name in config.filenames.items():
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             violations.append(f"filenames.{key}: must be a file name without a directory part")
-    if config.kind == "oscillator-je" and not violations:
-        # Poisson occupations past the oscillator's level cap leave mass off
-        # every station grid, which position_distribution rejects mid-run
-        step = config.protocol["step"]
-        y = oscillator.y_parameter(params, step)
-        if oscillator.poisson_probs(y, tol["tail_tol"]).sum() < oscillator.MIN_GRID_MASS:
+    if mtype == "oscillator" and config.kind != "oscillator-sweep" and not violations:
+        violations.extend(_level_cap_violations(config, params))
+    return violations
+
+
+def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
+    """Quench amplitudes of an oscillator run whose Poisson occupations run
+    past the oscillator's level cap; the lost mass would leave the station
+    grids short and the ensembles unnormalizable midway through the run."""
+    if config.kind == "temperature":
+        _, dlam, eps = _quench(config)
+        amplitudes = {"quench.dlam": dlam, "quench.eps": dlam + eps}
+    else:
+        amplitudes = {"protocol.step": config.protocol["step"]}
+    violations = []
+    for key, dlam in amplitudes.items():
+        y = oscillator.y_parameter(params, dlam)
+        kept = oscillator.poisson_probs(y, config.tolerances["tail_tol"]).sum()
+        if kept < oscillator.MIN_GRID_MASS:
             violations.append(
-                f"protocol.step: {step:g} gives Poisson mean y = {y:.4g}, beyond the "
+                f"{key}: quench amplitude {dlam:g} gives Poisson mean y = {y:.4g}, beyond the "
                 "levels the oscillator keeps"
             )
     return violations
@@ -302,9 +308,9 @@ def _protocol(config: RunConfig) -> QuenchProtocol:
 
 
 def _write_profile(out: Path, name: str, profile) -> None:
-    targets = profile.targets if profile.targets is not None else np.zeros_like(profile.delta_f)
     rows = zip(
-        profile.lambdas, profile.delta_f, targets, profile.work_std, profile.jackknife, profile.ess
+        profile.lambdas, profile.delta_f, profile.targets, profile.work_std, profile.jackknife,
+        profile.ess,
     )
     _write_csv(out / name, ["lambda", "dF_JE", "dF_target", "work_std", "jackknife", "ESS"], rows)
 
@@ -369,12 +375,17 @@ def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     return files
 
 
+def _quench(config: RunConfig) -> tuple[float, float, float]:
+    """lambda (default 15), dlam and eps (default 0.1*dlam) of a temperature run."""
+    q = config.quench
+    lam, dlam, eps = q.get("lambda"), float(q["dlam"]), q.get("eps")
+    lam = 15.0 if lam is None else float(lam)
+    return lam, dlam, 0.1 * dlam if eps is None else float(eps)
+
+
 def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
-    lam = float(config.quench.get("lambda", 15.0))
-    dlam = float(config.quench["dlam"])
-    eps = config.quench.get("eps")
-    eps = 0.1 * dlam if eps is None else float(eps)
+    lam, dlam, eps = _quench(config)
     tol = config.tolerances
     if config.model["type"] == "lattice":
         ensemble = lambda dl: lattice.diagonal_ensemble(

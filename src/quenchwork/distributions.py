@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
+_HISTOGRAM_PAD = 0.05  # fraction of the sample range added on each side
+
 
 @dataclass(frozen=True)
 class QuenchProtocol:
@@ -77,7 +79,7 @@ class PositionDistribution:
         return np.interp(rng.random(size), cdf, self.bin_edges())
 
     @classmethod
-    def from_histogram(cls, values, bins: int = 40, pad: float = 0.05):
+    def from_histogram(cls, values, bins: int = 40):
         """Equal-width histogram of ``values``, range padded on both sides.
 
         The padding leaves the outermost bins empty, which keeps the
@@ -91,9 +93,8 @@ class PositionDistribution:
         # degenerate (constant) samples: open a window wide enough that the
         # bin width stays clear of float resolution at this magnitude
         span = max(hi - lo, 1e-6 * max(1.0, abs(lo)))
-        counts, edges = np.histogram(
-            values, bins=bins, range=(lo - pad * span, hi + pad * span)
-        )
+        margin = _HISTOGRAM_PAD * span
+        counts, edges = np.histogram(values, bins=bins, range=(lo - margin, hi + margin))
         dx = edges[1] - edges[0]
         density = counts / (counts.sum() * dx)
         centers = 0.5 * (edges[:-1] + edges[1:])

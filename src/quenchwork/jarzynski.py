@@ -31,31 +31,6 @@ _MIN_ESS = 10.0
 
 
 @dataclass(frozen=True)
-class WorkDistribution:
-    """Monte Carlo sample of total path work."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.samples, dtype=float))
-        if s.size < 1:
-            raise ValueError("need at least one work sample")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def count(self) -> int:
-        return self.samples.size
-
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def std(self) -> float:
-        return float(self.samples.std())
-
-
-@dataclass(frozen=True)
 class FreeEnergyProfile:
     """Cumulative free-energy change along a protocol, with diagnostics.
 
@@ -64,8 +39,9 @@ class FreeEnergyProfile:
     conventional error bar), ``jackknife`` the delete-one errors of the
     exponential estimator, ``ess`` the effective sample sizes.
     ``distributions`` are the station distributions the coordinates were
-    drawn from (one per step) and ``final_work`` the total work of every
-    sampled path.
+    drawn from (one per step), ``final_work`` the total work of every
+    sampled path and ``targets`` the model's reference profile, zero at the
+    first station.
     """
 
     lambdas: np.ndarray
@@ -75,7 +51,7 @@ class FreeEnergyProfile:
     ess: np.ndarray
     distributions: tuple[PositionDistribution, ...]
     final_work: np.ndarray
-    targets: np.ndarray | None = None
+    targets: np.ndarray
 
     @property
     def undersampled(self) -> np.ndarray:
@@ -120,38 +96,25 @@ def _partial_work(
     return np.cumsum(steps, axis=1)
 
 
-def sample_work_paths(
-    dists: Sequence[PositionDistribution],
-    lambdas: Sequence[float],
-    increment: Callable,
-    n_paths: int,
-    seed: int,
-) -> WorkDistribution:
-    """Draw work samples for a protocol with one distribution per step.
-
-    ``dists[i]`` is the coordinate distribution at station i+1 and
-    ``lambdas`` lists all station coordinates, so the i-th step contributes
-    ``increment(x_i, lambdas[i], lambdas[i+1])``.
-    """
-    partial = _partial_work(dists, np.asarray(lambdas, dtype=float), increment, n_paths, seed)
-    return WorkDistribution(samples=partial[:, -1])
-
-
-def _as_samples(works) -> np.ndarray:
-    return works.samples if isinstance(works, WorkDistribution) else np.asarray(works, dtype=float)
+def _samples(works) -> np.ndarray:
+    """The estimators' input: a 1-D array of path work values, never empty."""
+    w = np.asarray(works, dtype=float)
+    if w.size < 1:
+        raise ValueError("need at least one work sample")
+    return w
 
 
 def free_energy_estimate(works, beta: float) -> float:
     """dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)], via log-sum-exp."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    w = _as_samples(works)
+    w = _samples(works)
     return float(-(logsumexp(-beta * w) - math.log(w.size)) / beta)
 
 
 def jackknife_error(works, beta: float) -> float:
     """Delete-one jackknife standard error of the free-energy estimate."""
-    w = _as_samples(works)
+    w = _samples(works)
     m = w.size
     if m < 2:
         return 0.0
@@ -166,7 +129,7 @@ def jackknife_error(works, beta: float) -> float:
 
 def effective_sample_size(works, beta: float) -> float:
     """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}."""
-    w = _as_samples(works)
+    w = _samples(works)
     z = -beta * w
     return float(math.exp(2.0 * logsumexp(z) - logsumexp(2.0 * z)))
 
@@ -178,12 +141,14 @@ def profile_from_distributions(
     beta: float,
     n_paths: int,
     seed: int,
-    target_fn: Callable[[float], float] | None = None,
+    target_fn: Callable[[float], float],
 ) -> FreeEnergyProfile:
     """Cumulative free-energy profile from per-station distributions.
 
-    Station i's estimate applies the exponential average to the partial work
-    sums of steps 1..i-1; the first station is pinned at zero.
+    Step i draws x_i from ``dists[i]`` and adds ``increment(x_i, lambdas[i],
+    lambdas[i+1])``.  Station i's estimate applies the exponential average to
+    the partial work sums of steps 1..i-1, and its target is
+    ``target_fn(lambda_i) - target_fn(lambda_1)``; both are zero at station 1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     partial = _partial_work(dists, lambdas, increment, n_paths, seed)
@@ -205,10 +170,8 @@ def profile_from_distributions(
             "the exponential average is undersampled",
             stacklevel=2,
         )
-    targets = None
-    if target_fn is not None:
-        base = target_fn(lambdas[0])
-        targets = np.array([target_fn(l) - base for l in lambdas])
+    base = target_fn(lambdas[0])
+    targets = np.array([target_fn(l) - base for l in lambdas])
     return FreeEnergyProfile(
         lambdas=lambdas,
         delta_f=delta_f,

@@ -94,14 +94,9 @@ class SingleParticleSpectrum:
 
 @dataclass(frozen=True)
 class SlaterState:
-    """Many-fermion state as a matrix of occupied single-particle orbitals.
-
-    ``occupied`` carries the eigenlevel indices when the state is an
-    eigenstate of some one-body matrix; it is None for evolved states.
-    """
+    """Many-fermion state as a matrix of occupied single-particle orbitals."""
 
     orbitals: np.ndarray
-    occupied: tuple[int, ...] | None = None
 
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.orbitals))
@@ -176,10 +171,7 @@ def fill_lowest(spec: SingleParticleSpectrum, n_particles: int) -> SlaterState:
                 f"levels {n_particles - 1} and {n_particles} are degenerate "
                 f"(energies {values[n_particles - 1]:.12g}, {values[n_particles]:.12g})"
             )
-    return SlaterState(
-        orbitals=spec.vectors[:, :n_particles].copy(),
-        occupied=tuple(range(n_particles)),
-    )
+    return SlaterState(orbitals=spec.vectors[:, :n_particles].copy())
 
 
 def ground_state(params: LatticeParams, lam: float) -> SlaterState:
@@ -189,9 +181,7 @@ def ground_state(params: LatticeParams, lam: float) -> SlaterState:
 
 def eigenstate(params: LatticeParams, lam: float, levels) -> SlaterState:
     """Many-body eigenstate with the given single-particle levels occupied."""
-    spec = spectrum(params, lam)
-    levels = tuple(int(l) for l in levels)
-    return SlaterState(orbitals=spec.vectors[:, list(levels)].copy(), occupied=levels)
+    return SlaterState(orbitals=spectrum(params, lam).vectors[:, list(levels)])
 
 
 def overlap_probability(initial: SlaterState, eigen: SlaterState) -> float:
@@ -328,7 +318,6 @@ def evolve_center_of_mass(
     lam: float,
     tau: float | None = None,
     dt: float = 0.1,
-    allow_short: bool = False,
 ) -> TimeSeries:
     """Exact evolution of the center of mass under H(lambda).
 
@@ -344,14 +333,13 @@ def evolve_center_of_mass(
     hbar/J units).  The occupancy of the end sites comes from the same phases,
     n_1(t) = sum_a |((d o U[0, :]) b)_a|^2 and likewise for site N.
 
-    Horizons below N^2 give poorly converged time averages and are rejected
-    unless ``allow_short`` is set.
+    Horizons below N^2 give poorly converged time averages and are rejected.
     """
     n2 = params.n_sites**2
     if tau is None:
         tau = 2.0 * n2
-    if tau < n2 and not allow_short:
-        raise ValueError(f"horizon tau={tau:g} is below N^2={n2}; pass allow_short=True")
+    if tau < n2:
+        raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
     spec = spectrum(params, lam)
     u = spec.vectors
     b = u.T @ initial.orbitals
@@ -403,25 +391,16 @@ def energy_series(
     return out
 
 
-def time_average_distribution(
-    series: TimeSeries,
-    bins: int = 40,
-    pad: float = 0.05,
-    allow_short: bool = False,
-) -> PositionDistribution:
+def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:
     """Normalized histogram of x(t) approximating the ensemble distribution.
 
-    Requires at least 10^3 samples and a horizon of N^2 time units (override
-    with ``allow_short``); the dephasing argument behind the approximation
-    needs both.
+    Requires at least 10^3 samples and a horizon of N^2 time units; the
+    dephasing argument behind the approximation needs both.
     """
     if series.values.size < MIN_SERIES_SAMPLES:
         raise ValueError(
             f"need at least {MIN_SERIES_SAMPLES} samples for a stable histogram"
         )
-    if series.span < series.n_sites**2 and not allow_short:
-        raise ValueError(
-            f"series spans {series.span:g} < N^2 = {series.n_sites**2}; "
-            "pass allow_short=True"
-        )
-    return PositionDistribution.from_histogram(series.values, bins=bins, pad=pad)
+    if series.span < series.n_sites**2:
+        raise ValueError(f"series spans {series.span:g} < N^2 = {series.n_sites**2}")
+    return PositionDistribution.from_histogram(series.values, bins=bins)

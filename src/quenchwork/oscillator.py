@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .distributions import PositionDistribution, QuenchProtocol
-from .ensembles import DiagonalEnsemble
+from .ensembles import DiagonalEnsemble, renormalize
 
-_SERIES_TOL = 1e-15
 _MAX_LEVELS = 200
 MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
+MAX_POISSON_MEAN = 1e6  # largest y the entropy sums accept; S stays within ~1e-8
 MIN_GRID_MASS = 1.0 - 1e-4  # least probability mass a position grid must capture
 
 
@@ -65,8 +66,8 @@ def y_parameter(params: OscillatorParams, dlam: float) -> float:
     return params.mass * params.omega * dlam**2 / (8.0 * params.hbar)
 
 
-def poisson_probs(y: float, tail_tol: float = 1e-12, max_levels: int = _MAX_LEVELS) -> np.ndarray:
-    """Poisson occupations truncated at the smallest n with tail mass < tail_tol."""
+def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
+    """Poisson occupations up to the first n with tail mass < tail_tol, at most _MAX_LEVELS."""
     if y < 0:
         raise ValueError("y must be non-negative")
     if not 0.0 < tail_tol <= MAX_TAIL_TOL:
@@ -76,7 +77,7 @@ def poisson_probs(y: float, tail_tol: float = 1e-12, max_levels: int = _MAX_LEVE
     probs = [math.exp(-y)]
     cum = probs[0]
     n = 0
-    while 1.0 - cum >= tail_tol and n < max_levels:
+    while 1.0 - cum >= tail_tol and n < _MAX_LEVELS:
         n += 1
         probs.append(probs[-1] * y / n)
         cum += probs[-1]
@@ -88,54 +89,41 @@ def poisson_ensemble(
 ) -> DiagonalEnsemble:
     """Diagonal ensemble of the quench (lambda - dlambda) -> lambda.
 
-    Occupations are Poisson with mean ``y_parameter(params, dlam)``; level
-    energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
+    Occupations are Poisson with mean ``y_parameter(params, dlam)``, truncated
+    by ``poisson_probs`` and renormalized with the tail recorded in
+    ``discarded_mass``; level energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
     """
     y = y_parameter(params, dlam)
     probs = poisson_probs(y, tail_tol)
     n = np.arange(probs.size)
     energies = params.hbar * params.omega * (n + 0.5) + params.stiffness * lam**2 / 4.0
-    return DiagonalEnsemble(
-        energies=energies,
-        probs=probs,
-        label=f"oscillator lambda={lam:g} dlambda={dlam:g}",
-        discarded_mass=max(0.0, 1.0 - float(probs.sum())),
+    return renormalize(
+        DiagonalEnsemble(energies, probs, label=f"oscillator lambda={lam:g} dlambda={dlam:g}")
     )
 
 
+def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Levels n within 12 standard deviations (plus 40 levels) of the mean
+    and their ln P_n = n ln y - y - ln n!, which stay finite for any y."""
+    if not 0.0 < y <= MAX_POISSON_MEAN:
+        raise ValueError(f"y must lie in (0, {MAX_POISSON_MEAN:g}]")
+    half = 12.0 * math.sqrt(y) + 40.0
+    n = np.arange(max(0.0, math.floor(y - half)), math.ceil(y + half) + 1.0)
+    return n, n * math.log(y) - y - gammaln(n + 1.0)
+
+
 def entropy_closed_form(y: float) -> float:
-    """Entropy of the Poisson ensemble, S = y - y ln y + e^-y sum y^n ln(n!)/n!."""
-    if y < 0:
-        raise ValueError("y must be non-negative")
+    """Entropy of the Poisson ensemble, S = -sum_n P_n ln P_n, summed in log space."""
     if y == 0.0:
         return 0.0
-    total = 0.0
-    term = 1.0  # y^n / n!
-    n = 0
-    while True:
-        total += term * math.lgamma(n + 1)
-        n += 1
-        term *= y / n
-        if n > y and term * math.lgamma(n + 2) < _SERIES_TOL:
-            break
-    return y - y * math.log(y) + math.exp(-y) * total
+    _, log_p = _poisson_log_probs(y)
+    return float(-(np.exp(log_p) * log_p).sum())
 
 
 def entropy_derivative(y: float) -> float:
-    """dS/dy = e^-y sum_n y^n [ln(n+1) - ln y]/n!, summed to convergence."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    lny = math.log(y)
-    total = 0.0
-    term = 1.0
-    n = 0
-    while True:
-        total += term * (math.log(n + 1) - lny)
-        n += 1
-        term *= y / n
-        if n > y and term * (math.log(n + 2) + abs(lny)) < _SERIES_TOL:
-            break
-    return math.exp(-y) * total
+    """dS/dy = sum_n P_n [ln(n+1) - ln y], summed in log space."""
+    n, log_p = _poisson_log_probs(y)
+    return float((np.exp(log_p) * (np.log(n + 1.0) - math.log(y))).sum())
 
 
 def temperature_closed_form(params: OscillatorParams, y: float) -> float:
@@ -145,8 +133,6 @@ def temperature_closed_form(params: OscillatorParams, y: float) -> float:
     (dS/dy)/(dE/dy) with dE/dy = hbar*omega, since both S and E depend on the
     quench amplitude only through y.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
     return params.hbar * params.omega / entropy_derivative(y)
 
 

@@ -1,9 +1,19 @@
+import contextlib
 import copy
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import quenchwork
 from quenchwork.cli import PRESETS, RunConfig, main, run, validate
 
 SMALL_LATTICE_JE = {
@@ -97,26 +107,24 @@ def test_manifest_hash_semantics(tmp_path):
     assert RunConfig.from_dict(warmer).config_hash() != base.config_hash()
 
 
-def test_byte_identical_across_processes(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import quenchwork
-
-    # the child imports the same package as this process, installed or not
+def run_child(tmp_path, raw, out, timeout=None):
+    """``python -m quenchwork.cli`` on ``raw`` in a child process that imports
+    the same package as this process, installed or not."""
     src = str(Path(quenchwork.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SMALL_OSC_JE))
+    path.write_text(json.dumps(raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchwork.cli", "--config", str(path),
+         "--out", str(tmp_path / out), "--quiet"],
+        capture_output=True, env=env, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_byte_identical_across_processes(tmp_path):
     for d in ("p1", "p2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quenchwork.cli", "--config", str(path),
-             "--out", str(tmp_path / d), "--quiet"],
-            capture_output=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        run_child(tmp_path, SMALL_OSC_JE, d)
     a = (tmp_path / "p1" / "profile.csv").read_bytes()
     b = (tmp_path / "p2" / "profile.csv").read_bytes()
     assert a == b
@@ -260,9 +268,10 @@ LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
         (with_changes(LATTICE_TEMPERATURE, tolerances={"prob_cutoff": 1e-5}),
          "tolerances.prob_cutoff"),
         (with_changes(SMALL_OSC_JE, model={"type": "lattice"}), "model.type"),
+        (with_changes(PRESETS["fig2"], sweep={"y_max": 2e6}), "sweep.y_max"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "loose-cutoff",
-         "model-kind-mismatch"],
+         "model-kind-mismatch", "y-max-past-entropy-sums"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -322,3 +331,70 @@ def test_validate_keeps_output_inside_out_dir(tmp_path, capsys, name):
     assert code == 2
     assert violations == ["filenames.sweep: must be a file name without a directory part"]
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def oscillator_temperature(**quench):
+    return {"kind": "temperature", "model": {"type": "oscillator"},
+            "quench": {"lambda": 0.0, "dlam": 0.6935, **quench}}
+
+
+def test_temperature_kind_renormalizes_a_loose_tail(tmp_path, capsys):
+    """tail_tol 1e-7 leaves more than NORMALIZATION_TOL off the Poisson
+    ensemble; the run renormalizes and records the tail."""
+    raw = with_changes(oscillator_temperature(), tolerances={"tail_tol": 1e-7})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert all(0.0 < d < 1e-7 for d in manifest["captured_deficit"])
+
+
+def test_temperature_kind_defaults_a_null_lambda(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(oscillator_temperature(**{"lambda": None})))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert (tmp_path / "o" / "temperature.csv").read_text().splitlines()[1].startswith("15,")
+
+
+@pytest.mark.parametrize(
+    "quench,fields",
+    [({"dlam": 39.0, "eps": 3.9}, ["quench.dlam", "quench.eps"]),
+     ({"dlam": 30.0, "eps": 12.0}, ["quench.eps"])],
+    ids=["dlam-past-level-cap", "dlam-plus-eps-past-level-cap"],
+)
+def test_temperature_kind_rejects_amplitudes_past_level_cap(tmp_path, capsys, quench, fields):
+    code, violations = main_violations(tmp_path, capsys, oscillator_temperature(**quench))
+    assert code == 2
+    assert [v.split(":")[0] for v in violations] == fields
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_to_large_y_finishes(tmp_path):
+    """y_max 1000 used to overflow the entropy series and hang; the subprocess
+    timeout turns a hang into a failure."""
+    run_child(tmp_path, with_changes(PRESETS["fig2"], sweep={"y_max": 1000.0}), "o", timeout=60)
+    rows = (tmp_path / "o" / "fig2.csv").read_text().splitlines()
+    assert len(rows) == 122
+    y, t, t_b, s, s_b = map(float, rows[-1].split(","))
+    asymptote = 0.5 * math.log(2 * math.pi * math.e * y) - 1 / (12 * y)
+    assert y == 1000.0 and s == pytest.approx(asymptote, abs=1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dlam=st.floats(1e-3, 60.0),
+    eps=st.none() | st.floats(-50.0, 50.0),
+    lam=st.floats(-50.0, 50.0),
+    tail_tol=st.floats(1e-14, 1e-6),
+)
+def test_oscillator_temperature_exits_cleanly(tmp_path, dlam, eps, lam, tail_tol):
+    """Any oscillator temperature config either runs or is rejected with exit
+    code 2; nothing raises."""
+    raw = {**oscillator_temperature(**{"lambda": lam, "dlam": dlam, "eps": eps}),
+           "tolerances": {"tail_tol": tail_tol}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code in (0, 2)

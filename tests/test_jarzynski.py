@@ -5,7 +5,6 @@ import pytest
 
 from quenchwork.distributions import PositionDistribution, QuenchProtocol
 from quenchwork.jarzynski import (
-    WorkDistribution,
     build_profile,
     effective_sample_size,
     free_energy_estimate,
@@ -13,7 +12,6 @@ from quenchwork.jarzynski import (
     lattice_increment,
     oscillator_increment,
     profile_from_distributions,
-    sample_work_paths,
 )
 from quenchwork.oscillator import OscillatorParams
 
@@ -28,7 +26,17 @@ def point_mass(x0, width=1e-3):
 
 def gaussian_works(mu, sigma, m, seed):
     rng = np.random.default_rng(seed)
-    return WorkDistribution(samples=rng.normal(mu, sigma, m))
+    return rng.normal(mu, sigma, m)
+
+
+def zero_target(lam):
+    return 0.0
+
+
+def path_work(dists, lambdas, increment, n_paths, seed):
+    """Total work of every path the profile estimator samples."""
+    profile = profile_from_distributions(dists, lambdas, increment, 1.0, n_paths, seed, zero_target)
+    return profile.final_work
 
 
 def test_oscillator_increment_identities():
@@ -73,53 +81,55 @@ def test_lattice_work_single_step():
     assert lattice_path_work([13.0], proto) == pytest.approx(0.225, abs=1e-12)
 
 
-def test_sample_work_paths_zero_increment():
+def test_path_work_zero_increment():
     dists = [point_mass(0.3), point_mass(0.9)]
-    works = sample_work_paths(dists, [0.0, 1.0, 2.0], lambda x, a, b: 0.0 * x, 100, 1)
-    assert np.all(works.samples == 0.0)
+    works = path_work(dists, [0.0, 1.0, 2.0], lambda x, a, b: 0.0 * x, 100, 1)
+    assert np.all(works == 0.0)
 
 
-def test_sample_work_paths_point_mass():
+def test_path_work_point_mass():
     x0 = 0.25
     dists = [point_mass(x0)]
-    works = sample_work_paths(dists, [0.0, 1.0], oscillator_increment, 500, 4)
+    works = path_work(dists, [0.0, 1.0], oscillator_increment, 500, 4)
     expected = oscillator_increment(x0, 0.0, 1.0)
-    assert np.abs(works.samples - expected).max() < 1e-3  # within the bin width
-    assert works.std < 1e-3
+    assert np.abs(works - expected).max() < 1e-3  # within the bin width
+    assert works.std() < 1e-3
 
 
-def test_sample_work_paths_deterministic():
+def test_path_work_deterministic():
     params = OscillatorParams()
     from quenchwork.oscillator import position_distribution, y_parameter
 
     y = y_parameter(params, 0.6935)
     dists = [position_distribution(params, l, y) for l in (0.0, 0.6935)]
-    a = sample_work_paths(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
-    b = sample_work_paths(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
-    assert np.array_equal(a.samples, b.samples)
-    c = sample_work_paths(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 43)
-    assert not np.array_equal(a.samples, c.samples)
+    a = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
+    b = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
+    assert np.array_equal(a, b)
+    c = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 43)
+    assert not np.array_equal(a, c)
 
 
 def test_free_energy_constant_work():
-    assert free_energy_estimate(WorkDistribution(np.zeros(100)), 2.0) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert free_energy_estimate(WorkDistribution(np.full(100, 3.7)), 2.0) == pytest.approx(
-        3.7, abs=1e-12
-    )
+    assert free_energy_estimate(np.zeros(100), 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert free_energy_estimate(np.full(100, 3.7), 2.0) == pytest.approx(3.7, abs=1e-12)
+
+
+def test_estimators_reject_an_empty_sample():
+    for estimator in (free_energy_estimate, jackknife_error, effective_sample_size):
+        with pytest.raises(ValueError, match="at least one work sample"):
+            estimator(np.array([]), 1.0)
 
 
 def test_free_energy_jensen_bound():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        w = WorkDistribution(rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 2), 4000))
-        assert free_energy_estimate(w, 1.3) <= w.mean + 1e-12
+        w = rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 2), 4000)
+        assert free_energy_estimate(w, 1.3) <= w.mean() + 1e-12
 
 
 def test_free_energy_shift_covariance():
     w = gaussian_works(1.0, 0.7, 20_000, 9)
-    shifted = WorkDistribution(w.samples + 2.5)
+    shifted = w + 2.5
     df = free_energy_estimate(w, 1.1)
     assert free_energy_estimate(shifted, 1.1) - df == pytest.approx(2.5, abs=1e-12)
 
@@ -134,14 +144,14 @@ def test_free_energy_gaussian_oracle():
 
 def test_free_energy_stabilizes_with_sample_size():
     w = gaussian_works(1.0, 1.0, 400_000, 21)
-    quarter = WorkDistribution(w.samples[:100_000])
+    quarter = w[:100_000]
     df_m = free_energy_estimate(quarter, 1.0)
     df_4m = free_energy_estimate(w, 1.0)
     assert abs(df_m - df_4m) < 2.0 * jackknife_error(quarter, 1.0)
 
 
 def test_effective_sample_size():
-    w = WorkDistribution(np.full(500, 1.0))
+    w = np.full(500, 1.0)
     assert effective_sample_size(w, 2.0) == pytest.approx(500.0, rel=1e-12)
     spread = gaussian_works(0.0, 2.0, 500, 3)
     assert effective_sample_size(spread, 2.0) < 500.0
@@ -151,7 +161,7 @@ def test_jackknife_error_scales_with_noise():
     quiet = gaussian_works(1.0, 0.01, 5000, 5)
     loud = gaussian_works(1.0, 1.0, 5000, 5)
     assert jackknife_error(quiet, 1.0) < jackknife_error(loud, 1.0)
-    assert jackknife_error(WorkDistribution(np.array([1.0])), 1.0) == 0.0
+    assert jackknife_error(np.array([1.0]), 1.0) == 0.0
 
 
 def test_profile_starts_at_zero_and_carries_targets():
@@ -175,7 +185,7 @@ def test_profile_warns_when_undersampled():
     wide = PositionDistribution(x=grid, density=f, dx=grid[1] - grid[0])
     with pytest.warns(UserWarning, match="undersampled"):
         profile = profile_from_distributions(
-            [wide], np.array([0.0, 40.0]), oscillator_increment, 50.0, 40, 3
+            [wide], np.array([0.0, 40.0]), oscillator_increment, 50.0, 40, 3, zero_target
         )
     assert profile.undersampled[1:].any()
 
@@ -187,8 +197,8 @@ def test_oscillator_path_sample_obeys_jensen():
     proto = QuenchProtocol(0.0, 0.6935, 11)
     y = y_parameter(params, proto.step)
     dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
-    works = sample_work_paths(dists, proto.lambdas, oscillator_increment, 20_000, 3)
-    assert free_energy_estimate(works, 1.0 / 0.35) <= works.mean + 1e-12
+    works = path_work(dists, proto.lambdas, oscillator_increment, 20_000, 3)
+    assert free_energy_estimate(works, 1.0 / 0.35) <= works.mean() + 1e-12
 
 
 def test_oscillator_profile_tracks_target_within_work_std():
@@ -208,19 +218,22 @@ def test_high_temperature_profile_sits_above_target():
 
 
 def test_profile_final_work_is_the_sampled_path_work():
-    """The profile keeps its draws: final_work is bit for bit the total work
-    sample_work_paths draws for the same inputs and seed."""
+    """The profile keeps its draws: final_work is bit for bit the work sample
+    its last station was estimated from, and the distributions are the ones
+    passed in."""
     from quenchwork.oscillator import position_distribution, y_parameter
 
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 0.6935, 5)
     y = y_parameter(params, proto.step)
     dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
+    beta = 1.0 / 0.35
     profile = profile_from_distributions(
-        dists, proto.lambdas, oscillator_increment, 1.0 / 0.35, 4000, 21
+        dists, proto.lambdas, oscillator_increment, beta, 4000, 21, zero_target
     )
-    works = sample_work_paths(dists, proto.lambdas, oscillator_increment, 4000, 21)
-    assert profile.final_work.tobytes() == works.samples.tobytes()
+    assert profile.final_work.shape == (4000,)
+    assert profile.delta_f[-1] == free_energy_estimate(profile.final_work, beta)
+    assert profile.jackknife[-1] == jackknife_error(profile.final_work, beta)
     assert len(profile.distributions) == len(dists)
     assert all(a is b for a, b in zip(profile.distributions, dists))
 

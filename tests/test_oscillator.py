@@ -66,6 +66,15 @@ def test_entropy_closed_form_limits():
     assert entropy_closed_form(0.06) == pytest.approx(direct, abs=1e-10)
 
 
+@pytest.mark.parametrize("y", [1e3, 1e4])
+def test_entropy_large_y_follows_the_gaussian_asymptote(y):
+    """Past y ~ 710 the terms y^n/n! overflow; the log-space sums stay on
+    S = ln(2 pi e y)/2 - 1/(12 y) - 1/(24 y^2) and dS/dy = 1/(2y) + 1/(12 y^2)."""
+    asymptote = 0.5 * math.log(2 * math.pi * math.e * y) - 1 / (12 * y) - 1 / (24 * y**2)
+    assert abs(entropy_closed_form(y) - asymptote) < 1e-9
+    assert entropy_derivative(y) == pytest.approx(1 / (2 * y) + 1 / (12 * y**2), rel=1e-6)
+
+
 def test_temperature_anchors():
     assert temperature_closed_form(PARAMS, 0.06) == pytest.approx(0.35, abs=0.005)
     assert temperature_closed_form(PARAMS, 2.0) == pytest.approx(3.52, abs=0.01)
