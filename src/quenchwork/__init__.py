@@ -6,7 +6,7 @@ extract a characteristic temperature from entropy/energy finite differences,
 and estimate free-energy profiles from exponential work averages over
 multi-quench protocols.
 """
-from .distributions import PositionDistribution, QuenchProtocol, count_peaks
+from .distributions import PositionDistribution, QuenchProtocol
 from .ensembles import (
     DegenerateEnergyError,
     DiagonalEnsemble,
@@ -14,7 +14,6 @@ from .ensembles import (
     TemperatureEstimate,
     entropy,
     mean_energy,
-    read_ensemble,
     renormalize,
     temperature_from_pair,
     write_ensemble,
@@ -38,12 +37,9 @@ from .lattice import (
     TimeSeries,
     diagonal_ensemble,
     eigenstate,
-    energy_expectation,
-    energy_series,
     evolve_center_of_mass,
     fill_lowest,
     ground_state,
-    lattice_temperature,
     one_body_hamiltonian,
     overlap_probability,
     quench_series,

@@ -16,20 +16,76 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jarzynski, lattice, oscillator
-from .distributions import QuenchProtocol
+from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
 from .ensembles import temperature_from_pair, write_ensemble
 from .lattice import EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
-KINDS = ("oscillator-sweep", "oscillator-je", "lattice-run", "lattice-je", "temperature")
-_SAMPLING_KINDS = ("oscillator-je", "lattice-je")
-_SECTIONS = (
-    "model", "protocol", "sampler", "evolution", "sweep", "quench", "tolerances", "filenames"
-)
+# the sections whose required fields each kind needs; None holds the top-level ones
+KINDS = {
+    "oscillator-sweep": ("sweep",),
+    "oscillator-je": (None, "protocol", "sampler"),
+    "lattice-run": ("protocol",),
+    "lattice-je": (None, "protocol", "sampler"),
+    "temperature": ("quench",),
+}
+REQUIRED = object()  # default of a field the kinds needing its section must set
+
+
+class Field(NamedTuple):
+    """A row of FIELDS.  ``default`` stands in for a value left out or null
+    (a callable one is computed from the section); ``type`` is int, float or
+    str (a file name inside ``out_dir``); ``bound`` is an int's least value or
+    a float's (open lower, closed upper) range, None for any float."""
+
+    default: object
+    type: type
+    bound: int | tuple[float, float] | None = None
+
+
+# Every config field but the model's, which the dataclasses in _MODELS describe.
+FIELDS: dict[str | None, dict[str, Field]] = {
+    None: {"temperature": Field(REQUIRED, float, (0.0, math.inf))},
+    "protocol": {
+        "lambda_start": Field(REQUIRED, float),
+        "step": Field(REQUIRED, float),
+        "stations": Field(REQUIRED, int, 2),
+    },
+    "sampler": {"n_paths": Field(100000, int, 1), "seed": Field(REQUIRED, int, 0)},
+    "evolution": {
+        "tau": Field(None, float),  # None: 2 * n_sites**2
+        "dt": Field(0.1, float, (0.0, math.inf)),
+        "bins": Field(40, int, MIN_HISTOGRAM_BINS),
+        "featured_lambda": Field(None, float),
+    },
+    "sweep": {
+        "y_min": Field(REQUIRED, float, (0.0, oscillator.MAX_POISSON_MEAN)),
+        "y_max": Field(REQUIRED, float, (0.0, oscillator.MAX_POISSON_MEAN)),
+        "points": Field(REQUIRED, int, 2),
+    },
+    "quench": {
+        "lambda": Field(15.0, float),
+        "dlam": Field(REQUIRED, float, (0.0, math.inf)),
+        "eps": Field(lambda quench: 0.1 * quench["dlam"], float),
+    },
+    "tolerances": {
+        "tail_tol": Field(1e-12, float, (0.0, oscillator.MAX_TAIL_TOL)),
+        "prob_cutoff": Field(1e-8, float, (0.0, lattice.MAX_PROB_CUTOFF)),
+        "max_states": Field(50000, int, 1),
+    },
+    "filenames": {
+        "sweep": Field("sweep.csv", str),
+        "profile": Field("profile.csv", str),
+        "featured_histogram": Field("featured_hist.csv", str),
+        "work_histogram": Field("work_hist.csv", str),
+        "temperature": Field("temperature.csv", str),
+    },
+}
 
 _MODELS = {"oscillator": OscillatorParams, "lattice": LatticeParams}
 
@@ -102,40 +158,21 @@ class RunConfig:
         merged = {f.name: f.default for f in dataclasses.fields(params_cls)} if params_cls else {}
         merged.update(model)
         merged["type"] = mtype
-        sampler = {"n_paths": 100000}
-        sampler.update(d.get("sampler", {}))
-        evolution = {"tau": None, "dt": 0.1, "bins": 40, "featured_lambda": None}
-        evolution.update(d.get("evolution", {}))
-        tolerances = {"tail_tol": 1e-12, "prob_cutoff": 1e-8, "max_states": 50000}
-        tolerances.update(d.get("tolerances", {}))
+        # a left-out protocol stays None and the quench defaults are filled
+        # where they are read, so that no config hash moves
+        sections = {name: dict(d.get(name, {})) for name in FIELDS if name}
+        sections["protocol"] = d.get("protocol")
+        for name in ("sampler", "evolution", "tolerances", "filenames"):
+            sections[name] = _with_defaults(name, sections[name])
         return cls(
-            kind=kind,
-            model=merged,
-            protocol=d.get("protocol"),
-            temperature=d.get("temperature"),
-            sampler=sampler,
-            evolution=evolution,
-            sweep=dict(d.get("sweep", {})),
-            quench=dict(d.get("quench", {})),
-            tolerances=tolerances,
-            filenames=dict(d.get("filenames", {})),
-            out_dir=d.get("out_dir", "out"),
-            quiet=bool(d.get("quiet", False)),
+            kind=kind, model=merged, temperature=d.get("temperature"), **sections,
+            out_dir=d.get("out_dir", "out"), quiet=bool(d.get("quiet", False)),
         )
 
     def semantic_dict(self) -> dict:
         """Fields that affect computed results (not where they are written)."""
-        return {
-            "kind": self.kind,
-            "model": self.model,
-            "protocol": self.protocol,
-            "temperature": self.temperature,
-            "sampler": self.sampler,
-            "evolution": self.evolution,
-            "sweep": self.sweep,
-            "quench": self.quench,
-            "tolerances": self.tolerances,
-        }
+        sections = (s for s in FIELDS if s not in (None, "filenames"))
+        return {key: getattr(self, key) for key in ("kind", "model", *FIELDS[None], *sections)}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
@@ -147,25 +184,68 @@ def _model_params(config: RunConfig):
     return _MODELS[config.model["type"]](**kw)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _with_defaults(section: str, values: dict) -> dict:
+    """``values`` with each field of ``section`` it leaves out or null at its
+    default; fields without a default stay as they are."""
+    out = dict(values)
+    for key, spec in FIELDS[section].items():
+        if out.get(key) is None and spec.default is not REQUIRED:
+            out[key] = spec.default(out) if callable(spec.default) else spec.default
+    return out
 
 
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def _unmet(spec: Field, value) -> str | None:
+    """What ``value`` must be to fit the type and bound of ``spec``, or None
+    if it fits."""
+    if spec.type is str:
+        fits = isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
+        return None if fits else "a file name without a directory part"
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if spec.type is int:
+        fits = number and isinstance(value, int) and value >= spec.bound
+        return None if fits else f"an integer of at least {spec.bound}"
+    low, high = spec.bound or (-math.inf, math.inf)
+    if number and low < value <= high:
+        return None
+    above = f" above {low:g}" if low > -math.inf else ""
+    return f"a number{above}" + (f" and at most {high:g}" if high < math.inf else "")
+
+
+def _field_violations(config: RunConfig) -> list[str]:
+    """Keys with no row in FIELDS, values that do not fit their row, and
+    required fields left unset in the sections the kind needs."""
+    violations = []
+    for section, specs in FIELDS.items():
+        values = getattr(config, section) if section else {k: getattr(config, k) for k in specs}
+        values = values or {}  # a left-out protocol is None
+        for key in {**specs, **values}:
+            name = f"{section}.{key}" if section else key
+            spec, value = specs.get(key), values.get(key)
+            if spec is None:
+                violations.append(f"{name}: unknown field")
+            elif value is not None and (unmet := _unmet(spec, value)):
+                violations.append(f"{name}: must be {unmet}")
+            elif value is None and spec.default is REQUIRED and section in KINDS[config.kind]:
+                violations.append(f"{name}: required, {_unmet(spec, None)}")
+    return violations
 
 
 def _shape_violations(raw) -> list[str]:
     """Checks a raw config must pass before ``RunConfig.from_dict`` can read it."""
     if not isinstance(raw, dict):
         return ["config: must be a JSON object"]
+    sections = ["model", *filter(None, FIELDS)]
     violations = [
-        f"{key}: must be an object" for key in _SECTIONS
+        f"{key}: must be an object" for key in sections
         if key in raw and not isinstance(raw[key], dict)
     ]
     violations.extend(
         f"{key}: must be a string" for key in ("kind", "out_dir")
         if key in raw and not isinstance(raw[key], str)
+    )
+    violations.extend(
+        f"{key}: unknown field" for key in raw
+        if key not in (*sections, *FIELDS[None], "kind", "out_dir", "quiet")
     )
     model = raw.get("model")
     mtype = model.get("type") if isinstance(model, dict) else None
@@ -175,80 +255,43 @@ def _shape_violations(raw) -> list[str]:
 
 
 def validate(config: RunConfig) -> list[str]:
-    """Static checks; an empty list means the run would start."""
-    violations = []
+    """Static checks; an empty list means the run would start.  Each field is
+    checked against its row in FIELDS; the checks that join fields run once
+    every field passes."""
     if config.kind not in KINDS:
-        violations.append(f"kind: '{config.kind}' is not one of {KINDS}")
-        return violations
+        return [f"kind: '{config.kind}' is not one of {tuple(KINDS)}"]
     mtype = config.model["type"]
     if mtype not in _MODELS or config.kind.split("-")[0] not in (mtype, "temperature"):
-        violations.append(f"model.type: '{mtype}' cannot run kind '{config.kind}'")
-        return violations
-    params = None
+        return [f"model.type: '{mtype}' cannot run kind '{config.kind}'"]
+    violations = _field_violations(config)
     try:
         params = _model_params(config)
     except (TypeError, ValueError) as exc:
-        violations.append(f"model: {exc}")
-    if config.kind in _SAMPLING_KINDS:
-        if not _is_count(config.sampler.get("seed"), 0):
-            violations.append("sampler.seed: required (non-negative integer) for sampling runs")
-        if not _is_count(config.sampler.get("n_paths"), 1):
-            violations.append("sampler.n_paths: must be a positive integer")
-        if not _is_number(config.temperature) or config.temperature <= 0:
-            violations.append("temperature: must be a positive number for estimator runs")
-    if config.kind in ("oscillator-je", "lattice-je", "lattice-run"):
-        proto = config.protocol or {}
-        if not _is_count(proto.get("stations"), 2):
-            violations.append("protocol.stations: need an integer of at least 2")
-        for key in ("lambda_start", "step"):
-            if not _is_number(proto.get(key)):
-                violations.append(f"protocol.{key}: required (number)")
-    if config.kind == "oscillator-sweep":
-        sw = config.sweep
-        y_min, y_max = sw.get("y_min"), sw.get("y_max")
-        if not (_is_number(y_min) and _is_number(y_max) and 0 < y_min < y_max):
-            violations.append("sweep: need 0 < y_min < y_max")
-        elif y_max > oscillator.MAX_POISSON_MEAN:
-            violations.append(f"sweep.y_max: must be at most {oscillator.MAX_POISSON_MEAN:g}")
-        if not _is_count(sw.get("points"), 2):
-            violations.append("sweep.points: need an integer of at least 2")
-    if config.kind == "temperature":
-        q = config.quench
-        if not _is_number(q.get("dlam")) or q["dlam"] <= 0:
-            violations.append("quench.dlam: must be a positive number")
-        for key in ("lambda", "eps"):
-            if q.get(key) is not None and not _is_number(q[key]):
-                violations.append(f"quench.{key}: must be a number")
-    tol = config.tolerances
-    for key, value in tol.items():
-        if not _is_number(value) or value <= 0:
-            violations.append(f"tolerances.{key}: must be a positive number")
-    if _is_number(tol["prob_cutoff"]) and tol["prob_cutoff"] > lattice.MAX_PROB_CUTOFF:
-        violations.append(f"tolerances.prob_cutoff: must be at most {lattice.MAX_PROB_CUTOFF:g}")
-    if _is_number(tol["tail_tol"]) and tol["tail_tol"] > oscillator.MAX_TAIL_TOL:
-        violations.append(f"tolerances.tail_tol: must be at most {oscillator.MAX_TAIL_TOL:g}")
-    if not isinstance(tol["max_states"], int):
-        violations.append("tolerances.max_states: must be an integer")
-    lattice_evolves = config.kind in ("lattice-je", "lattice-run")
-    violations.extend(_evolution_violations(config.evolution, params if lattice_evolves else None))
-    for key, name in config.filenames.items():
-        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            violations.append(f"filenames.{key}: must be a file name without a directory part")
-    if mtype == "oscillator" and config.kind != "oscillator-sweep" and not violations:
+        violations.insert(0, f"model: {exc}")
+    if violations:
+        return violations
+    if config.kind == "oscillator-sweep" and config.sweep["y_min"] >= config.sweep["y_max"]:
+        violations.append("sweep: need y_min < y_max")
+    if config.kind in ("lattice-run", "lattice-je"):
+        violations.extend(_horizon_violations(config.evolution, params))
+    if mtype == "oscillator" and config.kind != "oscillator-sweep":
         violations.extend(_level_cap_violations(config, params))
     return violations
 
 
 def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
     """Quench amplitudes of an oscillator run whose Poisson occupations run
-    past the oscillator's level cap; the lost mass would leave the station
-    grids short and the ensembles unnormalizable midway through the run."""
+    past the oscillator's level cap, which would leave the station grids short
+    and the ensembles unnormalizable midway through the run, and a dlam whose
+    y underflows to 0, where the closed-form temperature is undefined."""
+    violations = []
     if config.kind == "temperature":
-        _, dlam, eps = _quench(config)
-        amplitudes = {"quench.dlam": dlam, "quench.eps": dlam + eps}
+        quench = _with_defaults("quench", config.quench)
+        amplitudes = {"quench.dlam": quench["dlam"], "quench.eps": quench["dlam"] + quench["eps"]}
+        if oscillator.y_parameter(params, quench["dlam"]) == 0.0:
+            violations.append(f"quench.dlam: {quench['dlam']:g} gives Poisson mean y = 0")
     else:
         amplitudes = {"protocol.step": config.protocol["step"]}
-    violations = []
     for key, dlam in amplitudes.items():
         y = oscillator.y_parameter(params, dlam)
         kept = oscillator.poisson_probs(y, config.tolerances["tail_tol"]).sum()
@@ -260,30 +303,20 @@ def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[s
     return violations
 
 
-def _evolution_violations(evolution: dict, params) -> list[str]:
-    """Evolution settings; given lattice params, also the horizon and sample
-    count that evolve_center_of_mass and time_average_distribution accept."""
-    dt, tau = evolution.get("dt"), evolution.get("tau")
-    if not _is_number(dt) or dt <= 0:
-        return ["evolution.dt: must be a positive number"]
-    if tau is not None and not _is_number(tau):
-        return ["evolution.tau: must be a number"]
+def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
+    """The horizon and sample count that evolve_center_of_mass and
+    time_average_distribution accept."""
+    dt, tau = evolution["dt"], evolution["tau"]
+    n2 = params.n_sites**2
     violations = []
-    if not _is_count(evolution.get("bins"), 1):
-        violations.append("evolution.bins: must be a positive integer")
-    featured = evolution.get("featured_lambda")
-    if featured is not None and not _is_number(featured):
-        violations.append("evolution.featured_lambda: must be a number")
-    if isinstance(params, LatticeParams):
-        n2 = params.n_sites**2
-        # the length of np.arange(0, horizon + dt/2, dt), the series' time grid
-        samples = math.ceil(((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt)
-        if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
-            violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
-        if samples < lattice.MIN_SERIES_SAMPLES:
-            violations.append(
-                f"evolution.dt: tau/dt gives fewer than {lattice.MIN_SERIES_SAMPLES} samples"
-            )
+    # the length of np.arange(0, horizon + dt/2, dt), the series' time grid
+    samples = math.ceil(((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt)
+    if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
+        violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
+    if samples < lattice.MIN_SERIES_SAMPLES:
+        violations.append(
+            f"evolution.dt: tau/dt gives fewer than {lattice.MIN_SERIES_SAMPLES} samples"
+        )
     return violations
 
 
@@ -296,15 +329,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _protocol(config: RunConfig) -> QuenchProtocol:
-    p = config.protocol
-    return QuenchProtocol(
-        lambda_start=float(p["lambda_start"]),
-        step=float(p["step"]),
-        stations=int(p["stations"]),
-    )
 
 
 def _write_profile(out: Path, name: str, profile) -> None:
@@ -323,14 +347,14 @@ def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[
     params = _model_params(config)
     ys = np.geomspace(config.sweep["y_min"], config.sweep["y_max"], config.sweep["points"])
     rows = oscillator.equilibrium_comparison(params, ys)
-    name = config.filenames.get("sweep", "sweep.csv")
+    name = config.filenames["sweep"]
     _write_csv(out / name, ["y", "T", "T_B", "S", "S_B"], rows)
     return [name]
 
 
 def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
-    proto = _protocol(config)
+    proto = QuenchProtocol(**config.protocol)
     files = []
     for i, lam in enumerate(proto.lambdas[:-1], start=1):
         series = lattice.quench_series(
@@ -348,26 +372,26 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
 def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     evolution = config.evolution
     profile = jarzynski.build_profile(
-        config.model["type"], _model_params(config), _protocol(config),
+        config.model["type"], _model_params(config), QuenchProtocol(**config.protocol),
         1.0 / config.temperature, config.sampler["n_paths"], config.sampler["seed"],
         tail_tol=config.tolerances["tail_tol"],
         tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
     )
-    name = config.filenames.get("profile", "profile.csv")
+    name = config.filenames["profile"]
     _write_profile(out, name, profile)
     files = [name]
     prefix = "dist" if config.model["type"] == "oscillator" else "hist"
-    featured = evolution.get("featured_lambda")
+    featured = evolution["featured_lambda"]
     for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
         fname = f"{prefix}_station_{i:02d}.csv"
         _write_distribution(out, fname, dist)
         files.append(fname)
         if featured is not None and math.isclose(lam, featured):
-            fname = config.filenames.get("featured_histogram", "featured_hist.csv")
+            fname = config.filenames["featured_histogram"]
             _write_distribution(out, fname, dist)
             files.append(fname)
     counts, edges = np.histogram(profile.final_work, bins=60)
-    name = config.filenames.get("work_histogram", "work_hist.csv")
+    name = config.filenames["work_histogram"]
     _write_csv(out / name, ["W", "count"], zip(0.5 * (edges[:-1] + edges[1:]), counts))
     files.append(name)
     manifest["temperature"] = config.temperature
@@ -375,17 +399,10 @@ def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     return files
 
 
-def _quench(config: RunConfig) -> tuple[float, float, float]:
-    """lambda (default 15), dlam and eps (default 0.1*dlam) of a temperature run."""
-    q = config.quench
-    lam, dlam, eps = q.get("lambda"), float(q["dlam"]), q.get("eps")
-    lam = 15.0 if lam is None else float(lam)
-    return lam, dlam, 0.1 * dlam if eps is None else float(eps)
-
-
 def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
-    lam, dlam, eps = _quench(config)
+    quench = _with_defaults("quench", config.quench)
+    lam, dlam, eps = (float(quench[key]) for key in ("lambda", "dlam", "eps"))
     tol = config.tolerances
     if config.model["type"] == "lattice":
         ensemble = lambda dl: lattice.diagonal_ensemble(
@@ -402,7 +419,7 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
         write_ensemble(ens, out / name, lam=lam, dlam=dl)
         files.append(name)
     est = temperature_from_pair(ens_a, ens_b)
-    name = config.filenames.get("temperature", "temperature.csv")
+    name = config.filenames["temperature"]
     header = ["lambda", "dlam", "eps", "dS", "dE", "beta", "T"]
     row = [lam, dlam, eps, est.dS, est.dE, est.beta, est.temperature]
     if closed is not None:

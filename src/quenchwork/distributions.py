@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 _HISTOGRAM_PAD = 0.05  # fraction of the sample range added on each side
+# fewest bins narrower than the pad, (1 + 2*pad)/bins < pad, so that the
+# outermost bins stay empty and the trapezoidal mass of a histogram is one
+MIN_HISTOGRAM_BINS = 23
 
 
 @dataclass(frozen=True)
@@ -99,15 +101,3 @@ class PositionDistribution:
         density = counts / (counts.sum() * dx)
         centers = 0.5 * (edges[:-1] + edges[1:])
         return cls(x=centers, density=density, dx=dx)
-
-
-def count_peaks(density, prominence_frac: float = 0.0) -> int:
-    """Number of interior local maxima of a density array.
-
-    ``prominence_frac`` discards wiggles whose prominence is below that
-    fraction of the global maximum; zero counts every strict local maximum.
-    """
-    f = density.density if isinstance(density, PositionDistribution) else np.asarray(density)
-    prominence = prominence_frac * f.max() if prominence_frac > 0 else None
-    peaks, _ = find_peaks(f, prominence=prominence)
-    return int(peaks.size)

@@ -171,34 +171,3 @@ def write_ensemble(
     for e, p in zip(ens.energies, ens.probs):
         lines.append(f"{e:.12g},{p:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_ensemble(path: str | Path) -> tuple[DiagonalEnsemble, dict]:
-    """Read an ensemble written by :func:`write_ensemble`.
-
-    Returns the ensemble and a dict of header metadata (label, lambda, ...).
-    """
-    meta: dict = {}
-    energies: list[float] = []
-    probs: list[float] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        e, p = line.split(",")
-        energies.append(float(e))
-        probs.append(float(p))
-    ens = DiagonalEnsemble(
-        energies=np.array(energies),
-        probs=np.array(probs),
-        label=meta.get("label", ""),
-        discarded_mass=float(meta.get("discarded_mass", 0.0)),
-    )
-    for key in ("lambda", "dlambda"):
-        if key in meta:
-            meta[key] = float(meta[key])
-    return ens, meta

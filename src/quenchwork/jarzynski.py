@@ -53,10 +53,6 @@ class FreeEnergyProfile:
     final_work: np.ndarray
     targets: np.ndarray
 
-    @property
-    def undersampled(self) -> np.ndarray:
-        return self.ess < _MIN_ESS
-
 
 def oscillator_increment(x, lam_i: float, lam_next: float, stiffness: float = 0.5):
     """Work of moving the k-spring anchor from lam_i to lam_next at fixed x."""

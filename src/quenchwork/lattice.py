@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .distributions import PositionDistribution
-from .ensembles import DiagonalEnsemble, TemperatureEstimate, temperature_from_pair
+from .ensembles import DiagonalEnsemble
 
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
@@ -203,7 +203,7 @@ def _rank_candidates(values: np.ndarray, n_particles: int, rank: int):
     holes = np.array(list(itertools.combinations(range(n_particles), rank)))
     parts = np.array(list(itertools.combinations(range(n_particles, n), rank)))
     kept = np.array(
-        [[o for o in range(n_particles) if o not in set(h)] for h in holes]
+        [[o for o in range(n_particles) if o not in set(h)] for h in holes], dtype=int
     )
     delta = values[parts].sum(axis=1)[None, :] - values[holes].sum(axis=1)[:, None]
     order = np.argsort(delta, axis=None, kind="stable")
@@ -231,6 +231,8 @@ def diagonal_ensemble(
     p_n = |det(orbital Gram)|^2.  Enumeration stops once the captured
     probability reaches 1 - prob_cutoff or ``max_states`` states, whichever
     comes first; the result is renormalized and the captured deficit recorded.
+    A deficit that ``max_states`` leaves above ``prob_cutoff`` raises a
+    UserWarning.
 
     Raises
     ------
@@ -275,6 +277,11 @@ def diagonal_ensemble(
                 f"captured only {captured:.6f} probability in {len(probs)} states "
                 f"for lambda={lam:g}, dlambda={dlam:g}; raise max_states"
             )
+        warnings.warn(
+            f"max_states={max_states} left {1.0 - captured:.3e} of the probability uncaptured "
+            f"for lambda={lam:g}, dlambda={dlam:g}, above prob_cutoff={prob_cutoff:g}",
+            stacklevel=2,
+        )
 
     energies = np.array(energies)
     probs = np.array(probs)
@@ -285,31 +292,6 @@ def diagonal_ensemble(
         label=f"lattice lambda={lam:g} dlambda={dlam:g}",
         discarded_mass=max(0.0, 1.0 - captured),
     )
-
-
-def energy_expectation(state: SlaterState, h: np.ndarray) -> float:
-    """<H> = Tr(P^+ h P) for a Slater state with orbital matrix P."""
-    p = state.orbitals
-    return float(np.real(np.einsum("ka,kl,la->", p.conj(), h, p)))
-
-
-def lattice_temperature(
-    params: LatticeParams,
-    lam: float = 15.0,
-    dlam: float = 1.0,
-    eps: float | None = None,
-    prob_cutoff: float = 1e-10,
-    max_states: int = 50_000,
-) -> TemperatureEstimate:
-    """Characteristic temperature from quenches dlam and dlam + eps into the
-    same lambda (eps defaults to 0.1*dlam)."""
-    if dlam <= 0:
-        raise ValueError("dlam must be positive")
-    if eps is None:
-        eps = 0.1 * dlam
-    ens_a = diagonal_ensemble(params, lam, dlam, prob_cutoff, max_states)
-    ens_b = diagonal_ensemble(params, lam, dlam + eps, prob_cutoff, max_states)
-    return temperature_from_pair(ens_a, ens_b)
 
 
 def evolve_center_of_mass(
@@ -370,25 +352,6 @@ def quench_series(
     """x(t) after the sudden quench (lambda - step) -> lambda: the ground state
     of H(lambda - step) evolved under H(lambda)."""
     return evolve_center_of_mass(ground_state(params, lam - step), params, lam, tau=tau, dt=dt)
-
-
-def energy_series(
-    initial: SlaterState, params: LatticeParams, lam: float, times
-) -> np.ndarray:
-    """<H(lambda)>(t) recomputed from the explicitly evolved orbitals.
-
-    Constant up to roundoff for a closed system; used as a conservation
-    check rather than derived from the (trivially constant) spectral form.
-    """
-    spec = spectrum(params, lam)
-    h = one_body_hamiltonian(params, lam)
-    u = spec.vectors
-    b = u.T @ initial.orbitals
-    out = np.empty(len(times))
-    for i, t in enumerate(np.asarray(times, dtype=float)):
-        pt = u @ (np.exp(-1j * t * spec.values)[:, None] * b)
-        out[i] = float(np.real(np.einsum("ka,kl,la->", pt.conj(), h, pt)))
-    return out
 
 
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:

@@ -13,8 +13,9 @@ import pytest
 from scipy.special import i0e
 
 from fock_oracle import DenseFockModel
+from oracles import count_peaks, energy_expectation, energy_series
 from quenchwork import entropy
-from quenchwork.distributions import QuenchProtocol, count_peaks
+from quenchwork.distributions import QuenchProtocol
 from quenchwork.ensembles import DiagonalEnsemble, mean_energy
 from quenchwork.jarzynski import (
     build_profile,
@@ -25,12 +26,9 @@ from quenchwork.jarzynski import (
 from quenchwork.lattice import (
     LatticeParams,
     diagonal_ensemble,
-    energy_expectation,
-    energy_series,
     eigenstate,
     evolve_center_of_mass,
     ground_state,
-    lattice_temperature,
     one_body_hamiltonian,
     overlap_probability,
     spectrum,
@@ -179,7 +177,7 @@ def test_criterion_06_lattice_energy_anchor():
     report(6, ok, f"E(lam=15, dlam=1) = {e:.4f} J (want -0.383 ± 5%)", 1.0, elapsed)
 
 
-def test_criterion_07_lattice_temperature_anchor_and_scaling():
+def test_criterion_07_lattice_temperature_anchor_and_scaling(lattice_temperature):
     """Anchor T(dlam=1) = 0.1953 ± 10%; energy proportional to dlam^2; T's shape.
 
     Energy reference: the two traps add to 2V(k - (a + lambda)/2)^2, so the
@@ -199,12 +197,12 @@ def test_criterion_07_lattice_temperature_anchor_and_scaling():
     not fixed by the model description and is not asserted.
     """
     start = time.monotonic()
-    anchor = lattice_temperature(LAT, lam=15.0, dlam=1.0).temperature
+    anchor = lattice_temperature(lam=15.0, dlam=1.0, prob_cutoff=1e-10)
     anchor_ok = abs(anchor - 0.1953) / 0.1953 < 0.10
 
     dl2 = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     temps = np.array(
-        [lattice_temperature(LAT, lam=15.0, dlam=math.sqrt(x)).temperature for x in dl2]
+        [lattice_temperature(lam=15.0, dlam=math.sqrt(x), prob_cutoff=1e-10) for x in dl2]
     )
     e0 = float(spectrum(LAT, 15.0).values[: LAT.n_particles].sum())
     deposited = np.array(

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quenchwork
-from quenchwork.cli import PRESETS, RunConfig, main, run, validate
+from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
 
 SMALL_LATTICE_JE = {
     "kind": "lattice-je",
@@ -265,13 +265,16 @@ LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
         (with_changes(SMALL_LATTICE_JE, evolution={"tau": 50.0, "dt": 0.04}), "evolution.tau"),
         (with_changes(SMALL_LATTICE_JE, evolution={"tau": 64.0, "dt": 0.0638}), "evolution.tau"),
         (with_changes(SMALL_LATTICE_JE, evolution={"dt": 0.5}), "evolution.dt"),
+        (with_changes(SMALL_LATTICE_JE, evolution={"bins": 22}), "evolution.bins"),
         (with_changes(LATTICE_TEMPERATURE, tolerances={"prob_cutoff": 1e-5}),
          "tolerances.prob_cutoff"),
         (with_changes(SMALL_OSC_JE, model={"type": "lattice"}), "model.type"),
         (with_changes(PRESETS["fig2"], sweep={"y_max": 2e6}), "sweep.y_max"),
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1e-200}},
+         "quench.dlam"),
     ],
-    ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "loose-cutoff",
-         "model-kind-mismatch", "y-max-past-entropy-sums"],
+    ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "too-few-bins",
+         "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -293,23 +296,26 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "raw,field",
+    "raw,fields",
     [
-        ({**SMALL_OSC_JE, "sampler": 3}, "sampler"),
-        ([1, 2], "config"),
-        (with_changes(SMALL_OSC_JE, model={"type": ["oscillator"]}), "model.type"),
-        (with_changes(SMALL_OSC_JE, sampler={"seed": -1}), "sampler.seed"),
-        (with_changes(SMALL_LATTICE_JE, model={"n_sites": 8.5}), "model"),
-        (with_changes(SMALL_OSC_JE, protocol={"step": 500}), "protocol.step"),
-        (with_changes(SMALL_OSC_JE, tolerances={"tail_tol": 1e-3}), "tolerances.tail_tol"),
+        ({**SMALL_OSC_JE, "sampler": 3}, ["sampler"]),
+        ([1, 2], ["config"]),
+        (with_changes(SMALL_OSC_JE, model={"type": ["oscillator"]}), ["model.type"]),
+        (with_changes(SMALL_OSC_JE, sampler={"seed": -1}), ["sampler.seed"]),
+        (with_changes(SMALL_LATTICE_JE, model={"n_sites": 8.5}), ["model"]),
+        (with_changes(SMALL_OSC_JE, protocol={"step": 500}), ["protocol.step"]),
+        (with_changes(SMALL_OSC_JE, tolerances={"tail_tol": 1e-3}), ["tolerances.tail_tol"]),
+        (with_changes(SMALL_OSC_JE, sampler={"n_path": 300}, protocol={"stepz": 0.7},
+                      evolution={"binz": 30}, tolerances={"tail_toll": 1e-3}),
+         ["protocol.stepz", "sampler.n_path", "evolution.binz", "tolerances.tail_toll"]),
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
-         "fractional-sites", "step-past-level-cap", "loose-tail-tol"],
+         "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys"],
 )
-def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, field):
+def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, fields):
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
-    assert [v.split(":")[0] for v in violations] == [field]
+    assert [v.split(":")[0] for v in violations] == fields
     assert not (tmp_path / "o").exists()
 
 
@@ -380,21 +386,79 @@ def test_sweep_to_large_y_finishes(tmp_path):
     assert y == 1000.0 and s == pytest.approx(asymptote, abs=1e-6)
 
 
+# small ranges keep every generated run well under a second
+FUZZ_RANGES = {
+    "sampler.n_paths": st.integers(1, 2000),
+    "protocol.stations": st.integers(2, 4),
+    "tolerances.max_states": st.integers(1, 2000),
+    "sweep.points": st.integers(2, 20),
+    "evolution.tau": st.none(),  # the default horizon
+    "evolution.dt": st.floats(0.005, 0.2),
+}
+FUZZ_MODELS = {
+    "oscillator": st.fixed_dictionaries(
+        {"type": st.just("oscillator")}, optional={"stiffness": st.floats(0.1, 2.0)}
+    ),
+    "lattice": st.integers(2, 10).flatmap(lambda n: st.fixed_dictionaries(
+        {"type": st.just("lattice"), "n_sites": st.just(n), "n_particles": st.integers(1, n)},
+        optional={"trap": st.floats(0.0, 0.2), "center": st.floats(-5.0, 15.0)},
+    )),
+}
+
+
+def fuzz_values(name, spec):
+    """Values of one FIELDS row, inside its type and bound."""
+    if name in FUZZ_RANGES:
+        return FUZZ_RANGES[name]
+    if spec.type is str:
+        return st.sampled_from([spec.default, "other.csv"])
+    if spec.type is int:
+        return st.integers(spec.bound, spec.bound + 100)
+    low, high = spec.bound or (-50.0, 50.0)
+    return st.floats(low, min(high, 50.0), exclude_min=spec.bound is not None)
+
+
+@st.composite
+def any_config(draw, kind):
+    """A config of ``kind`` built from the FIELDS rows: the required fields of
+    the kind's sections always, every other field or not, and now and then
+    one unknown key or one value of the wrong type."""
+    mtype = kind.split("-")[0]
+    if mtype == "temperature":
+        mtype = draw(st.sampled_from(list(FUZZ_MODELS)))
+    raw = {"kind": kind, "model": draw(FUZZ_MODELS[mtype])}
+    for section, specs in FIELDS.items():
+        values = {}
+        for key, spec in specs.items():
+            name = f"{section}.{key}" if section else key
+            if spec.default is REQUIRED and section in KINDS[kind]:
+                values[key] = draw(fuzz_values(name, spec))
+            elif (value := draw(st.none() | fuzz_values(name, spec))) is not None:
+                values[key] = value
+        if section is None:
+            raw.update(values)
+        elif values:
+            raw[section] = values
+    now_and_then = st.integers(0, 4).map(lambda i: i == 4)
+    if draw(now_and_then):
+        section, key = draw(st.sampled_from([(s, k) for s in FIELDS for k in FIELDS[s]]))
+        target = raw.setdefault(section, {}) if section else raw
+        target[key] = 3 if FIELDS[section][key].type is str else "3"
+    if draw(now_and_then):
+        section = draw(st.sampled_from(list(FIELDS)))
+        (raw.setdefault(section, {}) if section else raw)["typo"] = 1
+    return raw
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    dlam=st.floats(1e-3, 60.0),
-    eps=st.none() | st.floats(-50.0, 50.0),
-    lam=st.floats(-50.0, 50.0),
-    tail_tol=st.floats(1e-14, 1e-6),
-)
-def test_oscillator_temperature_exits_cleanly(tmp_path, dlam, eps, lam, tail_tol):
-    """Any oscillator temperature config either runs or is rejected with exit
-    code 2; nothing raises."""
-    raw = {**oscillator_temperature(**{"lambda": lam, "dlam": dlam, "eps": eps}),
-           "tolerances": {"tail_tol": tail_tol}}
+@given(data=st.data())
+def test_any_config_exits_cleanly(tmp_path, kind, data):
+    """Any config of any kind runs (exit 0), is rejected (exit 2) or fails to
+    converge (exit 3); nothing raises."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(data.draw(any_config(kind))))
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
-    assert code in (0, 2)
+    assert code in (0, 2, 3)

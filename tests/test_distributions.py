@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quenchwork.distributions import PositionDistribution, QuenchProtocol, count_peaks
+from oracles import count_peaks
+from quenchwork.distributions import PositionDistribution, QuenchProtocol
 
 
 def test_protocol_stations():

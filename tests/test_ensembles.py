@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import read_ensemble
 from quenchwork import (
     DegenerateEnergyError,
     DiagonalEnsemble,
     NormalizationError,
     entropy,
     mean_energy,
-    read_ensemble,
     renormalize,
     temperature_from_pair,
     write_ensemble,

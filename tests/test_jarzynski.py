@@ -187,7 +187,7 @@ def test_profile_warns_when_undersampled():
         profile = profile_from_distributions(
             [wide], np.array([0.0, 40.0]), oscillator_increment, 50.0, 40, 3, zero_target
         )
-    assert profile.undersampled[1:].any()
+    assert (profile.ess[1:] < 10.0).any()
 
 
 def test_oscillator_path_sample_obeys_jensen():

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fock_oracle import DenseFockModel
+from oracles import count_peaks, energy_expectation, energy_series
 from quenchwork import mean_energy
-from quenchwork.distributions import count_peaks
 from quenchwork.lattice import (
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
@@ -13,12 +15,9 @@ from quenchwork.lattice import (
     TimeSeries,
     diagonal_ensemble,
     eigenstate,
-    energy_expectation,
-    energy_series,
     evolve_center_of_mass,
     fill_lowest,
     ground_state,
-    lattice_temperature,
     one_body_hamiltonian,
     overlap_probability,
     spectrum,
@@ -150,6 +149,25 @@ def test_diagonal_ensemble_convergence_failure():
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=3)
 
 
+def test_diagonal_ensemble_warns_when_max_states_cuts_it_short():
+    with pytest.warns(UserWarning, match=r"max_states=100 left .* above prob_cutoff=1e-08"):
+        ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=100)
+    assert 1e-8 < ens.discarded_mass < 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0).discarded_mass <= 1e-8
+
+
+def test_diagonal_ensemble_empties_a_one_particle_sea():
+    """With one particle the first rank already moves every hole; each level
+    of the chain is then a state, with the dense oracle's probability."""
+    params = LatticeParams(n_sites=6, n_particles=1, trap=0.1, center=2.0)
+    ens = diagonal_ensemble(params, lam=3.0, dlam=1.0, prob_cutoff=1e-12)
+    w_dense, probs_dense = DenseFockModel(6, 1, trap=0.1, center=2.0).quench(lam=3.0, dlam=1.0)
+    assert np.abs(ens.energies - w_dense).max() < 1e-10
+    assert np.abs(ens.probs - probs_dense).max() < 1e-10
+
+
 def test_diagonal_ensemble_rejects_loose_cutoff():
     with pytest.raises(ValueError):
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-3)
@@ -171,14 +189,14 @@ def test_energy_anchor():
     assert abs(e - (-0.383)) / 0.383 < 0.05
 
 
-def test_lattice_temperature_anchor():
-    est = lattice_temperature(DEFAULTS, lam=15.0, dlam=1.0)
-    assert abs(est.temperature - 0.1953) / 0.1953 < 0.10
+def test_lattice_temperature_anchor(lattice_temperature):
+    t = lattice_temperature(lam=15.0, dlam=1.0, prob_cutoff=1e-10)
+    assert abs(t - 0.1953) / 0.1953 < 0.10
 
 
-def test_lattice_temperature_vanishes_with_quench_size():
+def test_lattice_temperature_vanishes_with_quench_size(lattice_temperature):
     temps = [
-        lattice_temperature(DEFAULTS, lam=15.0, dlam=d).temperature
+        lattice_temperature(lam=15.0, dlam=d, prob_cutoff=1e-10)
         for d in (0.05, 0.25, 1.0)
     ]
     assert 0.0 < temps[0] < temps[1] < temps[2]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
+from oracles import count_peaks
 from quenchwork import entropy, temperature_from_pair
-from quenchwork.distributions import QuenchProtocol, count_peaks
+from quenchwork.distributions import QuenchProtocol
 from quenchwork.jarzynski import build_profile
 from quenchwork.oscillator import (
     GridTooNarrowError,
