@@ -33,16 +33,10 @@ from .lattice import (
     EnsembleConvergenceError,
     LatticeParams,
     SingleParticleSpectrum,
-    SlaterState,
     TimeSeries,
     diagonal_ensemble,
-    eigenstate,
     evolve_center_of_mass,
-    fill_lowest,
     ground_state,
-    one_body_hamiltonian,
-    overlap_probability,
-    quench_series,
     spectrum,
     time_average_distribution,
 )

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
 from .ensembles import temperature_from_pair, write_ensemble
-from .lattice import EnsembleConvergenceError, LatticeParams
+from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
 # the sections whose required fields each kind needs; None holds the top-level ones
@@ -50,7 +51,8 @@ class Field(NamedTuple):
 
 # Every config field but the model's, which the dataclasses in _MODELS describe.
 FIELDS: dict[str | None, dict[str, Field]] = {
-    None: {"temperature": Field(REQUIRED, float, (0.0, math.inf))},
+    # above 1/max float, so that beta = 1/temperature stays finite
+    None: {"temperature": Field(REQUIRED, float, (1.0 / sys.float_info.max, math.inf))},
     "protocol": {
         "lambda_start": Field(REQUIRED, float),
         "step": Field(REQUIRED, float),
@@ -357,7 +359,7 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     proto = QuenchProtocol(**config.protocol)
     files = []
     for i, lam in enumerate(proto.lambdas[:-1], start=1):
-        series = lattice.quench_series(
+        series = lattice.evolve_center_of_mass(
             params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         sname = f"series_station_{i:02d}.csv"
@@ -495,6 +497,10 @@ def main(argv=None) -> int:
         return 2
     try:
         manifest = run(config)
+    except DegenerateFermiLevelError as exc:
+        # the spectrum decides this; validate does not repeat the model
+        print(json.dumps({"error": "validation_failed", "violations": [f"model: {exc}"]}))
+        return 2
     except EnsembleConvergenceError as exc:
         print(json.dumps({"error": "convergence_failed", "detail": str(exc)}))
         return 3

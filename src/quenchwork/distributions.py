@@ -88,6 +88,8 @@ class PositionDistribution:
         trapezoidal normalization exact even for densities that pile up at
         the edge of the observed range.
         """
+        if bins < MIN_HISTOGRAM_BINS:
+            raise ValueError(f"need at least {MIN_HISTOGRAM_BINS} bins, got {bins}")
         values = np.asarray(values, dtype=float)
         if values.size < 1:
             raise ValueError("no samples to histogram")

@@ -124,10 +124,11 @@ def jackknife_error(works, beta: float) -> float:
 
 
 def effective_sample_size(works, beta: float) -> float:
-    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}."""
+    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}, from the weights
+    e^{-beta (W - min W)} in (0, 1], which stay finite where beta W does not."""
     w = _samples(works)
-    z = -beta * w
-    return float(math.exp(2.0 * logsumexp(z) - logsumexp(2.0 * z)))
+    p = np.exp(-beta * (w - w.min()))
+    return float(p.sum() ** 2 / (p @ p))
 
 
 def profile_from_distributions(
@@ -214,7 +215,7 @@ def build_profile(
     elif model == "lattice":
         dists = [
             lattice.time_average_distribution(
-                lattice.quench_series(params, l, protocol.step, tau=tau, dt=dt), bins=bins
+                lattice.evolve_center_of_mass(params, l, protocol.step, tau=tau, dt=dt), bins
             )
             for l in lams[:-1]
         ]

@@ -12,11 +12,12 @@ linear algebra on N x N_b orbital matrices:
 
 * ground states fill the lowest N_b orbitals of the symmetric tridiagonal
   one-body matrix,
-* overlap probabilities between Slater states are squared determinants of the
-  N_b x N_b orbital Gram matrix,
-* time evolution is a quadratic form in the level basis of the one-body
-  matrix, so x(t) costs O(N^2) per time sample and never forms the evolved
-  orbitals,
+* the quench (lambda - dlambda) -> lambda is the pre-quench Fermi sea written
+  in the post-quench level basis, b = U^T P0,
+* the diagonal-ensemble weight of the eigenstate occupying levels n is the
+  squared N_b x N_b minor |det b[n, :]|^2,
+* time evolution is a quadratic form in b, so x(t) costs O(N^2) per time
+  sample and never forms the evolved orbitals,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
   coupled to the movable trap.
 """
@@ -93,27 +94,6 @@ class SingleParticleSpectrum:
 
 
 @dataclass(frozen=True)
-class SlaterState:
-    """Many-fermion state as a matrix of occupied single-particle orbitals."""
-
-    orbitals: np.ndarray
-
-    def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.orbitals))
-        gram = p.conj().T @ p
-        if np.abs(gram - np.eye(p.shape[1])).max() > 1e-8:
-            raise ValueError("orbital columns are not orthonormal")
-        object.__setattr__(self, "orbitals", p)
-
-    @property
-    def n_particles(self) -> int:
-        return self.orbitals.shape[1]
-
-    def density(self) -> np.ndarray:
-        return (np.abs(self.orbitals) ** 2).sum(axis=1)
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Center-of-mass trajectory x(t); site units, times in hbar/J."""
 
@@ -132,65 +112,41 @@ class TimeSeries:
         return float(self.times[-1] - self.times[0])
 
 
-def _trap_diagonal(params: LatticeParams, lam: float) -> np.ndarray:
-    k = params.sites
-    return params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
-
-
-def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
-    """Dense symmetric N x N matrix: -J off the diagonal, both traps on it."""
-    h = np.diag(_trap_diagonal(params, lam))
-    off = -params.hopping * np.ones(params.n_sites - 1)
-    h += np.diag(off, 1) + np.diag(off, -1)
-    return h
-
-
 @lru_cache(maxsize=256)
 def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     """Eigen-decomposition of the tridiagonal one-body matrix, cached per
     (params, lambda)."""
-    off = np.full(params.n_sites - 1, -params.hopping)
-    values, vectors = eigh_tridiagonal(_trap_diagonal(params, lam), off)
+    k = params.sites
+    diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
+    values, vectors = eigh_tridiagonal(diag, np.full(params.n_sites - 1, -params.hopping))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return SingleParticleSpectrum(values=values, vectors=vectors)
 
 
-def fill_lowest(spec: SingleParticleSpectrum, n_particles: int) -> SlaterState:
-    """Fermi-sea filling of the lowest ``n_particles`` orbitals.
+def ground_state(params: LatticeParams, lam: float) -> np.ndarray:
+    """Ground state of H(lambda): the N x N_b matrix of its lowest orbitals.
 
-    Errors out when the Fermi level sits in a degenerate pair, in which case
-    the filling is ambiguous.  (For J > 0 the one-body matrix is a Jacobi
-    matrix with simple spectrum, so this only triggers on synthetic input.)
-    """
-    values = spec.values
-    if n_particles < values.size:
-        gap = values[n_particles] - values[n_particles - 1]
-        if gap <= 1e-12:
-            raise DegenerateFermiLevelError(
-                f"levels {n_particles - 1} and {n_particles} are degenerate "
-                f"(energies {values[n_particles - 1]:.12g}, {values[n_particles]:.12g})"
-            )
-    return SlaterState(orbitals=spec.vectors[:, :n_particles].copy())
-
-
-def ground_state(params: LatticeParams, lam: float) -> SlaterState:
-    """Ground state of H(lambda): the lowest N_b orbitals."""
-    return fill_lowest(spectrum(params, lam), params.n_particles)
+    Errors out when the Fermi level falls in a degenerate pair, where the
+    filling is ambiguous: a strong trap centered between two sites pairs the
+    levels on either side of it."""
+    spec = spectrum(params, lam)
+    values, nb = spec.values, params.n_particles
+    if nb < values.size and values[nb] - values[nb - 1] <= 1e-12:
+        raise DegenerateFermiLevelError(
+            f"levels {nb - 1} and {nb} of H(lambda={lam:g}) are degenerate "
+            f"(energies {values[nb - 1]:.12g}, {values[nb]:.12g})"
+        )
+    # a contiguous copy: U^T times a strided view rounds differently
+    return spec.vectors[:, :nb].copy()
 
 
-def eigenstate(params: LatticeParams, lam: float, levels) -> SlaterState:
-    """Many-body eigenstate with the given single-particle levels occupied."""
-    return SlaterState(orbitals=spectrum(params, lam).vectors[:, list(levels)])
-
-
-def overlap_probability(initial: SlaterState, eigen: SlaterState) -> float:
-    """|<eigenstate|initial>|^2 as the squared determinant of the orbital
-    Gram matrix."""
-    if initial.orbitals.shape != eigen.orbitals.shape:
-        raise ValueError("states live on different lattices or particle numbers")
-    m = eigen.orbitals.conj().T @ initial.orbitals
-    return float(abs(np.linalg.det(m)) ** 2)
+def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
+    """Spectrum of H(lambda) and the quench amplitudes b = U^T P0, where P0
+    is the ground state of H(lambda - dlambda): row alpha is level alpha's
+    overlap with each pre-quench orbital."""
+    spec = spectrum(params, lam)
+    return spec, spec.vectors.T @ ground_state(params, lam - dlam)
 
 
 def _rank_candidates(values: np.ndarray, n_particles: int, rank: int):
@@ -227,12 +183,12 @@ def diagonal_ensemble(
 
     Many-body eigenstates of H(lambda) are enumerated as particle-hole
     excitations of the Fermi sea, singles before doubles before triples and
-    energy-ordered within each rank; each contributes
-    p_n = |det(orbital Gram)|^2.  Enumeration stops once the captured
-    probability reaches 1 - prob_cutoff or ``max_states`` states, whichever
-    comes first; the result is renormalized and the captured deficit recorded.
-    A deficit that ``max_states`` leaves above ``prob_cutoff`` raises a
-    UserWarning.
+    energy-ordered within each rank; each contributes p_n = |det b[n, :]|^2,
+    the minor of the quench amplitudes on its levels n.  Enumeration stops
+    once the captured probability reaches 1 - prob_cutoff or ``max_states``
+    states, whichever comes first; the result is renormalized and the
+    captured deficit recorded.  A deficit that ``max_states`` leaves above
+    ``prob_cutoff`` raises a UserWarning.
 
     Raises
     ------
@@ -241,9 +197,7 @@ def diagonal_ensemble(
     """
     if prob_cutoff > MAX_PROB_CUTOFF:
         raise ValueError(f"prob_cutoff must be <= {MAX_PROB_CUTOFF:g}")
-    spec = spectrum(params, lam)
-    initial = ground_state(params, lam - dlam)
-    amp = spec.vectors.T @ initial.orbitals  # level alpha overlap with orbital b
+    spec, amp = _quench_amplitudes(params, lam, dlam)
     nb = params.n_particles
     e_sea = float(spec.values[:nb].sum())
 
@@ -295,15 +249,16 @@ def diagonal_ensemble(
 
 
 def evolve_center_of_mass(
-    initial: SlaterState,
     params: LatticeParams,
     lam: float,
+    dlam: float,
     tau: float | None = None,
     dt: float = 0.1,
 ) -> TimeSeries:
-    """Exact evolution of the center of mass under H(lambda).
+    """Center of mass after the sudden quench (lambda - dlambda) -> lambda.
 
-    In the level basis of H(lambda) the state is b = U^T P(0) and the level
+    The ground state of H(lambda - dlambda) evolves exactly under H(lambda).
+    In the level basis of H(lambda) the state is b = U^T P0 and the level
     phases are d(t) = exp(-i eps t), so the reaction coordinate
     x(t) = sum_k k n_k(t) / N_b is the quadratic form
 
@@ -322,9 +277,8 @@ def evolve_center_of_mass(
         tau = 2.0 * n2
     if tau < n2:
         raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
-    spec = spectrum(params, lam)
+    spec, b = _quench_amplitudes(params, lam, dlam)
     u = spec.vectors
-    b = u.T @ initial.orbitals
     rho = b @ b.conj().T
     m = (u.T @ (params.sites[:, None] * u)) * rho.T / params.n_particles
     times = np.arange(0.0, tau + dt / 2.0, dt)
@@ -344,14 +298,6 @@ def evolve_center_of_mass(
             stacklevel=2,
         )
     return TimeSeries(times=times, values=xs, n_sites=params.n_sites)
-
-
-def quench_series(
-    params: LatticeParams, lam: float, step: float, tau: float | None = None, dt: float = 0.1
-) -> TimeSeries:
-    """x(t) after the sudden quench (lambda - step) -> lambda: the ground state
-    of H(lambda - step) evolved under H(lambda)."""
-    return evolve_center_of_mass(ground_state(params, lam - step), params, lam, tau=tau, dt=dt)
 
 
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:

@@ -172,7 +172,7 @@ def default_grid(
     Wide enough to hold every occupied level's classical turning point plus
     six ground-state widths of slack.
     """
-    n_max = poisson_probs(y).size - 1 if y > 0 else 0
+    n_max = poisson_probs(y).size - 1
     half = (math.sqrt(2.0 * n_max + 1.0) + 6.0) * params.ground_width
     return np.linspace(lam / 2.0 - half, lam / 2.0 + half, points)
 
@@ -193,7 +193,7 @@ def position_distribution(
     if grid is None:
         grid = default_grid(params, lam, y)
     grid = np.asarray(grid, dtype=float)
-    probs = poisson_probs(y, tail_tol) if y > 0 else np.array([1.0])
+    probs = poisson_probs(y, tail_tol)
     scale = math.sqrt(params.mass * params.omega / params.hbar)
     xi = scale * (grid - lam / 2.0)
     phi = hermite_functions(probs.size - 1, xi)

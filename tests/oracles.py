@@ -1,5 +1,6 @@
 """Helpers only the tests use: peak counting, reading ensemble CSVs back, and
-lattice energies recomputed from explicit Slater orbitals.
+lattice references built from explicit orbital matrices: the dense one-body
+Hamiltonian, single eigenstates and their overlaps, and energies.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -13,7 +14,7 @@ from scipy.signal import find_peaks
 
 from quenchwork.distributions import PositionDistribution
 from quenchwork.ensembles import DiagonalEnsemble
-from quenchwork.lattice import LatticeParams, SlaterState, one_body_hamiltonian, spectrum
+from quenchwork.lattice import LatticeParams, spectrum
 
 
 def count_peaks(density, prominence_frac: float = 0.0) -> int:
@@ -59,14 +60,36 @@ def read_ensemble(path: str | Path) -> tuple[DiagonalEnsemble, dict]:
     return ens, meta
 
 
-def energy_expectation(state: SlaterState, h: np.ndarray) -> float:
+def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
+    """Dense symmetric N x N one-body matrix, written from the model formula:
+    V (k - a)^2 + V (k - lambda)^2 on the diagonal, -J next to it."""
+    n = params.n_sites
+    k = np.arange(1, n + 1, dtype=float)
+    h = np.diag(params.trap * ((k - params.center) ** 2 + (k - lam) ** 2))
+    return h - params.hopping * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:
+    """Orbital matrix of the many-body eigenstate of H(lambda) with the given
+    single-particle levels occupied."""
+    return spectrum(params, lam).vectors[:, list(levels)]
+
+
+def overlap_probability(initial: np.ndarray, eigen: np.ndarray) -> float:
+    """|<eigenstate|initial>|^2 of two Slater states given as orbital
+    matrices: the squared determinant of their Gram matrix."""
+    if initial.shape != eigen.shape:
+        raise ValueError("states live on different lattices or particle numbers")
+    return float(abs(np.linalg.det(eigen.conj().T @ initial)) ** 2)
+
+
+def energy_expectation(orbitals: np.ndarray, h: np.ndarray) -> float:
     """<H> = Tr(P^+ h P) for a Slater state with orbital matrix P."""
-    p = state.orbitals
-    return float(np.real(np.einsum("ka,kl,la->", p.conj(), h, p)))
+    return float(np.real(np.einsum("ka,kl,la->", orbitals.conj(), h, orbitals)))
 
 
 def energy_series(
-    initial: SlaterState, params: LatticeParams, lam: float, times
+    initial: np.ndarray, params: LatticeParams, lam: float, times
 ) -> np.ndarray:
     """<H(lambda)>(t) recomputed from the explicitly evolved orbitals.
 
@@ -76,7 +99,7 @@ def energy_series(
     spec = spectrum(params, lam)
     h = one_body_hamiltonian(params, lam)
     u = spec.vectors
-    b = u.T @ initial.orbitals
+    b = u.T @ initial
     out = np.empty(len(times))
     for i, t in enumerate(np.asarray(times, dtype=float)):
         pt = u @ (np.exp(-1j * t * spec.values)[:, None] * b)

@@ -13,7 +13,14 @@ import pytest
 from scipy.special import i0e
 
 from fock_oracle import DenseFockModel
-from oracles import count_peaks, energy_expectation, energy_series
+from oracles import (
+    count_peaks,
+    eigenstate,
+    energy_expectation,
+    energy_series,
+    one_body_hamiltonian,
+    overlap_probability,
+)
 from quenchwork import entropy
 from quenchwork.distributions import QuenchProtocol
 from quenchwork.ensembles import DiagonalEnsemble, mean_energy
@@ -26,11 +33,8 @@ from quenchwork.jarzynski import (
 from quenchwork.lattice import (
     LatticeParams,
     diagonal_ensemble,
-    eigenstate,
     evolve_center_of_mass,
     ground_state,
-    one_body_hamiltonian,
-    overlap_probability,
     spectrum,
     time_average_distribution,
 )
@@ -231,7 +235,7 @@ def test_criterion_08_lattice_profile_and_histogram():
     target = 0.0225 * 10 * (20.0 - 13.0) ** 2 / 2.0
     ratio = profile.delta_f[-1] / target
 
-    series = evolve_center_of_mass(ground_state(LAT, 13.0), LAT, 14.0)
+    series = evolve_center_of_mass(LAT, 14.0, 1.0)
     hist = time_average_distribution(series, bins=40)
     peaks = count_peaks(hist, prominence_frac=0.10)
     elapsed = time.monotonic() - start
@@ -264,7 +268,7 @@ def test_criterion_09_dense_oracle_equivalence():
     p_clip = p_dense[p_dense > 0]
     s_dense = float(-(p_clip * np.log(p_clip)).sum())
 
-    series = evolve_center_of_mass(initial, small, lam, tau=20_000.0, dt=0.37)
+    series = evolve_center_of_mass(small, lam, dlam, tau=20_000.0, dt=0.37)
     x_err = abs(series.values.mean() - oracle.de_com_expectation(lam, dlam))
     elapsed = time.monotonic() - start
     ok = (e_err < 1e-10 and p_err < 1e-10 and abs(s_slater - s_dense) < 1e-10
@@ -323,7 +327,7 @@ def test_criterion_11_conservation_suite():
 
     spec = spectrum(LAT, 14.0)
     initial = ground_state(LAT, 13.0)
-    b = spec.vectors.T @ initial.orbitals
+    b = spec.vectors.T @ initial
     number_err = 0.0
     for t in (0.0, 801.1, 3200.0):
         pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)

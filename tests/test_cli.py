@@ -272,15 +272,38 @@ LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
         (with_changes(PRESETS["fig2"], sweep={"y_max": 2e6}), "sweep.y_max"),
         ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1e-200}},
          "quench.dlam"),
+        (with_changes(SMALL_OSC_JE, temperature=5e-324), "temperature"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "too-few-bins",
-         "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y"],
+         "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y",
+         "beta-overflows"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
     assert [v.split(":")[0] for v in violations] == [field]
     assert not (tmp_path / "o").exists()
+
+
+# a trap strong enough to pair the levels around its center, which lies
+# between two sites for lambda = 11; the Fermi level falls in the pair
+STRONG_TRAP = {"type": "lattice", "n_sites": 20, "n_particles": 11, "trap": 0.5, "center": 10.0}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"kind": "temperature", "model": STRONG_TRAP, "quench": {"lambda": 12.0, "dlam": 1.0}},
+        {"kind": "lattice-run", "model": STRONG_TRAP,
+         "protocol": {"lambda_start": 12.0, "step": 1.0, "stations": 2}},
+    ],
+    ids=["temperature", "lattice-run"],
+)
+def test_degenerate_fermi_level_exits_2(tmp_path, capsys, raw):
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert len(violations) == 1
+    assert violations[0].startswith("model: levels 10 and 11 of H(lambda=11) are degenerate")
 
 
 def test_validate_rejects_non_numbers(tmp_path, capsys):

@@ -37,6 +37,12 @@ def test_histogram_padding_keeps_edges_empty():
     assert abs(dist.integral() - 1.0) < 1e-9
 
 
+def test_histogram_rejects_too_few_bins():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="at least 23 bins, got 10"):
+        PositionDistribution.from_histogram(rng.random(5000), bins=10)
+
+
 def test_sampling_reproduces_density():
     x = np.linspace(-4.0, 4.0, 401)
     f = np.exp(-0.5 * x**2)

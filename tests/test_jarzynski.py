@@ -157,6 +157,14 @@ def test_effective_sample_size():
     assert effective_sample_size(spread, 2.0) < 500.0
 
 
+def test_effective_sample_size_survives_an_overflowing_square():
+    # beta = 1/6e-309 is finite; 2*beta*W overflows for |W| = 1, beta*W for |W| = 2
+    beta = 1.0 / 6e-309
+    assert effective_sample_size(np.full(4, 1.0), beta) == 4.0
+    assert effective_sample_size(np.array([1.0, 1.5]), beta) == 1.0
+    assert effective_sample_size(np.array([-2.0, -1.0]), beta) == 1.0
+
+
 def test_jackknife_error_scales_with_noise():
     quiet = gaussian_works(1.0, 0.01, 5000, 5)
     loud = gaussian_works(1.0, 1.0, 5000, 5)

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from fock_oracle import DenseFockModel
-from oracles import count_peaks, energy_expectation, energy_series
+from oracles import (
+    count_peaks,
+    eigenstate,
+    energy_expectation,
+    energy_series,
+    one_body_hamiltonian,
+    overlap_probability,
+)
 from quenchwork import mean_energy
 from quenchwork.lattice import (
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     LatticeParams,
-    SingleParticleSpectrum,
-    SlaterState,
     TimeSeries,
     diagonal_ensemble,
-    eigenstate,
     evolve_center_of_mass,
-    fill_lowest,
     ground_state,
-    one_body_hamiltonian,
-    overlap_probability,
     spectrum,
     time_average_distribution,
 )
@@ -60,7 +61,7 @@ def test_spectrum_matches_dense_and_is_cached():
 def test_ground_state_single_particle_sits_at_combined_minimum():
     params = LatticeParams(n_sites=20, n_particles=1, trap=0.05, center=6.0)
     state = ground_state(params, lam=12.0)
-    peak_site = int(np.argmax(state.density())) + 1
+    peak_site = int(np.argmax((state**2).sum(1))) + 1
     assert abs(peak_site - 9.0) <= 1.0  # (a + lambda)/2 = 9
 
 
@@ -74,16 +75,20 @@ def test_ground_state_energy_matches_dense_oracle():
 def test_strong_trap_pins_the_particle():
     params = LatticeParams(n_sites=5, n_particles=1, trap=1e4, center=3.0)
     state = ground_state(params, lam=3.0)
-    assert state.density()[2] > 0.999
+    assert (state**2).sum(1)[2] > 0.999
 
 
 def test_degenerate_fermi_level_is_reported():
-    # J > 0 keeps the physical one-body matrix non-degenerate (Jacobi
-    # matrices have simple spectra), so feed a synthetic spectrum instead
-    values = np.array([0.0, 1.0, 1.0 + 1e-14, 2.0])
-    spec = SingleParticleSpectrum(values=values, vectors=np.eye(4))
-    with pytest.raises(DegenerateFermiLevelError, match="levels 1 and 2"):
-        fill_lowest(spec, 2)
+    # the combined trap 2V(k - 10.5)^2 is centered between two sites and is
+    # strong enough to pair the levels on either side of the well; with an
+    # odd particle number the Fermi level falls in such a pair
+    params = LatticeParams(n_sites=20, n_particles=11, trap=0.5, center=10.0)
+    with pytest.raises(DegenerateFermiLevelError, match=r"levels 10 and 11 of H\(lambda=11\)"):
+        ground_state(params, 11.0)
+    with pytest.raises(DegenerateFermiLevelError):
+        diagonal_ensemble(params, 12.0, 1.0)
+    with pytest.raises(DegenerateFermiLevelError):
+        evolve_center_of_mass(params, 12.0, 1.0)
 
 
 def test_overlap_identity_and_orthogonality():
@@ -218,15 +223,13 @@ def test_overlap_completeness_at_eight_sites():
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_evolution_stationary_state():
-    initial = ground_state(SMALL, 3.0)
-    series = evolve_center_of_mass(initial, SMALL, 3.0, tau=50.0, dt=0.1)
+    series = evolve_center_of_mass(SMALL, 3.0, 0.0, tau=50.0, dt=0.1)
     assert np.ptp(series.values) < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_evolution_starts_at_combined_trap_minimum():
-    initial = ground_state(DEFAULTS, 13.0)
-    series = evolve_center_of_mass(initial, DEFAULTS, 14.0, tau=DEFAULTS.n_sites**2, dt=0.1)
+    series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0, tau=DEFAULTS.n_sites**2, dt=0.1)
     assert series.values[0] == pytest.approx(13.0, abs=0.01)
     assert np.ptp(series.values) > 0.5  # it oscillates
 
@@ -234,7 +237,7 @@ def test_evolution_starts_at_combined_trap_minimum():
 def test_evolution_conserves_particle_number():
     spec = spectrum(DEFAULTS, 14.0)
     initial = ground_state(DEFAULTS, 13.0)
-    b = spec.vectors.T @ initial.orbitals
+    b = spec.vectors.T @ initial
     for t in (0.0, 7.3, 231.7):
         pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
         assert abs((np.abs(pt) ** 2).sum() - DEFAULTS.n_particles) < 1e-10
@@ -249,7 +252,7 @@ def test_evolution_conserves_energy():
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_center_of_mass_series_matches_dense_oracle():
     """x(t) point by point against explicit many-body evolution."""
-    series = evolve_center_of_mass(ground_state(SMALL, 2.0), SMALL, 3.0, tau=200.0, dt=0.1)
+    series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=200.0, dt=0.1)
     exact = SMALL_ORACLE.com_series(3.0, 1.0, series.times)
     assert np.abs(series.values - exact).max() < 1e-10
 
@@ -257,10 +260,10 @@ def test_center_of_mass_series_matches_dense_oracle():
 def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
     initial = ground_state(DEFAULTS, 13.0)
     with pytest.warns(UserWarning, match=r"edge occupancy reached 1\.189e-05"):
-        series = evolve_center_of_mass(initial, DEFAULTS, 14.0)
+        series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0)
     assert series.span == 2 * DEFAULTS.n_sites**2
     spec = spectrum(DEFAULTS, 14.0)
-    b = spec.vectors.T @ initial.orbitals
+    b = spec.vectors.T @ initial
     picks = np.linspace(0, series.times.size - 1, 50).astype(int)
     for t, x in zip(series.times[picks], series.values[picks]):
         pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
@@ -269,16 +272,14 @@ def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
 
 
 def test_evolution_rejects_short_horizon():
-    initial = ground_state(SMALL, 2.0)
     with pytest.raises(ValueError):
-        evolve_center_of_mass(initial, SMALL, 3.0, tau=10.0)
+        evolve_center_of_mass(SMALL, 3.0, 1.0, tau=10.0)
 
 
 def test_evolution_warns_when_trap_reaches_edge():
     params = LatticeParams(n_sites=10, n_particles=2, trap=0.0225, center=1.5)
-    initial = ground_state(params, 1.5)
     with pytest.warns(UserWarning, match="edge occupancy"):
-        evolve_center_of_mass(initial, params, 2.5, tau=120.0, dt=0.1)
+        evolve_center_of_mass(params, 2.5, 1.0, tau=120.0, dt=0.1)
 
 
 def test_time_series_validation():
@@ -304,12 +305,11 @@ def test_time_average_distribution_needs_samples_and_span():
 
 
 def test_time_average_distribution_double_peak_and_tau_stability():
-    initial = ground_state(DEFAULTS, 13.0)
-    series = evolve_center_of_mass(initial, DEFAULTS, 14.0)
+    series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0)
     dist = time_average_distribution(series, bins=40)
     assert count_peaks(dist, prominence_frac=0.10) == 2
 
-    doubled = evolve_center_of_mass(initial, DEFAULTS, 14.0, tau=4 * DEFAULTS.n_sites**2)
+    doubled = evolve_center_of_mass(DEFAULTS, 14.0, 1.0, tau=4 * DEFAULTS.n_sites**2)
     lo, hi = dist.bin_edges()[0], dist.bin_edges()[-1]
     w1, _ = np.histogram(series.values, bins=40, range=(lo, hi))
     w2, _ = np.histogram(np.clip(doubled.values, lo, hi), bins=40, range=(lo, hi))
@@ -320,14 +320,8 @@ def test_time_average_distribution_double_peak_and_tau_stability():
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_long_time_average_matches_diagonal_ensemble():
     """Dephasing identity: time-averaged x(t) equals the ensemble average."""
-    initial = ground_state(SMALL, 2.0)
-    series = evolve_center_of_mass(initial, SMALL, 3.0, tau=20000.0, dt=0.37)
+    series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=20000.0, dt=0.37)
     assert abs(series.values.mean() - SMALL_ORACLE.de_com_expectation(3.0, 1.0)) < 1e-3
-
-
-def test_slater_state_validation():
-    with pytest.raises(ValueError):
-        SlaterState(orbitals=np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 def test_params_validation():

@@ -155,6 +155,13 @@ def test_position_distribution_pure_ground_state():
     assert np.abs(dist.density - expected**2).max() < 1e-8
 
 
+def test_position_distribution_rejects_negative_y():
+    with pytest.raises(ValueError, match="non-negative"):
+        position_distribution(PARAMS, 0.0, -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        position_distribution(PARAMS, 0.0, -1.0, grid=np.linspace(-5.0, 5.0, 101))
+
+
 def test_position_distribution_mass_and_mean():
     # the ensemble mean sits at the post-quench well center lambda/2 for
     # every quench size: each eigenstate is symmetric about the center
