@@ -278,7 +278,26 @@ def validate(config: RunConfig) -> list[str]:
         violations.extend(_horizon_violations(config.evolution, params))
     if mtype == "oscillator" and config.kind != "oscillator-sweep":
         violations.extend(_level_cap_violations(config, params))
+    if mtype == "lattice":
+        violations.extend(_fermi_level_violations(config, params))
     return violations
+
+
+def _fermi_level_violations(config: RunConfig, params: LatticeParams) -> list[str]:
+    """The first pre-quench ground state that a Fermi level in a degenerate
+    pair of levels leaves ambiguous; the run reuses the cached spectra."""
+    if config.kind == "temperature":
+        q = _with_defaults("quench", config.quench)
+        starts = [q["lambda"] - q["dlam"], q["lambda"] - (q["dlam"] + q["eps"])]
+    else:
+        proto = QuenchProtocol(**config.protocol)
+        starts = proto.lambdas[:-1] - proto.step
+    try:
+        for lam in starts:
+            lattice.ground_state(params, lam)
+    except DegenerateFermiLevelError as exc:
+        return [f"model: {exc}"]
+    return []
 
 
 def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
@@ -374,7 +393,7 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
 def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     evolution = config.evolution
     profile = jarzynski.build_profile(
-        config.model["type"], _model_params(config), QuenchProtocol(**config.protocol),
+        _model_params(config), QuenchProtocol(**config.protocol),
         1.0 / config.temperature, config.sampler["n_paths"], config.sampler["seed"],
         tail_tol=config.tolerances["tail_tol"],
         tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
@@ -497,10 +516,6 @@ def main(argv=None) -> int:
         return 2
     try:
         manifest = run(config)
-    except DegenerateFermiLevelError as exc:
-        # the spectrum decides this; validate does not repeat the model
-        print(json.dumps({"error": "validation_failed", "violations": [f"model: {exc}"]}))
-        return 2
     except EnsembleConvergenceError as exc:
         print(json.dumps({"error": "convergence_failed", "detail": str(exc)}))
         return 3

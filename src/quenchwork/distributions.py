@@ -65,12 +65,6 @@ class PositionDistribution:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "density", f)
 
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.x))
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.density, self.x))
-
     def bin_edges(self) -> np.ndarray:
         return np.concatenate([self.x - 0.5 * self.dx, [self.x[-1] + 0.5 * self.dx]])
 

@@ -9,7 +9,7 @@ The free-energy change then follows from the exponential work average
 
     exp(-beta dF) = <exp(-beta W)>,
 
-evaluated with a log-sum-exp rescaling so that large beta*W never overflows.
+evaluated on the weights exp(-beta (W - min W)) so that beta*W never overflows.
 Because rare low-work paths carry exponential weight, every profile reports
 an effective sample size and a delete-one jackknife error next to the plain
 work standard deviation.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import lattice, oscillator
 from .distributions import PositionDistribution, QuenchProtocol
@@ -92,42 +91,40 @@ def _partial_work(
     return np.cumsum(steps, axis=1)
 
 
-def _samples(works) -> np.ndarray:
-    """The estimators' input: a 1-D array of path work values, never empty."""
+def _weights(works, beta: float) -> tuple[np.ndarray, float]:
+    """Weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1, of a
+    non-empty work sample, and its min W: the estimators' one input."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     w = np.asarray(works, dtype=float)
     if w.size < 1:
         raise ValueError("need at least one work sample")
-    return w
+    w_min = float(w.min())
+    with np.errstate(over="ignore"):  # a beta*(W - min W) past the float range gives p = 0
+        return np.exp(-beta * (w - w_min)), w_min
 
 
 def free_energy_estimate(works, beta: float) -> float:
-    """dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)], via log-sum-exp."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    w = _samples(works)
-    return float(-(logsumexp(-beta * w) - math.log(w.size)) / beta)
+    """dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta."""
+    p, w_min = _weights(works, beta)
+    return float(w_min - math.log(p.mean()) / beta)
 
 
 def jackknife_error(works, beta: float) -> float:
-    """Delete-one jackknife standard error of the free-energy estimate."""
-    w = _samples(works)
-    m = w.size
+    """Delete-one jackknife standard error of the free-energy estimate; of
+    the estimate without path i only -ln(1 - p_i/sum p)/beta varies with i."""
+    p, _ = _weights(works, beta)
+    m = p.size
     if m < 2:
         return 0.0
-    z = -beta * w
-    lse = logsumexp(z)
-    # ln(S - e^{z_i}) without leaving log space; clip keeps a single
-    # totally dominant sample from producing -inf
-    rest = lse + np.log1p(-np.exp(np.minimum(z - lse, -1e-12)))
-    df_loo = -(rest - math.log(m - 1)) / beta
+    # the clip keeps a single totally dominant sample from giving ln 0
+    df_loo = -np.log1p(-np.minimum(p / p.sum(), math.exp(-1e-12))) / beta
     return float(np.sqrt((m - 1) / m * np.sum((df_loo - df_loo.mean()) ** 2)))
 
 
 def effective_sample_size(works, beta: float) -> float:
-    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}, from the weights
-    e^{-beta (W - min W)} in (0, 1], which stay finite where beta W does not."""
-    w = _samples(works)
-    p = np.exp(-beta * (w - w.min()))
+    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p)."""
+    p, _ = _weights(works, beta)
     return float(p.sum() ** 2 / (p @ p))
 
 
@@ -182,8 +179,7 @@ def profile_from_distributions(
 
 
 def build_profile(
-    model: str,
-    params,
+    params: oscillator.OscillatorParams | lattice.LatticeParams,
     protocol: QuenchProtocol,
     beta: float,
     n_paths: int,
@@ -197,14 +193,15 @@ def build_profile(
     """Assemble per-station distributions for a model and run the estimator.
 
     This is the one place that defines each model's station distributions,
-    work increment and target profile.  ``model`` is "oscillator" (analytic
-    densities on the default grid) or "lattice" (histograms of the evolved
-    center of mass).  The station-i ensemble is generated by the quench
-    (lambda_i - step) -> lambda_i, matching the protocol that measures work
-    when stepping lambda_i -> lambda_{i+1}.
+    work increment and target profile.  The type of ``params`` names the
+    model: oscillator stations are analytic densities on the default grid,
+    lattice stations histograms of the evolved center of mass.  The station-i
+    ensemble is generated by the quench (lambda_i - step) -> lambda_i,
+    matching the protocol that measures work when stepping
+    lambda_i -> lambda_{i+1}.
     """
     lams = protocol.lambdas
-    if model == "oscillator":
+    if isinstance(params, oscillator.OscillatorParams):
         y = oscillator.y_parameter(params, protocol.step)
         dists = [
             oscillator.position_distribution(params, l, y, tail_tol=tail_tol)
@@ -212,7 +209,7 @@ def build_profile(
         ]
         increment = lambda x, a, b: oscillator_increment(x, a, b, params.stiffness)
         target_fn = lambda l: params.stiffness * l**2 / 4.0
-    elif model == "lattice":
+    elif isinstance(params, lattice.LatticeParams):
         dists = [
             lattice.time_average_distribution(
                 lattice.evolve_center_of_mass(params, l, protocol.step, tau=tau, dt=dt), bins
@@ -224,7 +221,7 @@ def build_profile(
         )
         target_fn = lambda l: params.trap * params.n_particles * (l - params.center) ** 2 / 2.0
     else:
-        raise ValueError(f"unknown model '{model}'")
+        raise TypeError(f"no model takes parameters of type {type(params).__name__}")
     return profile_from_distributions(
         dists, lams, increment, beta, n_paths, seed, target_fn
     )

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import PositionDistribution, QuenchProtocol
 from .ensembles import DiagonalEnsemble, renormalize
@@ -109,7 +108,7 @@ def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"y must lie in (0, {MAX_POISSON_MEAN:g}]")
     half = 12.0 * math.sqrt(y) + 40.0
     n = np.arange(max(0.0, math.floor(y - half)), math.ceil(y + half) + 1.0)
-    return n, n * math.log(y) - y - gammaln(n + 1.0)
+    return n, n * math.log(y) - y - np.array([math.lgamma(k + 1.0) for k in n])
 
 
 def entropy_closed_form(y: float) -> float:

@@ -148,7 +148,7 @@ def test_criterion_04_oscillator_profile_tracks_target():
     start = time.monotonic()
     proto = QuenchProtocol(0.0, 0.6935, 11)
     beta = 1.0 / 0.35
-    profile = build_profile("oscillator", OSC, proto, beta, 100_000, 11)
+    profile = build_profile(OSC, proto, beta, 100_000, 11)
     steps = np.arange(profile.lambdas.size)
     b = oscillator_step_offset(OSC, proto.step, beta)
     reference = profile.targets + steps * b
@@ -231,7 +231,7 @@ def test_criterion_08_lattice_profile_and_histogram():
     start = time.monotonic()
     proto = QuenchProtocol(13.0, 1.0, 8)
     beta = 1.0 / 0.1953
-    profile = build_profile("lattice", LAT, proto, beta, 100_000, 17)
+    profile = build_profile(LAT, proto, beta, 100_000, 17)
     target = 0.0225 * 10 * (20.0 - 13.0) ** 2 / 2.0
     ratio = profile.delta_f[-1] / target
 

@@ -107,19 +107,39 @@ def test_manifest_hash_semantics(tmp_path):
     assert RunConfig.from_dict(warmer).config_hash() != base.config_hash()
 
 
-def run_child(tmp_path, raw, out, timeout=None):
-    """``python -m quenchwork.cli`` on ``raw`` in a child process that imports
-    the same package as this process, installed or not."""
+def child_python(*args, timeout=None):
+    """``python *args`` in a child process that imports the same package as
+    this process, installed or not."""
     src = str(Path(quenchwork.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
     proc = subprocess.run(
-        [sys.executable, "-m", "quenchwork.cli", "--config", str(path),
-         "--out", str(tmp_path / out), "--quiet"],
-        capture_output=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def run_child(tmp_path, raw, out, timeout=None):
+    """``python -m quenchwork.cli`` on ``raw`` in a child process."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    child_python("-m", "quenchwork.cli", "--config", str(path), "--out", str(tmp_path / out),
+                 "--quiet", timeout=timeout)
+
+
+def test_cli_imports_no_scipy():
+    loaded = child_python(
+        "-c", "import sys, quenchwork.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert loaded.split() == []
+
+
+def test_near_zero_temperature_profile_is_finite(tmp_path):
+    # beta = 1/6e-309 overflows beta*W for any work below about -1.08
+    run_child(tmp_path, {**SMALL_OSC_JE, "temperature": 6e-309}, "cold")
+    rows = (tmp_path / "cold" / "profile.csv").read_text().splitlines()[1:]
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert len(values) == 4 * 6 and all(map(math.isfinite, values))
 
 
 def test_byte_identical_across_processes(tmp_path):
@@ -296,14 +316,17 @@ STRONG_TRAP = {"type": "lattice", "n_sites": 20, "n_particles": 11, "trap": 0.5,
         {"kind": "temperature", "model": STRONG_TRAP, "quench": {"lambda": 12.0, "dlam": 1.0}},
         {"kind": "lattice-run", "model": STRONG_TRAP,
          "protocol": {"lambda_start": 12.0, "step": 1.0, "stations": 2}},
+        {"kind": "lattice-je", "model": STRONG_TRAP, "temperature": 0.2, "sampler": {"seed": 1},
+         "protocol": {"lambda_start": 12.0, "step": 1.0, "stations": 3}},
     ],
-    ids=["temperature", "lattice-run"],
+    ids=["temperature", "lattice-run", "lattice-je"],
 )
 def test_degenerate_fermi_level_exits_2(tmp_path, capsys, raw):
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
     assert len(violations) == 1
     assert violations[0].startswith("model: levels 10 and 11 of H(lambda=11) are degenerate")
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_non_numbers(tmp_path, capsys):

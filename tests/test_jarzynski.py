@@ -163,6 +163,10 @@ def test_effective_sample_size_survives_an_overflowing_square():
     assert effective_sample_size(np.full(4, 1.0), beta) == 4.0
     assert effective_sample_size(np.array([1.0, 1.5]), beta) == 1.0
     assert effective_sample_size(np.array([-2.0, -1.0]), beta) == 1.0
+    assert free_energy_estimate(np.array([-2.0, -1.0]), beta) == -2.0
+    assert free_energy_estimate(np.full(4, 1.0), beta) == 1.0
+    assert math.isfinite(jackknife_error(np.array([-2.0, -1.0]), beta))
+    assert math.isfinite(jackknife_error(np.array([-3.0, -2.0, -1.0]), beta))
 
 
 def test_jackknife_error_scales_with_noise():
@@ -213,7 +217,7 @@ def test_oscillator_profile_tracks_target_within_work_std():
     """The sampled profile follows k*lambda^2/4 inside the work-std bars."""
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 0.6935, 11)
-    profile = build_profile("oscillator", params, proto, 1.0 / 0.35, 100_000, 11)
+    profile = build_profile(params, proto, 1.0 / 0.35, 100_000, 11)
     gap = np.abs(profile.delta_f - profile.targets)
     assert np.all(gap[1:] <= profile.work_std[1:])
 
@@ -221,7 +225,7 @@ def test_oscillator_profile_tracks_target_within_work_std():
 def test_high_temperature_profile_sits_above_target():
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 4.0, 11)
-    profile = build_profile("oscillator", params, proto, 1.0 / 3.52, 50_000, 13)
+    profile = build_profile(params, proto, 1.0 / 3.52, 50_000, 13)
     assert profile.delta_f[-1] > profile.targets[-1]
 
 
@@ -247,5 +251,5 @@ def test_profile_final_work_is_the_sampled_path_work():
 
 
 def test_build_profile_rejects_unknown_model():
-    with pytest.raises(ValueError):
-        build_profile("ising", None, QuenchProtocol(0.0, 1.0, 3), 1.0, 10, 1)
+    with pytest.raises(TypeError, match="no model takes parameters of type str"):
+        build_profile("ising", QuenchProtocol(0.0, 1.0, 3), 1.0, 10, 1)

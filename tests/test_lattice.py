@@ -55,6 +55,8 @@ def test_spectrum_matches_dense_and_is_cached():
     spec = spectrum(DEFAULTS, 15.0)
     dense = np.linalg.eigvalsh(one_body_hamiltonian(DEFAULTS, 15.0))
     assert np.abs(spec.values - dense).max() < 1e-10
+    assert np.all(np.diff(spec.values) >= 0.0)
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(DEFAULTS.n_sites)).max() < 1e-10
     assert spectrum(DEFAULTS, 15.0) is spec
 
 
@@ -292,7 +294,7 @@ def test_time_average_distribution_constant_series():
     series = TimeSeries(times=times, values=np.full(2000, 2.5), n_sites=6)
     dist = time_average_distribution(series, bins=40)
     assert np.count_nonzero(dist.density) == 1
-    assert abs(dist.integral() - 1.0) < 1e-9
+    assert abs(np.trapezoid(dist.density, dist.x) - 1.0) < 1e-9
 
 
 def test_time_average_distribution_needs_samples_and_span():
