@@ -8,6 +8,7 @@ failure; failures print a machine-readable JSON error to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -341,35 +343,33 @@ def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
     return violations
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One line per row of the equal-length ``columns``, each value in %.12g."""
+    row = ",".join(["{:.12g}"] * len(header))
+    lines = [",".join(header), *map(row.format, *(np.asarray(c).tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_profile(out: Path, name: str, profile) -> None:
-    rows = zip(
+    columns = (
         profile.lambdas, profile.delta_f, profile.targets, profile.work_std, profile.jackknife,
         profile.ess,
     )
-    _write_csv(out / name, ["lambda", "dF_JE", "dF_target", "work_std", "jackknife", "ESS"], rows)
+    _write_csv(
+        out / name, ["lambda", "dF_JE", "dF_target", "work_std", "jackknife", "ESS"], columns
+    )
 
 
 def _write_distribution(out: Path, name: str, dist) -> None:
-    _write_csv(out / name, ["x", "f"], zip(dist.x, dist.density))
+    _write_csv(out / name, ["x", "f"], (dist.x, dist.density))
 
 
 def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
     ys = np.geomspace(config.sweep["y_min"], config.sweep["y_max"], config.sweep["points"])
-    rows = oscillator.equilibrium_comparison(params, ys)
+    columns = oscillator.equilibrium_comparison(params, ys).T
     name = config.filenames["sweep"]
-    _write_csv(out / name, ["y", "T", "T_B", "S", "S_B"], rows)
+    _write_csv(out / name, ["y", "T", "T_B", "S", "S_B"], columns)
     return [name]
 
 
@@ -382,7 +382,7 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
             params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         sname = f"series_station_{i:02d}.csv"
-        _write_csv(out / sname, ["t", "x"], zip(series.times, series.values))
+        _write_csv(out / sname, ["t", "x"], (series.times, series.values))
         dist = lattice.time_average_distribution(series, bins=config.evolution["bins"])
         hname = f"hist_station_{i:02d}.csv"
         _write_distribution(out, hname, dist)
@@ -413,7 +413,7 @@ def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
             files.append(fname)
     counts, edges = np.histogram(profile.final_work, bins=60)
     name = config.filenames["work_histogram"]
-    _write_csv(out / name, ["W", "count"], zip(0.5 * (edges[:-1] + edges[1:]), counts))
+    _write_csv(out / name, ["W", "count"], (0.5 * (edges[:-1] + edges[1:]), counts))
     files.append(name)
     manifest["temperature"] = config.temperature
     manifest["min_ess"] = float(profile.ess.min())
@@ -446,7 +446,7 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     if closed is not None:
         header.append("T_closed_form")
         row.append(closed)
-    _write_csv(out / name, header, [tuple(row)])
+    _write_csv(out / name, header, [[v] for v in row])
     files.append(name)
     manifest["temperature_estimate"] = est.temperature
     manifest["captured_deficit"] = [ens_a.discarded_mass, ens_b.discarded_mass]
@@ -462,6 +462,28 @@ _RUNNERS = {
 }
 
 
+@contextlib.contextmanager
+def _recording_warnings():
+    """Yield a list that gets a {"category", "message"} entry for every
+    warning raised inside, in the order raised and whatever the caller's
+    filters say; each warning is also handed on to the caller's filters and
+    handler as it is raised."""
+    log: list[dict] = []
+    outer_filters, outer_show = warnings.filters[:], warnings.showwarning
+
+    def record(message, category, filename, lineno, file=None, line=None):
+        log.append({"category": category.__name__, "message": str(message)})
+        with warnings.catch_warnings():
+            warnings.filters[:] = outer_filters
+            warnings.showwarning = outer_show
+            warnings.warn_explicit(message, category, filename, lineno)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = record
+        yield log
+
+
 def run(config: RunConfig) -> dict:
     """Execute a validated configuration; returns the manifest dict."""
     out = Path(config.out_dir)
@@ -473,8 +495,10 @@ def run(config: RunConfig) -> dict:
         "n_paths": config.sampler.get("n_paths"),
     }
     start = time.monotonic()
-    files = _RUNNERS[config.kind](config, out, manifest)
+    with _recording_warnings() as caught:
+        files = _RUNNERS[config.kind](config, out, manifest)
     manifest["files"] = files
+    manifest["warnings"] = caught
     manifest["wall_time_s"] = time.monotonic() - start
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest

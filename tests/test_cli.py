@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,25 @@ def test_lattice_run_outputs(tmp_path):
     series = np.loadtxt(out / "series_station_01.csv", delimiter=",", skiprows=1)
     assert series.shape[1] == 2
     assert series[0, 0] == 0.0
+
+
+def test_manifest_records_every_warning(tmp_path):
+    """Warnings reach the caller as raised and land in the manifest in the
+    same order, also where the caller's filters ignore them."""
+    raw = {**SMALL_LATTICE_JE, "kind": "lattice-run"}
+    with pytest.warns(UserWarning) as caught:
+        manifest = run(config_with(raw, tmp_path / "w1"))
+    assert manifest["warnings"] == [
+        {"category": w.category.__name__, "message": str(w.message)} for w in caught
+    ]
+    assert len(caught) == 2  # one per station
+    assert all(w["message"].startswith("edge occupancy reached") for w in manifest["warnings"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run(config_with(raw, tmp_path / "w2"))
+    first, second = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("w1", "w2"))
+    del first["wall_time_s"], second["wall_time_s"]
+    assert first == second
 
 
 def test_oscillator_sweep_outputs(tmp_path):

@@ -14,6 +14,7 @@ from oracles import (
 )
 from quenchwork import mean_energy
 from quenchwork.lattice import (
+    _EVOLVE_CHUNK,
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     LatticeParams,
@@ -259,18 +260,56 @@ def test_center_of_mass_series_matches_dense_oracle():
     assert np.abs(series.values - exact).max() < 1e-10
 
 
+def direct_center_and_edges(params, lam, dlam, times):
+    """x(t) and the occupancies of sites 1 and N from the explicitly evolved
+    orbitals P(t) = U exp(-i eps t) U^T P0, one time at a time."""
+    spec = spectrum(params, lam)
+    b = spec.vectors.T @ ground_state(params, lam - dlam)
+    out = []
+    for t in times:
+        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
+        occ = (np.abs(pt) ** 2).sum(axis=1)
+        out.append((occ @ params.sites / params.n_particles, occ[0], occ[-1]))
+    return np.array(out)
+
+
 def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
-    initial = ground_state(DEFAULTS, 13.0)
     with pytest.warns(UserWarning, match=r"edge occupancy reached 1\.189e-05"):
         series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0)
     assert series.span == 2 * DEFAULTS.n_sites**2
-    spec = spectrum(DEFAULTS, 14.0)
-    b = spec.vectors.T @ initial
     picks = np.linspace(0, series.times.size - 1, 50).astype(int)
-    for t, x in zip(series.times[picks], series.values[picks]):
-        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
-        direct = (np.abs(pt) ** 2).sum(axis=1) @ DEFAULTS.sites / DEFAULTS.n_particles
-        assert abs(x - direct) < 1e-12
+    direct = direct_center_and_edges(DEFAULTS, 14.0, 1.0, series.times[picks])[:, 0]
+    assert np.abs(series.values[picks] - direct).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_center_of_mass_matches_orbital_propagation_across_blocks():
+    """The N=80 chain keeps only the levels the quench occupies and ends on a
+    partial block of samples: x(t) on both sides of every block boundary and
+    at the last sample matches explicit orbital propagation."""
+    params = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
+    series = evolve_center_of_mass(params, 27.0, 1.0, tau=float(params.n_sites**2))
+    assert series.values.size % _EVOLVE_CHUNK != 0
+    bounds = np.arange(_EVOLVE_CHUNK, series.values.size, _EVOLVE_CHUNK)
+    picks = np.concatenate([bounds - 1, bounds, [series.values.size - 1]])
+    direct = direct_center_and_edges(params, 27.0, 1.0, series.times[picks])[:, 0]
+    assert np.abs(series.values[picks] - direct).max() <= 1e-10
+
+
+# SMALL peaks at t = 0; with the trap centered at 2.5 the peak falls in the
+# last, partial block
+@pytest.mark.parametrize(
+    "params", [SMALL, LatticeParams(n_sites=6, n_particles=2, trap=0.1, center=2.5)]
+)
+def test_edge_occupancy_warning_is_the_maximum_over_every_sample(params):
+    """10 001 samples in three blocks: the warned occupancy is the largest
+    n_1(t) or n_N(t) over all of them."""
+    with pytest.warns(UserWarning, match="edge occupancy") as caught:
+        series = evolve_center_of_mass(params, 3.0, 1.0, tau=1000.0, dt=0.1)
+    assert series.values.size == 10_001
+    direct = direct_center_and_edges(params, 3.0, 1.0, series.times)
+    assert np.abs(series.values - direct[:, 0]).max() < 1e-10
+    assert f"reached {direct[:, 1:].max():.3e};" in str(caught[0].message)
 
 
 def test_evolution_rejects_short_horizon():
