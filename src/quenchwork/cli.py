@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
-from .ensembles import temperature_from_pair, write_ensemble
+from .ensembles import temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
@@ -343,33 +343,12 @@ def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
     return violations
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One line per row of the equal-length ``columns``, each value in %.12g."""
-    row = ",".join(["{:.12g}"] * len(header))
-    lines = [",".join(header), *map(row.format, *(np.asarray(c).tolist() for c in columns))]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_profile(out: Path, name: str, profile) -> None:
-    columns = (
-        profile.lambdas, profile.delta_f, profile.targets, profile.work_std, profile.jackknife,
-        profile.ess,
-    )
-    _write_csv(
-        out / name, ["lambda", "dF_JE", "dF_target", "work_std", "jackknife", "ESS"], columns
-    )
-
-
-def _write_distribution(out: Path, name: str, dist) -> None:
-    _write_csv(out / name, ["x", "f"], (dist.x, dist.density))
-
-
 def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
     ys = np.geomspace(config.sweep["y_min"], config.sweep["y_max"], config.sweep["points"])
     columns = oscillator.equilibrium_comparison(params, ys).T
     name = config.filenames["sweep"]
-    _write_csv(out / name, ["y", "T", "T_B", "S", "S_B"], columns)
+    write_csv(out / name, ["y,T,T_B,S,S_B"], columns)
     return [name]
 
 
@@ -382,10 +361,10 @@ def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
             params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         sname = f"series_station_{i:02d}.csv"
-        _write_csv(out / sname, ["t", "x"], (series.times, series.values))
+        write_csv(out / sname, ["t,x"], (series.times, series.values))
         dist = lattice.time_average_distribution(series, bins=config.evolution["bins"])
         hname = f"hist_station_{i:02d}.csv"
-        _write_distribution(out, hname, dist)
+        write_csv(out / hname, ["x,f"], (dist.x, dist.density))
         files.extend([sname, hname])
     return files
 
@@ -399,21 +378,25 @@ def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
         tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
     )
     name = config.filenames["profile"]
-    _write_profile(out, name, profile)
+    write_csv(
+        out / name, ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
+        (profile.lambdas, profile.delta_f, profile.targets, profile.work_std,
+         profile.jackknife, profile.ess),
+    )
     files = [name]
     prefix = "dist" if config.model["type"] == "oscillator" else "hist"
     featured = evolution["featured_lambda"]
     for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
         fname = f"{prefix}_station_{i:02d}.csv"
-        _write_distribution(out, fname, dist)
+        write_csv(out / fname, ["x,f"], (dist.x, dist.density))
         files.append(fname)
         if featured is not None and math.isclose(lam, featured):
             fname = config.filenames["featured_histogram"]
-            _write_distribution(out, fname, dist)
+            write_csv(out / fname, ["x,f"], (dist.x, dist.density))
             files.append(fname)
     counts, edges = np.histogram(profile.final_work, bins=60)
     name = config.filenames["work_histogram"]
-    _write_csv(out / name, ["W", "count"], (0.5 * (edges[:-1] + edges[1:]), counts))
+    write_csv(out / name, ["W,count"], (0.5 * (edges[:-1] + edges[1:]), counts))
     files.append(name)
     manifest["temperature"] = config.temperature
     manifest["min_ess"] = float(profile.ess.min())
@@ -446,7 +429,7 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     if closed is not None:
         header.append("T_closed_form")
         row.append(closed)
-    _write_csv(out / name, header, [[v] for v in row])
+    write_csv(out / name, [",".join(header)], [[v] for v in row])
     files.append(name)
     manifest["temperature_estimate"] = est.temperature
     manifest["captured_deficit"] = [ens_a.discarded_mass, ens_b.discarded_mass]

@@ -154,6 +154,14 @@ def temperature_from_pair(
     return TemperatureEstimate(beta=beta, temperature=1.0 / beta, dS=dS, dE=dE)
 
 
+def write_csv(path: str | Path, head: list[str], columns) -> None:
+    """Write the lines ``head``, then one line per row of the equal-length
+    ``columns``, each value in %.12g."""
+    row = ",".join(["{:.12g}"] * len(columns))
+    rows = map(row.format, *(np.asarray(c).tolist() for c in columns))
+    Path(path).write_text("\n".join([*head, *rows]) + "\n")
+
+
 def write_ensemble(
     ens: DiagonalEnsemble,
     path: str | Path,
@@ -168,6 +176,4 @@ def write_ensemble(
         lines.append(f"# dlambda: {dlam:.12g}")
     lines.append(f"# discarded_mass: {ens.discarded_mass:.12g}")
     lines.append("# columns: energy,probability")
-    for e, p in zip(ens.energies, ens.probs):
-        lines.append(f"{e:.12g},{p:.12g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, lines, (ens.energies, ens.probs))

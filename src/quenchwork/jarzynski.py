@@ -5,6 +5,9 @@ coordinate at each station, one draw per quench step:
 
     W = sum_i [U(x_i, lambda_{i+1}) - U(x_i, lambda_i)],   x_i ~ f_i.
 
+The sampler makes one pass per station and keeps only the running work of
+every path, so its memory is O(n_paths) whatever the number of stations.
+
 The free-energy change then follows from the exponential work average
 
     exp(-beta dF) = <exp(-beta W)>,
@@ -34,7 +37,7 @@ class FreeEnergyProfile:
     """Cumulative free-energy change along a protocol, with diagnostics.
 
     ``delta_f[i]`` estimates dF(lambda_1, lambda_i); entry 0 is exactly zero.
-    ``work_std`` are the standard deviations of the partial work sums (the
+    ``work_std`` are the standard deviations of the running work sums (the
     conventional error bar), ``jackknife`` the delete-one errors of the
     exponential estimator, ``ess`` the effective sample sizes.
     ``distributions`` are the station distributions the coordinates were
@@ -67,28 +70,6 @@ def lattice_increment(
     mass enters: V*N_b*(lam_next - lam_i)*(lam_i + lam_next - 2x).
     """
     return trap * n_particles * (lam_next - lam_i) * (lam_i + lam_next - 2.0 * np.asarray(x))
-
-
-def _partial_work(
-    dists: Sequence[PositionDistribution],
-    lambdas: np.ndarray,
-    increment: Callable,
-    n_paths: int,
-    seed: int,
-) -> np.ndarray:
-    """(n_paths, stations-1) partial work sums; column i holds the work of
-    steps 1..i+1.  Coordinates are drawn independently across stations and
-    bit-reproducibly for a given seed."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if len(dists) != lambdas.size - 1:
-        raise ValueError("need one distribution per quench step")
-    rng = np.random.default_rng(seed)
-    draws = np.column_stack([d.sample(rng, n_paths) for d in dists])
-    steps = np.column_stack(
-        [increment(draws[:, i], lambdas[i], lambdas[i + 1]) for i in range(len(dists))]
-    )
-    return np.cumsum(steps, axis=1)
 
 
 def _weights(works, beta: float) -> tuple[np.ndarray, float]:
@@ -139,25 +120,32 @@ def profile_from_distributions(
 ) -> FreeEnergyProfile:
     """Cumulative free-energy profile from per-station distributions.
 
-    Step i draws x_i from ``dists[i]`` and adds ``increment(x_i, lambdas[i],
-    lambdas[i+1])``.  Station i's estimate applies the exponential average to
-    the partial work sums of steps 1..i-1, and its target is
-    ``target_fn(lambda_i) - target_fn(lambda_1)``; both are zero at station 1.
+    One pass per station: pass i draws x_i from ``dists[i]`` with the one
+    generator ``default_rng(seed)``, adds ``increment(x_i, lambdas[i],
+    lambdas[i+1])`` to the running work of every path and estimates station
+    i+1 from that running work, so memory is O(n_paths) whatever the number
+    of stations.  Station i's target is ``target_fn(lambda_i) -
+    target_fn(lambda_1)``; it and the estimate are zero at station 1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    partial = _partial_work(dists, lambdas, increment, n_paths, seed)
-
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if not 0 < len(dists) == lambdas.size - 1:
+        raise ValueError("need at least one quench step and one distribution per step")
+    rng = np.random.default_rng(seed)
     s = lambdas.size
     delta_f = np.zeros(s)
     work_std = np.zeros(s)
     jk = np.zeros(s)
     ess = np.full(s, float(n_paths))
-    for i in range(1, s):
-        w = partial[:, i - 1]
-        delta_f[i] = free_energy_estimate(w, beta)
-        work_std[i] = w.std()
-        jk[i] = jackknife_error(w, beta)
-        ess[i] = effective_sample_size(w, beta)
+    for i, dist in enumerate(dists):
+        step = increment(dist.sample(rng, n_paths), lambdas[i], lambdas[i + 1])
+        # the first step starts the sum, so that a -0.0 increment stays -0.0
+        work = step if i == 0 else work + step
+        delta_f[i + 1] = free_energy_estimate(work, beta)
+        work_std[i + 1] = work.std()
+        jk[i + 1] = jackknife_error(work, beta)
+        ess[i + 1] = effective_sample_size(work, beta)
     if ess.min() < _MIN_ESS:
         warnings.warn(
             f"effective sample size dropped to {ess.min():.1f}; "
@@ -173,7 +161,7 @@ def profile_from_distributions(
         jackknife=jk,
         ess=ess,
         distributions=tuple(dists),
-        final_work=partial[:, -1],
+        final_work=work,
         targets=targets,
     )
 

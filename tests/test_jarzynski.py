@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,77 @@ def test_profile_final_work_is_the_sampled_path_work():
     assert profile.jackknife[-1] == jackknife_error(profile.final_work, beta)
     assert len(profile.distributions) == len(dists)
     assert all(a is b for a, b in zip(profile.distributions, dists))
+
+
+def oscillator_stations(step, stations):
+    from quenchwork.oscillator import position_distribution, y_parameter
+
+    params = OscillatorParams()
+    proto = QuenchProtocol(0.0, step, stations)
+    y = y_parameter(params, proto.step)
+    return [position_distribution(params, l, y) for l in proto.lambdas[:-1]], proto.lambdas
+
+
+def test_profile_draws_stations_in_order_and_sums_them_sequentially():
+    """Bit for bit the profile of drawing every station first from one
+    generator, in station order, and summing the steps with np.cumsum."""
+    dists, lambdas = oscillator_stations(0.6935, 6)
+    beta, n_paths, seed = 1.0 / 0.35, 3000, 8
+    profile = profile_from_distributions(
+        dists, lambdas, oscillator_increment, beta, n_paths, seed, zero_target
+    )
+    rng = np.random.default_rng(seed)
+    draws = [d.sample(rng, n_paths) for d in dists]
+    steps = np.column_stack(
+        [oscillator_increment(x, lambdas[i], lambdas[i + 1]) for i, x in enumerate(draws)]
+    )
+    partial = np.cumsum(steps, axis=1)
+    assert np.array_equal(profile.final_work, partial[:, -1])
+    for i in range(1, lambdas.size):
+        w = partial[:, i - 1]
+        assert profile.delta_f[i] == free_energy_estimate(w, beta)
+        assert profile.work_std[i] == w.std()
+        assert profile.jackknife[i] == jackknife_error(w, beta)
+        assert profile.ess[i] == effective_sample_size(w, beta)
+    # the sum starts from the first step, so a -0.0 work stays -0.0
+    works = path_work(dists[:1], lambdas[:2], lambda x, a, b: -0.0 * np.abs(x), 10, 1)
+    assert np.signbit(works).all()
+
+
+def test_profile_memory_does_not_grow_with_stations():
+    """A 10-step profile holds a few path-length arrays at a time, not one
+    (n_paths, steps) matrix, and its final work is not a view of one."""
+    dists, lambdas = oscillator_stations(0.6935, 11)
+    n_paths = 200_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profile = profile_from_distributions(
+            dists, lambdas, oscillator_increment, 1.0 / 0.35, n_paths, 5, zero_target
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n_paths)
+    assert arrays < 8.0, f"peak of {arrays:.1f} path-length arrays"
+    assert profile.final_work.base is None
+
+
+@pytest.mark.parametrize(
+    "stations, lambdas, n_paths, message",
+    [
+        (0, [0.0], 10, "at least one quench step"),
+        (1, [0.0, 1.0, 2.0], 10, "one distribution per step"),
+        (1, [0.0, 1.0], 0, "n_paths must be at least 1"),
+    ],
+    ids=["no-steps", "one-distribution-short", "no-paths"],
+)
+def test_profile_rejects_bad_sampler_inputs(stations, lambdas, n_paths, message):
+    dists = [point_mass(0.3)] * stations
+    with pytest.raises(ValueError, match=message):
+        profile_from_distributions(
+            dists, lambdas, oscillator_increment, 1.0, n_paths, 1, zero_target
+        )
 
 
 def test_build_profile_rejects_unknown_model():
