@@ -24,9 +24,8 @@ from .jarzynski import (
     effective_sample_size,
     free_energy_estimate,
     jackknife_error,
-    lattice_increment,
-    oscillator_increment,
     profile_from_distributions,
+    trap_work,
 )
 from .lattice import (
     DegenerateFermiLevelError,

@@ -282,6 +282,11 @@ def validate(config: RunConfig) -> list[str]:
         violations.extend(_level_cap_violations(config, params))
     if mtype == "lattice":
         violations.extend(_fermi_level_violations(config, params))
+    featured = config.evolution["featured_lambda"]
+    if config.kind.endswith("-je") and featured is not None:
+        lams = QuenchProtocol(**config.protocol).lambdas[:-1]  # the stations with a distribution
+        if not any(math.isclose(featured, lam) for lam in lams):
+            violations.append(f"evolution.featured_lambda: {featured:g} has no station distribution")
     return violations
 
 

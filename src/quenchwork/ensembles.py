@@ -162,18 +162,13 @@ def write_csv(path: str | Path, head: list[str], columns) -> None:
     Path(path).write_text("\n".join([*head, *rows]) + "\n")
 
 
-def write_ensemble(
-    ens: DiagonalEnsemble,
-    path: str | Path,
-    lam: float | None = None,
-    dlam: float | None = None,
-) -> None:
+def write_ensemble(ens: DiagonalEnsemble, path: str | Path, lam: float, dlam: float) -> None:
     """Write a two-column (energy, probability) CSV with '#' headers."""
-    lines = [f"# label: {ens.label}"]
-    if lam is not None:
-        lines.append(f"# lambda: {lam:.12g}")
-    if dlam is not None:
-        lines.append(f"# dlambda: {dlam:.12g}")
-    lines.append(f"# discarded_mass: {ens.discarded_mass:.12g}")
-    lines.append("# columns: energy,probability")
+    lines = [
+        f"# label: {ens.label}",
+        f"# lambda: {lam:.12g}",
+        f"# dlambda: {dlam:.12g}",
+        f"# discarded_mass: {ens.discarded_mass:.12g}",
+        "# columns: energy,probability",
+    ]
     write_csv(path, lines, (ens.energies, ens.probs))

@@ -5,8 +5,10 @@ coordinate at each station, one draw per quench step:
 
     W = sum_i [U(x_i, lambda_{i+1}) - U(x_i, lambda_i)],   x_i ~ f_i.
 
-The sampler makes one pass per station and keeps only the running work of
-every path, so its memory is O(n_paths) whatever the number of stations.
+Both models hold x between a fixed trap at an anchor a and the movable one at
+lambda: U = kappa [(x - a)^2 + (x - lambda)^2] up to terms free of lambda, so
+each step costs kappa (lambda_{i+1} - lambda_i)(lambda_i + lambda_{i+1} - 2 x_i)
+and the reference profile is kappa (lambda - a)^2 / 2.
 
 The free-energy change then follows from the exponential work average
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,20 +58,10 @@ class FreeEnergyProfile:
     targets: np.ndarray
 
 
-def oscillator_increment(x, lam_i: float, lam_next: float, stiffness: float = 0.5):
-    """Work of moving the k-spring anchor from lam_i to lam_next at fixed x."""
-    return 0.5 * stiffness * ((x - lam_next) ** 2 - (x - lam_i) ** 2)
-
-
-def lattice_increment(
-    x, lam_i: float, lam_next: float, trap: float = 0.0225, n_particles: int = 10
-):
-    """Work of moving the movable lattice trap, given the center of mass x.
-
-    The quadratic site terms cancel in the difference, so only the center of
-    mass enters: V*N_b*(lam_next - lam_i)*(lam_i + lam_next - 2x).
-    """
-    return trap * n_particles * (lam_next - lam_i) * (lam_i + lam_next - 2.0 * np.asarray(x))
+def trap_work(x, lam_i: float, lam_next: float, coupling: float):
+    """Work of moving the trap lam_i -> lam_next at fixed x, factored so that
+    no two large squares are subtracted."""
+    return coupling * (lam_next - lam_i) * (lam_i + lam_next - 2.0 * x)
 
 
 def _weights(works, beta: float) -> tuple[np.ndarray, float]:
@@ -112,20 +104,20 @@ def effective_sample_size(works, beta: float) -> float:
 def profile_from_distributions(
     dists: Sequence[PositionDistribution],
     lambdas: Sequence[float],
-    increment: Callable,
+    coupling: float,
+    anchor: float,
     beta: float,
     n_paths: int,
     seed: int,
-    target_fn: Callable[[float], float],
 ) -> FreeEnergyProfile:
     """Cumulative free-energy profile from per-station distributions.
 
     One pass per station: pass i draws x_i from ``dists[i]`` with the one
-    generator ``default_rng(seed)``, adds ``increment(x_i, lambdas[i],
-    lambdas[i+1])`` to the running work of every path and estimates station
-    i+1 from that running work, so memory is O(n_paths) whatever the number
-    of stations.  Station i's target is ``target_fn(lambda_i) -
-    target_fn(lambda_1)``; it and the estimate are zero at station 1.
+    generator ``default_rng(seed)``, adds ``trap_work(x_i, lambdas[i],
+    lambdas[i+1], coupling)`` to the running work of every path and
+    estimates station i+1 from it, so memory is O(n_paths) whatever the
+    number of stations.  The targets are ``coupling * (lambda - anchor)**2 / 2``
+    less their first entry; they and the estimates are zero at station 1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if n_paths < 1:
@@ -139,8 +131,8 @@ def profile_from_distributions(
     jk = np.zeros(s)
     ess = np.full(s, float(n_paths))
     for i, dist in enumerate(dists):
-        step = increment(dist.sample(rng, n_paths), lambdas[i], lambdas[i + 1])
-        # the first step starts the sum, so that a -0.0 increment stays -0.0
+        step = trap_work(dist.sample(rng, n_paths), lambdas[i], lambdas[i + 1], coupling)
+        # the first step starts the sum, so that a -0.0 step stays -0.0
         work = step if i == 0 else work + step
         delta_f[i + 1] = free_energy_estimate(work, beta)
         work_std[i + 1] = work.std()
@@ -152,8 +144,7 @@ def profile_from_distributions(
             "the exponential average is undersampled",
             stacklevel=2,
         )
-    base = target_fn(lambdas[0])
-    targets = np.array([target_fn(l) - base for l in lambdas])
+    targets = coupling * (lambdas - anchor) ** 2 / 2.0
     return FreeEnergyProfile(
         lambdas=lambdas,
         delta_f=delta_f,
@@ -162,7 +153,7 @@ def profile_from_distributions(
         ess=ess,
         distributions=tuple(dists),
         final_work=work,
-        targets=targets,
+        targets=targets - targets[0],
     )
 
 
@@ -180,12 +171,14 @@ def build_profile(
 ) -> FreeEnergyProfile:
     """Assemble per-station distributions for a model and run the estimator.
 
-    This is the one place that defines each model's station distributions,
-    work increment and target profile.  The type of ``params`` names the
-    model: oscillator stations are analytic densities on the default grid,
-    lattice stations histograms of the evolved center of mass.  The station-i
-    ensemble is generated by the quench (lambda_i - step) -> lambda_i,
-    matching the protocol that measures work when stepping
+    This is the one place that defines each model: its station distributions
+    and the (coupling, anchor) of its two traps.  The type of ``params`` names
+    the model.  Oscillator stations are analytic densities on the default
+    grid, and k x^2/2 + k (x - lambda)^2/2 gives (k/2, 0).  Lattice stations
+    are histograms of the evolved center of mass x, and V sum_k n_k [(k - a)^2
+    + (k - lambda)^2] is V N_b [(x - a)^2 + (x - lambda)^2] plus terms free of
+    lambda, which gives (V N_b, a).  Station i's ensemble comes from the
+    quench (lambda_i - step) -> lambda_i, and its work from the step
     lambda_i -> lambda_{i+1}.
     """
     lams = protocol.lambdas
@@ -195,8 +188,7 @@ def build_profile(
             oscillator.position_distribution(params, l, y, tail_tol=tail_tol)
             for l in lams[:-1]
         ]
-        increment = lambda x, a, b: oscillator_increment(x, a, b, params.stiffness)
-        target_fn = lambda l: params.stiffness * l**2 / 4.0
+        coupling, anchor = params.stiffness / 2.0, 0.0
     elif isinstance(params, lattice.LatticeParams):
         dists = [
             lattice.time_average_distribution(
@@ -204,12 +196,7 @@ def build_profile(
             )
             for l in lams[:-1]
         ]
-        increment = lambda x, a, b: lattice_increment(
-            x, a, b, params.trap, params.n_particles
-        )
-        target_fn = lambda l: params.trap * params.n_particles * (l - params.center) ** 2 / 2.0
+        coupling, anchor = params.trap * params.n_particles, params.center
     else:
         raise TypeError(f"no model takes parameters of type {type(params).__name__}")
-    return profile_from_distributions(
-        dists, lams, increment, beta, n_paths, seed, target_fn
-    )
+    return profile_from_distributions(dists, lams, coupling, anchor, beta, n_paths, seed)

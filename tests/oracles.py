@@ -1,6 +1,7 @@
 """Helpers only the tests use: peak counting, reading ensemble CSVs back, and
 lattice references built from explicit orbital matrices: the dense one-body
-Hamiltonian, single eigenstates and their overlaps, and energies.
+Hamiltonian, single eigenstates and their overlaps, energies, and the exact
+mean and variance of a quench's energy.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -67,6 +68,19 @@ def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
     k = np.arange(1, n + 1, dtype=float)
     h = np.diag(params.trap * ((k - params.center) ** 2 + (k - lam) ** 2))
     return h - params.hopping * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def quench_moments(params: LatticeParams, lam: float, dlam: float) -> tuple[float, float]:
+    """Exact mean energy and variance of H(lambda) in the ground state of
+    H(lambda - dlambda): the one-body sum rules E = sum_a eps_a n_a and
+    Var H = sum_a eps_a^2 n_a - eps^T (rho o rho) eps, with eps the levels of
+    H(lambda), rho the pre-quench one-body density matrix in their basis and
+    n its diagonal.  Both bases come from the dense one-body matrices."""
+    eps, u = np.linalg.eigh(one_body_hamiltonian(params, lam))
+    p0 = np.linalg.eigh(one_body_hamiltonian(params, lam - dlam))[1][:, : params.n_particles]
+    rho = u.T @ p0 @ p0.T @ u
+    n = np.diag(rho)
+    return float(eps @ n), float(eps**2 @ n - eps @ (rho * rho) @ eps)
 
 
 def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:

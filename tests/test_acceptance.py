@@ -301,10 +301,9 @@ def test_criterion_10_estimator_property_suite():
 
     from quenchwork.oscillator import position_distribution as pdist
     dists = [pdist(OSC, 0.0, 0.06)]
-    from quenchwork.jarzynski import oscillator_increment
     a, b = (
         profile_from_distributions(
-            dists, [0.0, 0.6935], oscillator_increment, beta, 10_000, 55, lambda l: 0.0
+            dists, [0.0, 0.6935], OSC.stiffness / 2.0, 0.0, beta, 10_000, 55
         ).final_work
         for _ in range(2)
     )

@@ -313,10 +313,18 @@ LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
         ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1e-200}},
          "quench.dlam"),
         (with_changes(SMALL_OSC_JE, temperature=5e-324), "temperature"),
+        # only the stations before the last have a distribution to feature
+        (with_changes(SMALL_LATTICE_JE, evolution={"featured_lambda": 4.0}),
+         "evolution.featured_lambda"),
+        (with_changes(SMALL_LATTICE_JE, evolution={"featured_lambda": 3.5}),
+         "evolution.featured_lambda"),
+        (with_changes(SMALL_OSC_JE, evolution={"featured_lambda": 3 * 0.6935}),
+         "evolution.featured_lambda"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "too-few-bins",
          "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y",
-         "beta-overflows"],
+         "beta-overflows", "featured-last-lattice-station", "featured-off-grid",
+         "featured-last-oscillator-station"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)

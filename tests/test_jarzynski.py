@@ -10,11 +10,13 @@ from quenchwork.jarzynski import (
     effective_sample_size,
     free_energy_estimate,
     jackknife_error,
-    lattice_increment,
-    oscillator_increment,
     profile_from_distributions,
+    trap_work,
 )
+from quenchwork.lattice import LatticeParams
 from quenchwork.oscillator import OscillatorParams
+
+OSC_COUPLING = 0.25  # k/2 of the default stiffness k = 0.5
 
 
 def point_mass(x0, width=1e-3):
@@ -30,45 +32,62 @@ def gaussian_works(mu, sigma, m, seed):
     return rng.normal(mu, sigma, m)
 
 
-def zero_target(lam):
-    return 0.0
-
-
-def path_work(dists, lambdas, increment, n_paths, seed):
+def path_work(dists, lambdas, coupling, n_paths, seed):
     """Total work of every path the profile estimator samples."""
-    profile = profile_from_distributions(dists, lambdas, increment, 1.0, n_paths, seed, zero_target)
+    profile = profile_from_distributions(dists, lambdas, coupling, 0.0, 1.0, n_paths, seed)
     return profile.final_work
 
 
 def test_oscillator_increment_identities():
-    assert oscillator_increment(1.7, 2.0, 2.0) == 0.0
-    assert oscillator_increment(1.0, 0.0, 2.0) == 0.0  # midpoint symmetry
-    assert oscillator_increment(0.0, 0.0, 0.5, stiffness=0.5) == pytest.approx(
-        0.5**2 / 4.0, abs=1e-15
-    )
+    """The oscillator's work from its two springs k x^2/2 + k (x - lambda)^2/2
+    is trap_work with coupling k/2 and anchor 0."""
+    rng = np.random.default_rng(2)
+    k = 0.5
+    osc = lambda x, lam: k * x**2 / 2.0 + k * (x - lam) ** 2 / 2.0
+    for _ in range(20):
+        lam_i, lam_j = rng.uniform(12, 20, size=2)
+        x = rng.uniform(-5, 25)
+        direct = osc(x, lam_j) - osc(x, lam_i)
+        assert trap_work(x, lam_i, lam_j, k / 2.0) == pytest.approx(direct, rel=1e-12)
+    assert trap_work(1.7, 2.0, 2.0, k / 2.0) == 0.0
+    assert trap_work(1.0, 0.0, 2.0, k / 2.0) == 0.0  # midpoint symmetry
+    assert trap_work(0.0, 0.0, 0.5, k / 2.0) == pytest.approx(0.5**2 / 4.0, abs=1e-15)
 
 
 def test_lattice_increment_matches_potential_difference():
-    """The center of mass is a sufficient statistic for the work increment."""
+    """The center of mass is a sufficient statistic for the work increment:
+    the site-density sum V sum_k n_k [(k - lambda')^2 - (k - lambda)^2] is
+    trap_work with coupling V N_b."""
     rng = np.random.default_rng(2)
     trap, n_b = 0.0225, 10
+    sites = np.arange(1, 41)
     for _ in range(20):
         dens = rng.random(40)
         dens *= n_b / dens.sum()
-        sites = np.arange(1, 41)
         x = float(sites @ dens) / n_b
         lam_i, lam_j = rng.uniform(12, 20, size=2)
         direct = trap * float(dens @ ((sites - lam_j) ** 2 - (sites - lam_i) ** 2))
-        assert lattice_increment(x, lam_i, lam_j, trap, n_b) == pytest.approx(
-            direct, rel=1e-12
-        )
+        assert trap_work(x, lam_i, lam_j, trap * n_b) == pytest.approx(direct, rel=1e-12)
+
+
+def test_build_profile_targets_are_each_models_trap_profile():
+    """Bit for bit k lambda^2/4 for the oscillator and V N_b (lambda - a)^2/2
+    for the lattice, each less its first entry."""
+    params = OscillatorParams()
+    proto = QuenchProtocol(0.0, 0.6935, 4)
+    t = params.stiffness * proto.lambdas**2 / 4.0
+    profile = build_profile(params, proto, 1.0 / 0.35, 50, 1)
+    assert np.array_equal(profile.targets, t - t[0])
+    params = LatticeParams()
+    proto = QuenchProtocol(16.0, 0.7, 3)
+    t = params.trap * params.n_particles * (proto.lambdas - params.center) ** 2 / 2.0
+    profile = build_profile(params, proto, 1.0 / 0.1953, 50, 1)
+    assert np.array_equal(profile.targets, t - t[0])
 
 
 def lattice_path_work(xs, proto, trap=0.0225, n_b=10):
     lams = proto.lambdas
-    return sum(
-        lattice_increment(x, lams[i], lams[i + 1], trap, n_b) for i, x in enumerate(xs)
-    )
+    return sum(trap_work(x, lams[i], lams[i + 1], trap * n_b) for i, x in enumerate(xs))
 
 
 def test_lattice_work_symmetry_zero():
@@ -84,15 +103,15 @@ def test_lattice_work_single_step():
 
 def test_path_work_zero_increment():
     dists = [point_mass(0.3), point_mass(0.9)]
-    works = path_work(dists, [0.0, 1.0, 2.0], lambda x, a, b: 0.0 * x, 100, 1)
+    works = path_work(dists, [0.0, 1.0, 2.0], 0.0, 100, 1)
     assert np.all(works == 0.0)
 
 
 def test_path_work_point_mass():
     x0 = 0.25
     dists = [point_mass(x0)]
-    works = path_work(dists, [0.0, 1.0], oscillator_increment, 500, 4)
-    expected = oscillator_increment(x0, 0.0, 1.0)
+    works = path_work(dists, [0.0, 1.0], OSC_COUPLING, 500, 4)
+    expected = trap_work(x0, 0.0, 1.0, OSC_COUPLING)
     assert np.abs(works - expected).max() < 1e-3  # within the bin width
     assert works.std() < 1e-3
 
@@ -103,10 +122,10 @@ def test_path_work_deterministic():
 
     y = y_parameter(params, 0.6935)
     dists = [position_distribution(params, l, y) for l in (0.0, 0.6935)]
-    a = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
-    b = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 42)
+    a = path_work(dists, [0.0, 0.6935, 1.387], OSC_COUPLING, 5000, 42)
+    b = path_work(dists, [0.0, 0.6935, 1.387], OSC_COUPLING, 5000, 42)
     assert np.array_equal(a, b)
-    c = path_work(dists, [0.0, 0.6935, 1.387], oscillator_increment, 5000, 43)
+    c = path_work(dists, [0.0, 0.6935, 1.387], OSC_COUPLING, 5000, 43)
     assert not np.array_equal(a, c)
 
 
@@ -180,8 +199,7 @@ def test_jackknife_error_scales_with_noise():
 def test_profile_starts_at_zero_and_carries_targets():
     dists = [point_mass(0.2), point_mass(0.7)]
     profile = profile_from_distributions(
-        dists, np.array([0.0, 1.0, 2.0]), oscillator_increment, 2.0, 200, 6,
-        target_fn=lambda l: 0.5 * l**2 / 4.0,
+        dists, np.array([0.0, 1.0, 2.0]), OSC_COUPLING, 0.0, 2.0, 200, 6
     )
     assert profile.delta_f[0] == 0.0
     assert profile.targets[0] == 0.0
@@ -198,7 +216,7 @@ def test_profile_warns_when_undersampled():
     wide = PositionDistribution(x=grid, density=f, dx=grid[1] - grid[0])
     with pytest.warns(UserWarning, match="undersampled"):
         profile = profile_from_distributions(
-            [wide], np.array([0.0, 40.0]), oscillator_increment, 50.0, 40, 3, zero_target
+            [wide], np.array([0.0, 40.0]), OSC_COUPLING, 0.0, 50.0, 40, 3
         )
     assert (profile.ess[1:] < 10.0).any()
 
@@ -210,7 +228,7 @@ def test_oscillator_path_sample_obeys_jensen():
     proto = QuenchProtocol(0.0, 0.6935, 11)
     y = y_parameter(params, proto.step)
     dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
-    works = path_work(dists, proto.lambdas, oscillator_increment, 20_000, 3)
+    works = path_work(dists, proto.lambdas, OSC_COUPLING, 20_000, 3)
     assert free_energy_estimate(works, 1.0 / 0.35) <= works.mean() + 1e-12
 
 
@@ -242,7 +260,7 @@ def test_profile_final_work_is_the_sampled_path_work():
     dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
     beta = 1.0 / 0.35
     profile = profile_from_distributions(
-        dists, proto.lambdas, oscillator_increment, beta, 4000, 21, zero_target
+        dists, proto.lambdas, OSC_COUPLING, 0.0, beta, 4000, 21
     )
     assert profile.final_work.shape == (4000,)
     assert profile.delta_f[-1] == free_energy_estimate(profile.final_work, beta)
@@ -266,12 +284,12 @@ def test_profile_draws_stations_in_order_and_sums_them_sequentially():
     dists, lambdas = oscillator_stations(0.6935, 6)
     beta, n_paths, seed = 1.0 / 0.35, 3000, 8
     profile = profile_from_distributions(
-        dists, lambdas, oscillator_increment, beta, n_paths, seed, zero_target
+        dists, lambdas, OSC_COUPLING, 0.0, beta, n_paths, seed
     )
     rng = np.random.default_rng(seed)
     draws = [d.sample(rng, n_paths) for d in dists]
     steps = np.column_stack(
-        [oscillator_increment(x, lambdas[i], lambdas[i + 1]) for i, x in enumerate(draws)]
+        [trap_work(x, lambdas[i], lambdas[i + 1], OSC_COUPLING) for i, x in enumerate(draws)]
     )
     partial = np.cumsum(steps, axis=1)
     assert np.array_equal(profile.final_work, partial[:, -1])
@@ -281,8 +299,9 @@ def test_profile_draws_stations_in_order_and_sums_them_sequentially():
         assert profile.work_std[i] == w.std()
         assert profile.jackknife[i] == jackknife_error(w, beta)
         assert profile.ess[i] == effective_sample_size(w, beta)
-    # the sum starts from the first step, so a -0.0 work stays -0.0
-    works = path_work(dists[:1], lambdas[:2], lambda x, a, b: -0.0 * np.abs(x), 10, 1)
+    # the sum starts from the first step, so a -0.0 work stays -0.0: coupling
+    # 0.0 times the step 1 times 1 - 2x < 0 of a point mass at x = 0.9 is -0.0
+    works = path_work([point_mass(0.9)], [0.0, 1.0], 0.0, 10, 1)
     assert np.signbit(works).all()
 
 
@@ -295,7 +314,7 @@ def test_profile_memory_does_not_grow_with_stations():
     try:
         before = tracemalloc.get_traced_memory()[0]
         profile = profile_from_distributions(
-            dists, lambdas, oscillator_increment, 1.0 / 0.35, n_paths, 5, zero_target
+            dists, lambdas, OSC_COUPLING, 0.0, 1.0 / 0.35, n_paths, 5
         )
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -318,7 +337,7 @@ def test_profile_rejects_bad_sampler_inputs(stations, lambdas, n_paths, message)
     dists = [point_mass(0.3)] * stations
     with pytest.raises(ValueError, match=message):
         profile_from_distributions(
-            dists, lambdas, oscillator_increment, 1.0, n_paths, 1, zero_target
+            dists, lambdas, OSC_COUPLING, 0.0, 1.0, n_paths, 1
         )
 
 

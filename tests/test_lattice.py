@@ -11,6 +11,7 @@ from oracles import (
     energy_series,
     one_body_hamiltonian,
     overlap_probability,
+    quench_moments,
 )
 from quenchwork import mean_energy
 from quenchwork.lattice import (
@@ -188,6 +189,32 @@ def test_energy_expectation_consistency():
     direct = energy_expectation(initial, h)
     ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-10)
     assert abs(mean_energy(ens) - direct) < 1e-6
+
+
+SERIES_GEOMETRY = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
+
+
+@pytest.mark.parametrize(
+    "params, lam, dlam",
+    [(DEFAULTS, 15.0, 1.0), (DEFAULTS, 15.0, 2.0), (DEFAULTS, 15.0, 4.0),
+     (SERIES_GEOMETRY, 27.0, 1.0)],
+    ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series"],
+)
+def test_diagonal_ensemble_meets_the_one_body_sum_rules(params, lam, dlam):
+    """The enumeration spreads the captured mass 1 - d over the kept states.
+    Its mean then misses the exact E by d times the gap between the kept and
+    the dropped means, at most d*range, and its variance misses Var H by at
+    most d*(range^2/4 + range^2), where range, the top N_b levels less the
+    bottom N_b, bounds the spread of many-body energies."""
+    ens = diagonal_ensemble(params, lam, dlam)
+    exact_e, exact_var = quench_moments(params, lam, dlam)
+    levels = np.linalg.eigvalsh(one_body_hamiltonian(params, lam))
+    nb = params.n_particles
+    span = levels[-nb:].sum() - levels[:nb].sum()
+    e = mean_energy(ens)
+    var = float(ens.probs @ (ens.energies - e) ** 2)
+    assert abs(e - exact_e) <= ens.discarded_mass * span
+    assert abs(var - exact_var) <= 1.25 * ens.discarded_mass * span**2
 
 
 def test_energy_anchor():
