@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
-from .ensembles import temperature_from_pair, write_csv, write_ensemble
+from .ensembles import mean_energy, temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
@@ -438,6 +438,11 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     files.append(name)
     manifest["temperature_estimate"] = est.temperature
     manifest["captured_deficit"] = [ens_a.discarded_mass, ens_b.discarded_mass]
+    if config.model["type"] == "lattice":
+        manifest["energy_gap"] = [
+            mean_energy(ens) - lattice.quench_energy(params, lam, dl)
+            for ens, dl in ((ens_a, dlam), (ens_b, dlam + eps))
+        ]
     return files
 
 

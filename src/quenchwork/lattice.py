@@ -15,7 +15,9 @@ linear algebra on N x N_b orbital matrices:
 * the quench (lambda - dlambda) -> lambda is the pre-quench Fermi sea written
   in the post-quench level basis, b = U^T P0,
 * the diagonal-ensemble weight of the eigenstate occupying levels n is the
-  squared N_b x N_b minor |det b[n, :]|^2,
+  squared N_b x N_b minor |det b[n, :]|^2, and the ensemble visits these
+  eigenstates as particle-hole excitations of the Fermi sea, heaviest
+  first, steered by the Loewdin rule,
 * time evolution is a real quadratic form in the cosines and sines of the
   phases of the levels the quench occupies, so x(t) and both edge
   occupancies cost O(n_kept^2) per time sample and never form the evolved
@@ -25,7 +27,6 @@ linear algebra on N x N_b orbital matrices:
 """
 from __future__ import annotations
 
-import itertools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -34,13 +35,15 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import PositionDistribution
-from .ensembles import DiagonalEnsemble
+from .ensembles import DiagonalEnsemble, renormalize
 
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
 MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
 _EVOLVE_CHUNK = 4096  # time samples per block of level phases in the evolution
 _LEVEL_WEIGHT_FLOOR = 1e-24  # levels the quench leaves emptier than this do not evolve
+_PUSH_FLOOR = 1e-15  # excitations lighter than this are searched only when the rest run out
+_CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -145,27 +148,56 @@ def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
     return spec, spec.vectors.T @ ground_state(params, lam - dlam)
 
 
-def _rank_candidates(values: np.ndarray, n_particles: int, rank: int):
-    """Energy-ordered particle-hole excitations of the Fermi sea at one rank.
+def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
+    """Exact mean energy after the quench (lambda - dlambda) -> lambda, the
+    one-body sum rule E = sum_alpha eps_alpha sum_a b_alpha,a^2."""
+    spec, b = _quench_amplitudes(params, lam, dlam)
+    return float(spec.values @ (b**2).sum(axis=1))
 
-    Yields (occupied-row index array of shape (m, N_b), energy array (m,))
-    in chunks, ordered by total unperturbed energy.
-    """
-    n = values.size
-    holes = np.array(list(itertools.combinations(range(n_particles), rank)))
-    parts = np.array(list(itertools.combinations(range(n_particles, n), rank)))
-    kept = np.array(
-        [[o for o in range(n_particles) if o not in set(h)] for h in holes], dtype=int
-    )
-    delta = values[parts].sum(axis=1)[None, :] - values[holes].sum(axis=1)[:, None]
-    order = np.argsort(delta, axis=None, kind="stable")
-    n_parts = parts.shape[0]
-    chunk = 8192
-    for lo in range(0, order.size, chunk):
-        flat = order[lo : lo + chunk]
-        ih, ip = np.divmod(flat, n_parts)
-        rows = np.concatenate([kept[ih], parts[ip]], axis=1)
-        yield rows, delta.flat[flat]
+
+def _children(amp, holes, parts, states, rows, weights, low, high):
+    """Yield, in blocks, the children of same-rank search states whose
+    weights lie in (low, high].
+
+    A state of rank r is a row of r increasing positions in ``holes``, then
+    r increasing positions in ``parts``; ``rows`` are its N_b occupied levels
+    and ``weights`` its det(b[rows, :])^2.  A child adds one pair past both
+    last positions.  With level q written in the parent's rows,
+    b[q, :] = c b[rows, :], the child that puts q in the place of hole j
+    weighs the parent's weight times c_j^2: the Loewdin rule with the parent
+    as reference, which stays accurate however small the Fermi sea's own
+    weight.  Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
+    r = states.shape[1] // 2
+    step = max(1, _CHILD_BLOCK // max(1, parts.size * holes.size))
+    for lo in range(0, weights.size, step):
+        live = weights[lo : lo + step] > 0.0  # a singular parent has no children
+        s, rw, w = (x[lo : lo + step][live] for x in (states, rows, weights))
+        coef = amp[parts] @ np.linalg.inv(amp[rw])[:, :, holes]  # (parent, particle, hole)
+        child = w[:, None, None] * coef**2
+        last_h, last_p = (s[:, r - 1 : r], s[:, -1:]) if r else (np.full((w.size, 1), -1),) * 2
+        past_p, past_h = np.arange(parts.size) > last_p, np.arange(holes.size) > last_h
+        keep = past_p[:, :, None] & past_h[:, None, :] & (low < child) & (child <= high)
+        i, cp, ch = np.nonzero(keep)
+        yield np.column_stack([s[i, :r], ch, s[i, r:], cp]), child[i, cp, ch]
+
+
+def _heaviest(frontier: list, k: int) -> list:
+    """Per-rank masks of the frontier's k heaviest states, ties included by
+    position, so that exactly k are marked."""
+    weights = np.concatenate([w for _, w in frontier])
+    top = np.zeros(weights.size, dtype=bool)
+    if k:
+        top[np.argpartition(weights, -k)[-k:]] = True
+    return np.split(top, np.cumsum([w.size for _, w in frontier])[:-1])
+
+
+def _push(frontier: list, rank: int, blocks, room: int) -> None:
+    """Add blocks of rank-``rank`` states to the frontier, then keep only its
+    ``room`` heaviest states: no more can still be visited."""
+    for block in blocks:
+        frontier[rank] = tuple(np.concatenate(x) for x in zip(frontier[rank], block))
+        if sum(w.size for _, w in frontier) > room:
+            frontier[:] = [(s[m], w[m]) for (s, w), m in zip(frontier, _heaviest(frontier, room))]
 
 
 def diagonal_ensemble(
@@ -177,71 +209,95 @@ def diagonal_ensemble(
 ) -> DiagonalEnsemble:
     """Diagonal ensemble of the quench (lambda - dlambda) -> lambda.
 
-    Many-body eigenstates of H(lambda) are enumerated as particle-hole
-    excitations of the Fermi sea, singles before doubles before triples and
-    energy-ordered within each rank; each contributes p_n = |det b[n, :]|^2,
-    the minor of the quench amplitudes on its levels n.  Enumeration stops
-    once the captured probability reaches 1 - prob_cutoff or ``max_states``
-    states, whichever comes first; the result is renormalized and the
-    captured deficit recorded.  A deficit that ``max_states`` leaves above
-    ``prob_cutoff`` raises a UserWarning.
+    Many-body eigenstates of H(lambda) are particle-hole excitations of the
+    Fermi sea, visited heaviest first; each contributes p_n = det(b[n, :])^2,
+    the minor of the quench amplitudes on its levels n.  With A0 = b[:N_b]
+    and G = b[N_b:] A0^-1, holes and particles are ordered by their largest
+    G^2 (the Loewdin rule gives a single excitation det(A0)^2 G^2), and a
+    state's children add one pair past its last hole and last particle, so
+    each state has one parent.  The search pops the frontier's heaviest
+    states in batches and pushes the children heavier than ``_PUSH_FLOOR``;
+    should the frontier run dry first, it pushes the next ``_PUSH_FLOOR``
+    decades of children of every state visited so far.  It stops once the
+    captured probability reaches 1 - prob_cutoff, after ``max_states``
+    states, or when every state has been visited; the frontier keeps only
+    as many states as may still be visited.  States lighter than
+    ``_PUSH_FLOOR`` are left out; the result is renormalized and sorted by
+    energy.  A deficit left above ``prob_cutoff`` raises a UserWarning.
 
     Raises
     ------
     EnsembleConvergenceError
-        If ``max_states`` is exhausted with less than 0.99 captured.
+        If the search ends with less than 0.99 captured.
     """
     if prob_cutoff > MAX_PROB_CUTOFF:
         raise ValueError(f"prob_cutoff must be <= {MAX_PROB_CUTOFF:g}")
     spec, amp = _quench_amplitudes(params, lam, dlam)
     nb = params.n_particles
-    e_sea = float(spec.values[:nb].sum())
-
-    energies = [e_sea]
-    probs = [float(abs(np.linalg.det(amp[:nb, :])) ** 2)]
-    captured = probs[0]
-    done = captured >= 1.0 - prob_cutoff
-
-    for rank in range(1, min(nb, params.n_sites - nb) + 1):
-        if done or len(probs) >= max_states:
-            break
-        for rows, deltas in _rank_candidates(spec.values, nb, rank):
-            dets = np.linalg.det(amp[rows])
-            ps = np.abs(dets) ** 2
-            running = captured + np.cumsum(ps)
-            cut = ps.size
-            hit = np.nonzero(running >= 1.0 - prob_cutoff)[0]
-            if hit.size:
-                cut = int(hit[0]) + 1
-                done = True
-            cut = min(cut, max_states - len(probs))
-            energies.extend(e_sea + deltas[:cut])
-            probs.extend(ps[:cut])
-            captured = running[cut - 1] if cut else captured
-            if done or len(probs) >= max_states:
+    a0 = amp[:nb]
+    g = np.linalg.solve(a0.T, amp[nb:].T).T  # particle x hole
+    holes = np.argsort(-(g**2).max(axis=0, initial=0.0), kind="stable")
+    parts = np.argsort(-(g**2).max(axis=1, initial=0.0), kind="stable") + nb
+    # frontier[r]: the rank-r states (m, 2r) still to visit and their weights
+    frontier = [(np.empty((0, 2 * r), dtype=np.intp), np.empty(0)) for r in range(min(g.shape) + 1)]
+    frontier[0] = (np.empty((1, 0), dtype=np.intp), np.array([np.linalg.det(a0) ** 2]))
+    energies, probs, visited = [], [], []
+    captured, count, floor, stop = 0.0, 0, _PUSH_FLOOR, f"max_states={max_states}"
+    while count < max_states:
+        size = sum(w.size for _, w in frontier)
+        if not size:
+            if not floor:
+                stop = "the exhausted search"
                 break
+            floor, ceiling = floor * _PUSH_FLOOR, floor
+            for rank, *parents in visited:
+                _push(frontier, rank + 1, _children(amp, holes, parts, *parents, floor, ceiling),
+                      max_states - count)
+            continue
+        top = _heaviest(frontier, min(max(16, count // 4), size))
+        batch = []
+        for rank, ((s, _), m) in enumerate(zip(frontier, top)):
+            s = s[m]
+            rows = np.tile(np.arange(nb), (s.shape[0], 1))  # each hole's row takes a particle
+            rows[np.arange(s.shape[0])[:, None], holes[s[:, :rank]]] = parts[s[:, rank:]]
+            batch.append((rank, s, rows, np.linalg.det(amp[rows]) ** 2))
+        frontier = [(s[~m], w[~m]) for (s, w), m in zip(frontier, top)]
+        p_batch = np.concatenate([p for *_, p in batch])
+        order = np.argsort(-p_batch, kind="stable")
+        running = captured + np.cumsum(p_batch[order])
+        hit = np.nonzero(running >= 1.0 - prob_cutoff)[0]
+        cut = min(int(hit[0]) + 1 if hit.size else order.size, max_states - count)
+        order = order[:cut][p_batch[order[:cut]] >= _PUSH_FLOOR]
+        e_batch = np.concatenate([spec.values[rows].sum(axis=1) for _, _, rows, _ in batch])
+        energies.append(e_batch[order])
+        probs.append(p_batch[order])
+        captured, count = float(running[cut - 1]), count + cut
+        if hit.size:
+            break
+        for rank, *parents in batch[:-1]:
+            visited.append((rank, *parents))
+            _push(frontier, rank + 1, _children(amp, holes, parts, *parents, floor, np.inf),
+                  max_states - count)
 
-    if captured < 1.0 - prob_cutoff and len(probs) >= max_states:
+    if captured < 1.0 - prob_cutoff:
         if captured < 0.99:
             raise EnsembleConvergenceError(
-                f"captured only {captured:.6f} probability in {len(probs)} states "
-                f"for lambda={lam:g}, dlambda={dlam:g}; raise max_states"
+                f"captured only {captured:.6f} probability in {count} states "
+                f"for lambda={lam:g}, dlambda={dlam:g}; stopped by {stop}"
             )
         warnings.warn(
-            f"max_states={max_states} left {1.0 - captured:.3e} of the probability uncaptured "
+            f"{stop} left {1.0 - captured:.3e} of the probability uncaptured "
             f"for lambda={lam:g}, dlambda={dlam:g}, above prob_cutoff={prob_cutoff:g}",
             stacklevel=2,
         )
 
-    energies = np.array(energies)
-    probs = np.array(probs)
+    energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
-    return DiagonalEnsemble(
+    return renormalize(DiagonalEnsemble(
         energies=energies[order],
-        probs=probs[order] / captured,
+        probs=np.concatenate(probs)[order],
         label=f"lattice lambda={lam:g} dlambda={dlam:g}",
-        discarded_mass=max(0.0, 1.0 - captured),
-    )
+    ))
 
 
 def evolve_center_of_mass(

@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quenchwork
+from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
+from quenchwork.lattice import LatticeParams
 
 SMALL_LATTICE_JE = {
     "kind": "lattice-je",
@@ -297,6 +299,25 @@ def with_changes(base, **sections):
 
 LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
                        "quench": {"lambda": 15.0, "dlam": 1.0}}
+
+
+@pytest.mark.filterwarnings("ignore:max_states=20 left")
+@pytest.mark.parametrize("tolerances", [{}, {"max_states": 20}], ids=["converged", "truncated"])
+def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
+    """Each ensemble's mean energy misses the exact one-body E by at most its
+    discarded mass times the range of many-body energies, the top N_b levels
+    less the bottom N_b."""
+    raw = with_changes(LATTICE_TEMPERATURE, tolerances=tolerances)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    levels = np.linalg.eigvalsh(one_body_hamiltonian(LatticeParams(), 15.0))
+    span = levels[-10:].sum() - levels[:10].sum()
+    assert len(manifest["energy_gap"]) == 2
+    for gap, deficit in zip(manifest["energy_gap"], manifest["captured_deficit"]):
+        assert abs(gap) <= deficit * span
+    assert (max(manifest["captured_deficit"]) > 1e-8) == bool(tolerances)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from oracles import (
 from quenchwork import mean_energy
 from quenchwork.lattice import (
     _EVOLVE_CHUNK,
+    _PUSH_FLOOR,
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     LatticeParams,
@@ -159,8 +160,8 @@ def test_diagonal_ensemble_convergence_failure():
 
 
 def test_diagonal_ensemble_warns_when_max_states_cuts_it_short():
-    with pytest.warns(UserWarning, match=r"max_states=100 left .* above prob_cutoff=1e-08"):
-        ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=100)
+    with pytest.warns(UserWarning, match=r"max_states=20 left .* above prob_cutoff=1e-08"):
+        ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=20)
     assert 1e-8 < ens.discarded_mass < 0.01
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -175,6 +176,60 @@ def test_diagonal_ensemble_empties_a_one_particle_sea():
     w_dense, probs_dense = DenseFockModel(6, 1, trap=0.1, center=2.0).quench(lam=3.0, dlam=1.0)
     assert np.abs(ens.energies - w_dense).max() < 1e-10
     assert np.abs(ens.probs - probs_dense).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_particles", [6, 5], ids=["full-chain", "one-empty-level"])
+def test_diagonal_ensemble_with_few_empty_levels(n_particles):
+    """A full chain has one state and nowhere to excite a particle; with one
+    empty level every excitation is a single, and all six match the oracle."""
+    params = LatticeParams(n_sites=6, n_particles=n_particles, trap=0.1, center=2.0)
+    ens = diagonal_ensemble(params, lam=3.0, dlam=1.0, prob_cutoff=1e-12)
+    oracle = DenseFockModel(6, n_particles, trap=0.1, center=2.0)
+    w_dense, probs_dense = oracle.quench(lam=3.0, dlam=1.0)
+    assert ens.size == w_dense.size
+    assert np.abs(ens.energies - w_dense).max() < 1e-10
+    assert np.abs(ens.probs - probs_dense).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "center, lam, dlam, sea_weight, tol",
+    [(4.0, 5.0, 3.0, 1.0e-7, 1e-9), (3.3, 7.0, 6.0, 9.9e-24, 1e-10)],
+    ids=["sea-1e-7", "sea-below-push-floor"],
+)
+def test_diagonal_ensemble_survives_a_nearly_orthogonal_fermi_sea(center, lam, dlam, sea_weight, tol):
+    """Large quenches leave the Fermi sea almost no weight.  At 9.9e-24 it is
+    lighter than the push floor, so every excitation the search needs is
+    reached through states that light.  The probabilities are direct minors
+    and match the oracle either way.  In the first case two levels lie 6e-8
+    apart, and the dense many-body solver resolves the states built on them
+    only to about 4e-10, so that bound is 1e-9 rather than criterion 9's
+    1e-10."""
+    params = LatticeParams(n_sites=8, n_particles=4, trap=1.0, center=center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = diagonal_ensemble(params, lam=lam, dlam=dlam, prob_cutoff=1e-10)
+    oracle = DenseFockModel(8, 4, trap=1.0, center=center)
+    w_dense, probs_dense = oracle.quench(lam=lam, dlam=dlam)
+    assert probs_dense[0] == pytest.approx(sea_weight, rel=0.05)
+    captured = 1.0 - ens.discarded_mass
+    for e, p in zip(ens.energies, ens.probs * captured):
+        i = int(np.argmin(np.abs(w_dense - e)))
+        assert abs(w_dense[i] - e) < 1e-10
+        assert abs(probs_dense[i] - p) < tol
+    assert ens.discarded_mass < 1e-10
+
+
+@pytest.mark.parametrize(
+    "params, lam, dlam, prob_cutoff",
+    [(DEFAULTS, 15.0, 1.0, 1e-10), (DEFAULTS, 15.0, 4.0, 1e-10), (SMALL, 3.0, 1.0, 1e-6),
+     (LatticeParams(trap=0.3, center=20.3), 20.1, 6.0, 1e-10)],
+    ids=["N40-dlam1", "N40-dlam4", "N6", "N40-far-quench"],
+)
+def test_diagonal_ensemble_keeps_no_state_below_the_push_floor(params, lam, dlam, prob_cutoff):
+    """Probabilities below the push floor are eigen-solver roundoff and are
+    never kept, even where the search has to pass through such states."""
+    ens = diagonal_ensemble(params, lam, dlam, prob_cutoff=prob_cutoff)
+    assert ens.probs.min() >= _PUSH_FLOOR
 
 
 def test_diagonal_ensemble_rejects_loose_cutoff():
@@ -194,11 +249,13 @@ def test_energy_expectation_consistency():
 SERIES_GEOMETRY = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
 
 
+@pytest.mark.filterwarnings("error")  # each case converges within the default max_states
 @pytest.mark.parametrize(
     "params, lam, dlam",
     [(DEFAULTS, 15.0, 1.0), (DEFAULTS, 15.0, 2.0), (DEFAULTS, 15.0, 4.0),
-     (SERIES_GEOMETRY, 27.0, 1.0)],
-    ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series"],
+     (SERIES_GEOMETRY, 27.0, 1.0), (SERIES_GEOMETRY, 30.0, 4.0),
+     (LatticeParams(trap=0.3, center=20.3), 20.1, 6.0)],
+    ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series", "N80-dlam4", "N40-far-quench"],
 )
 def test_diagonal_ensemble_meets_the_one_body_sum_rules(params, lam, dlam):
     """The enumeration spreads the captured mass 1 - d over the kept states.
