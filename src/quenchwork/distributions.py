@@ -3,7 +3,9 @@
 Shared plumbing between the model modules and the work sampler: the station
 schedule of a multi-quench protocol, and a normalized density of the reaction
 coordinate on a uniform grid (either an analytic density evaluated on a grid
-or a histogram of a time series).
+or a histogram of a time series).  A density draws its samples by inverting
+its piecewise-constant CDF with a guide-table search, O(1) per draw and
+bit-identical to linear interpolation of the CDF with ``np.interp``.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ _HISTOGRAM_PAD = 0.05  # fraction of the sample range added on each side
 # fewest bins narrower than the pad, (1 + 2*pad)/bins < pad, so that the
 # outermost bins stay empty and the trapezoidal mass of a histogram is one
 MIN_HISTOGRAM_BINS = 23
+_GUIDE = 1 << 14  # cells of the inverse-CDF guide table
+_BLOCK = 4096  # draws per block of the inverse-CDF search
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,43 @@ class PositionDistribution:
         return np.concatenate([self.x - 0.5 * self.dx, [self.x[-1] + 0.5 * self.dx]])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw samples by inverting the piecewise-constant CDF on the bins."""
+        """Draw samples by inverting the piecewise-constant CDF on the bins.
+
+        A guide-table inverse-CDF search (Chen & Asau 1974; Devroye 1986,
+        sec. III.2), bit-identical to linear interpolation of the CDF,
+        ``np.interp(u, cdf, edges)``, on the uniforms u of one
+        ``rng.random(size)`` call.  [0, 1) is cut into ``_GUIDE`` equal
+        cells.  A cell that holds no CDF knot sends every u in it to one
+        knot j, the last with cdf[j] <= u; only the few cells that hold a
+        knot search for it.  The value is then slope[j] * (u - cdf[j]) +
+        edge[j], np.interp's own operations in its order.  The draws go in
+        blocks of ``_BLOCK``, so the temporaries stay small.
+        """
+        edges = self.bin_edges()
         cdf = np.concatenate([[0.0], np.cumsum(self.density * self.dx)])
         cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, self.bin_edges())
+        # G is a power of two, so cdf*G and u*G are exact and the cells never
+        # misplace a knot; first[k] is the last knot with cdf[j] <= k/G
+        knots_per_cell = np.bincount(np.ceil(cdf * _GUIDE).astype(np.intp), minlength=_GUIDE + 1)
+        first = np.cumsum(knots_per_cell) - 1
+        cell = np.where(first[1:] == first[:-1], first[:-1], -1)
+        u = rng.random(size)
+        out = np.empty_like(u)
+        # silent like np.interp: empty bins are never selected, and a slope may overflow
+        with np.errstate(all="ignore"):
+            slopes = np.diff(edges) / np.diff(cdf)
+            for lo in range(0, u.size, _BLOCK):
+                u_b = u[lo:lo + _BLOCK]
+                j = cell[(u_b * _GUIDE).astype(np.intp)]
+                amb = j < 0
+                j[amb] = np.searchsorted(cdf, u_b[amb], side="right") - 1
+                out_b = out[lo:lo + _BLOCK]
+                np.multiply(slopes[j], u_b - cdf[j], out=out_b)
+                out_b += edges[j]
+                # a draw on a knot whose slope overflows: np.interp returns its edge
+                bad = np.isnan(out_b)
+                out_b[bad] = edges[j[bad]]
+        return out
 
     @classmethod
     def from_histogram(cls, values, bins: int = 40):

@@ -51,7 +51,7 @@ class DegenerateFermiLevelError(ValueError):
 
 
 class EnsembleConvergenceError(RuntimeError):
-    """Excitation enumeration hit max_states before capturing enough mass."""
+    """Excitation enumeration ended before capturing enough mass."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,8 @@ def diagonal_ensemble(
     Raises
     ------
     EnsembleConvergenceError
-        If the search ends with less than 0.99 captured.
+        If the search ends with less than 0.99 captured, or cannot start
+        because the Fermi sea's det(A0)^2 underflows to 0.
     """
     if prob_cutoff > MAX_PROB_CUTOFF:
         raise ValueError(f"prob_cutoff must be <= {MAX_PROB_CUTOFF:g}")
@@ -240,7 +241,14 @@ def diagonal_ensemble(
     parts = np.argsort(-(g**2).max(axis=1, initial=0.0), kind="stable") + nb
     # frontier[r]: the rank-r states (m, 2r) still to visit and their weights
     frontier = [(np.empty((0, 2 * r), dtype=np.intp), np.empty(0)) for r in range(min(g.shape) + 1)]
-    frontier[0] = (np.empty((1, 0), dtype=np.intp), np.array([np.linalg.det(a0) ** 2]))
+    root = np.linalg.det(a0) ** 2
+    if not root:  # the Loewdin rule scales every child by the root's weight
+        raise EnsembleConvergenceError(
+            f"the Fermi sea's weight det(A0)^2 underflows to 0 (slogdet gives "
+            f"ln|det A0| = {np.linalg.slogdet(a0).logabsdet:.6g}) for lambda={lam:g}, "
+            f"dlambda={dlam:g}, so the search has no weight to start from"
+        )
+    frontier[0] = (np.empty((1, 0), dtype=np.intp), np.array([root]))
     energies, probs, visited = [], [], []
     captured, count, floor, stop = 0.0, 0, _PUSH_FLOOR, f"max_states={max_states}"
     while count < max_states:

@@ -263,6 +263,21 @@ def test_main_convergence_failure(tmp_path, capsys):
     assert out["error"] == "convergence_failed"
 
 
+def test_main_names_an_underflowing_fermi_sea(tmp_path, capsys):
+    raw = {
+        "kind": "temperature",
+        "model": {"type": "lattice", "n_sites": 80, "n_particles": 40, "trap": 0.3, "center": 40.3},
+        "quench": {"lambda": 40.1, "dlam": 8.0},
+    }
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "convergence_failed"
+    assert "det(A0)^2 underflows to 0" in out["detail"]
+    assert "ln|det A0| = -707." in out["detail"]
+
+
 def test_main_seed_override_changes_output(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_OSC_JE))

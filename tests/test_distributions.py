@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import count_peaks
-from quenchwork.distributions import PositionDistribution, QuenchProtocol
+from quenchwork import oscillator
+from quenchwork.distributions import _BLOCK, _GUIDE, PositionDistribution, QuenchProtocol
 
 
 def test_protocol_stations():
@@ -53,6 +54,82 @@ def test_sampling_reproduces_density():
     assert abs(draws.std() - 1.0) < 0.01
     again = dist.sample(np.random.default_rng(1), 200_000)
     assert np.array_equal(draws, again)
+
+
+class _FixedUniforms:
+    """Generator stub whose ``random(size)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _cdf(dist):
+    cdf = np.concatenate([[0.0], np.cumsum(dist.density * dist.dx)])
+    return cdf / cdf[-1]
+
+
+def _spiked_density():
+    """Interior zero bins, and one bin holding most of the mass."""
+    x = np.linspace(-1.0, 1.0, 101)
+    f = np.zeros_like(x)
+    f[10:30] = 1.0
+    f[55] = 500.0
+    f[70:72] = 2.0
+    return PositionDistribution(x=x, density=f / np.trapezoid(f, x), dx=x[1] - x[0])
+
+
+def _subnormal_first_bin():
+    """A first bin so light that its CDF slope overflows to inf."""
+    x = np.linspace(0.0, 1.0, 201)
+    f = np.ones_like(x)
+    f[0] = 1e-312
+    return PositionDistribution(x=x, density=f / np.trapezoid(f, x), dx=x[1] - x[0])
+
+
+@pytest.fixture(scope="module")
+def stations():
+    params = oscillator.OscillatorParams()
+    fig3d = oscillator.position_distribution(params, 20.0, oscillator.y_parameter(params, 4.0))
+    histogram = PositionDistribution.from_histogram(np.random.default_rng(4).normal(size=3000), bins=40)
+    return {"fig3d": fig3d, "histogram": histogram, "spiked": _spiked_density(),
+            "subnormal": _subnormal_first_bin()}
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["fig3d", "histogram", "spiked", "subnormal"])
+@pytest.mark.parametrize("size", [0, 1, _BLOCK + 1, 100_000])
+def test_sample_matches_np_interp_bit_for_bit(stations, name, size):
+    dist = stations[name]
+    u = np.random.default_rng(size).random(size)
+    got = dist.sample(np.random.default_rng(size), size)
+    _assert_same_bits(got, np.interp(u, _cdf(dist), dist.bin_edges()))
+
+
+@pytest.mark.parametrize("name", ["fig3d", "histogram", "spiked", "subnormal"])
+def test_sample_matches_np_interp_on_knots_and_cell_boundaries(stations, name):
+    dist = stations[name]
+    cdf = _cdf(dist)
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate([
+        [0.0, 2.0**-53, 1.0 - 2.0**-53],
+        inner,  # exact knots, repeated ones included
+        np.nextafter(inner, 1.0),
+        np.nextafter(inner[inner > 0.0], 0.0),
+        np.arange(_GUIDE) / _GUIDE,  # every cell boundary k/G
+        (np.arange(_GUIDE) + 0.5) / _GUIDE,
+    ])
+    if name == "histogram":
+        assert np.count_nonzero(np.diff(cdf) == 0.0) >= 2  # empty outer bins repeat knots
+    got = dist.sample(_FixedUniforms(u), u.size)
+    _assert_same_bits(got, np.interp(u, cdf, dist.bin_edges()))
 
 
 def test_count_peaks_prominence_filter():

@@ -159,6 +159,13 @@ def test_diagonal_ensemble_convergence_failure():
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=3)
 
 
+def test_diagonal_ensemble_names_an_underflowing_fermi_sea():
+    # log|det A0| = -707.3 here, so det(A0)^2 is 0 in double precision
+    params = LatticeParams(n_sites=80, n_particles=40, trap=0.3, center=40.3)
+    with pytest.raises(EnsembleConvergenceError, match=r"det\(A0\)\^2 underflows to 0 .*ln\|det A0\| = -707\."):
+        diagonal_ensemble(params, lam=40.1, dlam=8.0)
+
+
 def test_diagonal_ensemble_warns_when_max_states_cuts_it_short():
     with pytest.warns(UserWarning, match=r"max_states=20 left .* above prob_cutoff=1e-08"):
         ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=20)
