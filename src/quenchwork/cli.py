@@ -360,17 +360,19 @@ def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[
 def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
     params = _model_params(config)
     proto = QuenchProtocol(**config.protocol)
-    files = []
+    files, edges = [], []
     for i, lam in enumerate(proto.lambdas[:-1], start=1):
         series = lattice.evolve_center_of_mass(
             params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
+        edges.append(series.edge_occupancy)
         sname = f"series_station_{i:02d}.csv"
         write_csv(out / sname, ["t,x"], (series.times, series.values))
         dist = lattice.time_average_distribution(series, bins=config.evolution["bins"])
         hname = f"hist_station_{i:02d}.csv"
         write_csv(out / hname, ["x,f"], (dist.x, dist.density))
         files.extend([sname, hname])
+    manifest["edge_occupancy"] = edges
     return files
 
 

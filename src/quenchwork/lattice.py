@@ -18,10 +18,12 @@ linear algebra on N x N_b orbital matrices:
   squared N_b x N_b minor |det b[n, :]|^2, and the ensemble visits these
   eigenstates as particle-hole excitations of the Fermi sea, heaviest
   first, steered by the Loewdin rule,
-* time evolution is a real quadratic form in the cosines and sines of the
-  phases of the levels the quench occupies, so x(t) and both edge
-  occupancies cost O(n_kept^2) per time sample and never form the evolved
-  orbitals,
+* time evolution is a sum of cosines over the frequencies eps_alpha -
+  eps_beta of the pairs of levels the quench occupies; a table of the pair
+  cosines and sines over one block of times, times per-block coefficients,
+  makes a group of blocks one matrix product, so x(t) and both edge
+  occupancies cost about 3 n_kept^2 multiply-adds per time sample and never
+  form the evolved orbitals,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
   coupled to the movable trap.
 """
@@ -40,7 +42,9 @@ from .ensembles import DiagonalEnsemble, renormalize
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
 MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
-_EVOLVE_CHUNK = 4096  # time samples per block of level phases in the evolution
+_BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
+_GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
+_PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
 _LEVEL_WEIGHT_FLOOR = 1e-24  # levels the quench leaves emptier than this do not evolve
 _PUSH_FLOOR = 1e-15  # excitations lighter than this are searched only when the rest run out
 _CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
@@ -93,17 +97,28 @@ class SingleParticleSpectrum:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Center-of-mass trajectory x(t); site units, times in hbar/J."""
+    """Center-of-mass trajectory x(t); site units, times in hbar/J.
+
+    ``edge_occupancy`` is the largest occupancy of site 1 or site N over the
+    samples; above 1e-6 it raises a UserWarning, since open-boundary
+    reflections may then distort the trajectory."""
 
     times: np.ndarray
     values: np.ndarray
     n_sites: int
+    edge_occupancy: float = 0.0
 
     def __post_init__(self):
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have the same shape")
         if self.values.min() < 1.0 - 1e-9 or self.values.max() > self.n_sites + 1e-9:
             raise ValueError("center of mass left the chain, sites run 1..N")
+        if self.edge_occupancy > _EDGE_OCCUPANCY_WARN:
+            warnings.warn(
+                f"edge occupancy reached {self.edge_occupancy:.3e}; open-boundary "
+                "reflections may distort the trajectory",
+                stacklevel=3,
+            )
 
     @property
     def span(self) -> float:
@@ -308,6 +323,26 @@ def diagonal_ensemble(
     ))
 
 
+def _evolution_shape(n_pairs: int) -> tuple[int, int]:
+    """Time samples per block and blocks per product for ``n_pairs`` level
+    pairs: neither the pair-phase table nor a product's coefficients exceed
+    ``_PAIR_BUFFER_BYTES``."""
+    row = 16 * max(n_pairs, 1)  # bytes of a table row: a cosine and a sine per pair
+    rows = max(1, min(_BLOCK_ROWS, _PAIR_BUFFER_BYTES // row))
+    return rows, max(1, min(_GROUP_BLOCKS, _PAIR_BUFFER_BYTES // (3 * row)))
+
+
+def _pair_phases(phases: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray):
+    """Write into ``out`` the cosines and sines of the pair phases
+    (eps_first - eps_second) t, interleaved along each row of times, from the
+    level phases eps t: the product of the two levels' unit phasors is the
+    angle subtraction cos a cos b + sin a sin b, sin a cos b - cos a sin b."""
+    z = np.exp(1j * phases)
+    pairs = out.view(complex)
+    pairs[...] = z.take(first, axis=1)
+    pairs *= z.conj().take(second, axis=1)
+
+
 def evolve_center_of_mass(
     params: LatticeParams,
     lam: float,
@@ -327,14 +362,27 @@ def evolve_center_of_mass(
 
     with X = U^T diag(k) U, rho = b b^T, u_1 and u_N the first and last rows
     of U and o the elementwise product.  All three are real and symmetric,
-    so with c = cos(eps t) and s = sin(eps t) each form is c^T A c + s^T A s,
-    and a block of samples takes two real products with [M | E_1 | E_N] and
-    a row sum.  Only the levels with weight sum_a b_alpha,a^2 above 1e-24
-    evolve (by Cauchy-Schwarz a dropped level moves an entry of rho by about
-    1e-12 at most), so a sample costs O(n_kept^2) and the orbitals P(t) are
-    never formed.  The cosines and sines of one block are tabulated once and
-    turned to each block's start by angle addition.  The grid is uniform
-    with step ``dt`` up to horizon ``tau`` (default 2 N^2, in hbar/J units).
+    so each is a sum over the P = n (n - 1) / 2 pairs of the n evolving
+    levels,
+
+        d^+ A d = sum_alpha A_alpha,alpha
+                  + 2 sum_{alpha < beta} A_alpha,beta cos(w_alpha,beta t),
+
+    with w_alpha,beta = eps_alpha - eps_beta.  Each time is split as
+    t = t_b + s, its block's start plus an offset.  One table per station
+    holds (cos, sin)(w s) over the offsets of a block, block b has the
+    coefficients 2 A (cos, -sin)(w t_b), and a group of blocks is one matrix
+    product of the (rows x 2P) table with the (2P x 3 blocks) coefficients:
+    about 3 n^2 multiply-adds per sample.  Pair phasors are products of
+    level phasors, so the trigonometric calls grow only as
+    (rows + blocks) n.  The table and a group's coefficients each stay
+    within ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  x(t) is
+    stored; the edge occupancies enter only the series' ``edge_occupancy``,
+    their maximum over every sample.  Only the levels with weight
+    sum_a b_alpha,a^2 above 1e-24 evolve (by Cauchy-Schwarz a dropped level
+    moves an entry of rho by about 1e-12 at most), and the orbitals P(t)
+    are never formed.  The grid is uniform with step ``dt`` up to horizon
+    ``tau`` (default 2 N^2, in hbar/J units).
 
     Horizons below N^2 give poorly converged time averages and are rejected.
     """
@@ -347,33 +395,38 @@ def evolve_center_of_mass(
     kept = (b**2).sum(axis=1) > _LEVEL_WEIGHT_FLOOR
     b, eps, u = b[kept], spec.values[kept], spec.vectors[:, kept]
     rho = b @ b.T
-    forms = np.hstack([
+    forms = np.stack([  # x, n_1, n_N
         (u.T @ (params.sites[:, None] * u)) * rho / params.n_particles,
         np.outer(u[0], u[0]) * rho,
         np.outer(u[-1], u[-1]) * rho,
     ])
+    first, second = np.triu_indices(eps.size, 1)
+    weights = np.repeat(2.0 * forms[:, first, second], 2, axis=1)
+    constant = np.trace(forms, axis1=1, axis2=2)[:, None]
     times = np.arange(0.0, tau + dt / 2.0, dt)
-    table = times[:_EVOLVE_CHUNK, None] * eps
-    cos_table, sin_table = np.cos(table), np.sin(table)
+    rows, blocks = _evolution_shape(first.size)
+    rows = min(rows, times.size)
+    table = np.empty((rows, weights.shape[1]))
+    _pair_phases(times[:rows, None] * eps, first, second, table)
+    starts = times[::rows]
+    coef = np.empty((min(blocks, starts.size), 3, weights.shape[1]))
     xs = np.empty(times.size)
     edge_occ = 0.0
-    for lo in range(0, times.size, _EVOLVE_CHUNK):
-        size = min(_EVOLVE_CHUNK, times.size - lo)
-        ct, st = cos_table[:size], sin_table[:size]
-        cb, sb = np.cos(eps * times[lo]), np.sin(eps * times[lo])
-        c = ct * cb - st * sb
-        s = st * cb + ct * sb
-        # columns x, n_1, n_N
-        block = sum(np.einsum("tfn,tn->tf", (v @ forms).reshape(size, 3, -1), v) for v in (c, s))
-        xs[lo : lo + size] = block[:, 0]
-        edge_occ = max(edge_occ, block[:, 1:].max())
-    if edge_occ > _EDGE_OCCUPANCY_WARN:
-        warnings.warn(
-            f"edge occupancy reached {edge_occ:.3e}; open-boundary reflections "
-            "may distort the trajectory",
-            stacklevel=2,
-        )
-    return TimeSeries(times=times, values=xs, n_sites=params.n_sites)
+    for lo in range(0, starts.size, blocks):
+        group = coef[: starts.size - lo]
+        # cos w(t_b + s) = cos(w t_b) cos(w s) - sin(w t_b) sin(w s): the table
+        # holds (cos, sin)(w s), and block b 2A (cos, sin)(-w t_b) per form
+        _pair_phases(-starts[lo : lo + blocks, None] * eps, first, second, group[:, 0])
+        np.multiply(group[:, :1], weights[1:], out=group[:, 1:])
+        group[:, 0] *= weights[0]
+        # x, n_1 and n_N in time order; the last block may run past the grid
+        values = (group.reshape(3 * len(group), -1) @ table.T).reshape(len(group), 3, rows)
+        values = values.transpose(1, 0, 2).reshape(3, -1)[:, : times.size - lo * rows] + constant
+        xs[lo * rows : lo * rows + values.shape[1]] = values[0]
+        edge_occ = max(edge_occ, values[1:].max())
+    return TimeSeries(
+        times=times, values=xs, n_sites=params.n_sites, edge_occupancy=float(edge_occ)
+    )
 
 
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import quenchwork
 from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
-from quenchwork.lattice import LatticeParams
+from quenchwork.lattice import LatticeParams, evolve_center_of_mass
 
 SMALL_LATTICE_JE = {
     "kind": "lattice-je",
@@ -172,13 +172,39 @@ def test_lattice_run_outputs(tmp_path):
     raw = copy.deepcopy(SMALL_LATTICE_JE)
     raw["kind"] = "lattice-run"
     config = config_with(raw, tmp_path / "run")
-    run(config)
+    manifest = run(config)
     out = tmp_path / "run"
     assert (out / "series_station_01.csv").exists()
     assert (out / "hist_station_02.csv").exists()
     series = np.loadtxt(out / "series_station_01.csv", delimiter=",", skiprows=1)
     assert series.shape[1] == 2
     assert series[0, 0] == 0.0
+    params = LatticeParams(**{k: v for k, v in raw["model"].items() if k != "type"})
+    assert manifest["edge_occupancy"] == [
+        evolve_center_of_mass(params, lam, 1.0, tau=128.0, dt=0.1).edge_occupancy
+        for lam in (2.0, 3.0)
+    ]
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_fig4_matches_its_golden_outputs(tmp_path):
+    """The fig4 preset writes the committed CSVs of tests/data/fig4, header
+    for header and value for value to rtol 1e-9, so that a kernel drifting
+    between commits shows while other BLAS builds still pass."""
+    raw = {**copy.deepcopy(PRESETS["fig4"]), "out_dir": str(tmp_path), "quiet": True}
+    run(RunConfig.from_dict(raw))
+    golden = sorted(path.name for path in (GOLDEN / "fig4").glob("*.csv"))
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == golden
+    for name in golden:
+        want, got = ((d / name).read_text().splitlines() for d in (GOLDEN / "fig4", tmp_path))
+        assert got[0] == want[0] and len(got) == len(want), name
+        np.testing.assert_allclose(
+            np.loadtxt(got[1:], delimiter=","), np.loadtxt(want[1:], delimiter=","),
+            rtol=1e-9, atol=0.0, err_msg=name,
+        )
 
 
 def test_manifest_records_every_warning(tmp_path):
@@ -191,7 +217,9 @@ def test_manifest_records_every_warning(tmp_path):
         {"category": w.category.__name__, "message": str(w.message)} for w in caught
     ]
     assert len(caught) == 2  # one per station
-    assert all(w["message"].startswith("edge occupancy reached") for w in manifest["warnings"])
+    assert [w["message"].split(";")[0] for w in manifest["warnings"]] == [
+        f"edge occupancy reached {edge:.3e}" for edge in manifest["edge_occupancy"]
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run(config_with(raw, tmp_path / "w2"))

@@ -15,8 +15,9 @@ from oracles import (
 )
 from quenchwork import mean_energy
 from quenchwork.lattice import (
-    _EVOLVE_CHUNK,
+    _LEVEL_WEIGHT_FLOOR,
     _PUSH_FLOOR,
+    _evolution_shape,
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     LatticeParams,
@@ -364,6 +365,19 @@ def direct_center_and_edges(params, lam, dlam, times):
     return np.array(out)
 
 
+def evolving_levels(params, lam, dlam):
+    """The number of levels the quench occupies above the weight floor."""
+    b = spectrum(params, lam).vectors.T @ ground_state(params, lam - dlam)
+    return int(((b**2).sum(axis=1) > _LEVEL_WEIGHT_FLOOR).sum())
+
+
+def evolution_blocks(params, lam, dlam):
+    """Time samples per block and blocks per product of this quench's
+    evolution, from its number of level pairs."""
+    n = evolving_levels(params, lam, dlam)
+    return _evolution_shape(n * (n - 1) // 2)
+
+
 def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
     with pytest.warns(UserWarning, match=r"edge occupancy reached 1\.189e-05"):
         series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0)
@@ -376,31 +390,71 @@ def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_center_of_mass_matches_orbital_propagation_across_blocks():
     """The N=80 chain keeps only the levels the quench occupies and ends on a
-    partial block of samples: x(t) on both sides of every block boundary and
-    at the last sample matches explicit orbital propagation."""
+    partial block of samples in a partial group of blocks: x(t) on both
+    sides of every block boundary, group boundaries among them, and at the
+    last sample matches explicit orbital propagation."""
     params = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
     series = evolve_center_of_mass(params, 27.0, 1.0, tau=float(params.n_sites**2))
-    assert series.values.size % _EVOLVE_CHUNK != 0
-    bounds = np.arange(_EVOLVE_CHUNK, series.values.size, _EVOLVE_CHUNK)
-    picks = np.concatenate([bounds - 1, bounds, [series.values.size - 1]])
+    rows, blocks = evolution_blocks(params, 27.0, 1.0)
+    size = series.values.size
+    assert evolving_levels(params, 27.0, 1.0) < params.n_sites
+    assert size % rows != 0 and -(-size // rows) % blocks != 0
+    bounds = np.arange(rows, size, rows)
+    assert np.count_nonzero(bounds % (rows * blocks) == 0) >= 2
+    picks = np.concatenate([bounds - 1, bounds, [size - 1]])
     direct = direct_center_and_edges(params, 27.0, 1.0, series.times[picks])[:, 0]
     assert np.abs(series.values[picks] - direct).max() <= 1e-10
 
 
-# SMALL peaks at t = 0; with the trap centered at 2.5 the peak falls in the
-# last, partial block
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_center_of_mass_of_a_single_evolving_level_is_constant():
+    """One particle and no quench: the particle stays in level 0, there is no
+    pair of levels to beat, and x(t) and the edge occupancy are those of the
+    ground-state orbital at every sample."""
+    params = LatticeParams(n_sites=6, n_particles=1)
+    assert evolving_levels(params, 3.0, 0.0) == 1
+    series = evolve_center_of_mass(params, 3.0, 0.0, tau=100.0, dt=0.1)
+    occ = spectrum(params, 3.0).vectors[:, 0] ** 2
+    assert np.abs(series.values - occ @ params.sites).max() < 1e-12
+    assert series.edge_occupancy == pytest.approx(max(occ[0], occ[-1]), rel=1e-12)
+
+
+# SMALL peaks at t = 0; the second chain peaks at t = 998.5, in the last,
+# partial block of samples and the second, partial group of blocks
 @pytest.mark.parametrize(
-    "params", [SMALL, LatticeParams(n_sites=6, n_particles=2, trap=0.1, center=2.5)]
+    "params", [SMALL, LatticeParams(n_sites=6, n_particles=2, trap=0.095, center=2.8)]
 )
 def test_edge_occupancy_warning_is_the_maximum_over_every_sample(params):
-    """10 001 samples in three blocks: the warned occupancy is the largest
-    n_1(t) or n_N(t) over all of them."""
+    """20 001 samples in two groups of blocks: the warned and carried edge
+    occupancy is the largest n_1(t) or n_N(t) over all of them."""
     with pytest.warns(UserWarning, match="edge occupancy") as caught:
-        series = evolve_center_of_mass(params, 3.0, 1.0, tau=1000.0, dt=0.1)
-    assert series.values.size == 10_001
+        series = evolve_center_of_mass(params, 3.0, 1.0, tau=1000.0, dt=0.05)
+    rows, blocks = evolution_blocks(params, 3.0, 1.0)
+    size = series.values.size
+    assert size == 20_001 and rows * blocks < size < 2 * rows * blocks and size % rows != 0
     direct = direct_center_and_edges(params, 3.0, 1.0, series.times)
     assert np.abs(series.values - direct[:, 0]).max() < 1e-10
+    peak = direct[:, 1:].max(axis=1).argmax()
+    assert peak == 0 if params is SMALL else peak >= (size - 1) // rows * rows
+    assert series.edge_occupancy == pytest.approx(direct[:, 1:].max(), rel=1e-10)
     assert f"reached {direct[:, 1:].max():.3e};" in str(caught[0].message)
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_edge_occupancy_ignores_the_rows_past_the_grid():
+    """The last block's rows past the horizon are evaluated but are not
+    samples: this chain's edge occupancy rises there above its maximum on
+    the grid, which is still the value the series carries."""
+    params = LatticeParams(n_sites=6, n_particles=2, trap=0.135, center=2.0)
+    series = evolve_center_of_mass(params, 3.0, 1.0, tau=1000.0, dt=0.05)
+    rows, _ = evolution_blocks(params, 3.0, 1.0)
+    size = series.values.size
+    past = np.arange(size, -(-size // rows) * rows) * 0.05
+    on_grid, off_grid = (
+        direct_center_and_edges(params, 3.0, 1.0, t)[:, 1:].max() for t in (series.times, past)
+    )
+    assert off_grid > on_grid * (1 + 1e-3)
+    assert series.edge_occupancy == pytest.approx(on_grid, rel=1e-10)
 
 
 def test_evolution_rejects_short_horizon():
@@ -417,6 +471,15 @@ def test_evolution_warns_when_trap_reaches_edge():
 def test_time_series_validation():
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.5, 2.0]), n_sites=4)
+
+
+def test_time_series_warns_from_its_edge_occupancy():
+    times, values = np.array([0.0, 1.0]), np.array([1.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        TimeSeries(times=times, values=values, n_sites=4, edge_occupancy=1e-6)
+    with pytest.warns(UserWarning, match=r"^edge occupancy reached 2\.500e-06; open-boundary"):
+        TimeSeries(times=times, values=values, n_sites=4, edge_occupancy=2.5e-6)
 
 
 def test_time_average_distribution_constant_series():
