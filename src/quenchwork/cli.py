@@ -279,9 +279,9 @@ def validate(config: RunConfig) -> list[str]:
     if config.kind in ("lattice-run", "lattice-je"):
         violations.extend(_horizon_violations(config.evolution, params))
     if mtype == "oscillator" and config.kind != "oscillator-sweep":
-        violations.extend(_level_cap_violations(config, params))
+        violations.extend(_oscillator_violations(config, params))
     if mtype == "lattice":
-        violations.extend(_fermi_level_violations(config, params))
+        violations.extend(_spectrum_violations(config, params))
     featured = config.evolution["featured_lambda"]
     if config.kind.endswith("-je") and featured is not None:
         lams = QuenchProtocol(**config.protocol).lambdas[:-1]  # the stations with a distribution
@@ -290,28 +290,38 @@ def validate(config: RunConfig) -> list[str]:
     return violations
 
 
-def _fermi_level_violations(config: RunConfig, params: LatticeParams) -> list[str]:
-    """The first pre-quench ground state that a Fermi level in a degenerate
-    pair of levels leaves ambiguous; the run reuses the cached spectra."""
+def _quenches(config: RunConfig) -> tuple[str, list[tuple[float, float]]]:
+    """The field that places a run's quenches, and the (lambda, dlambda) of
+    each quench (lambda - dlambda) -> lambda the run makes."""
     if config.kind == "temperature":
         q = _with_defaults("quench", config.quench)
-        starts = [q["lambda"] - q["dlam"], q["lambda"] - (q["dlam"] + q["eps"])]
-    else:
-        proto = QuenchProtocol(**config.protocol)
-        starts = proto.lambdas[:-1] - proto.step
+        return "quench.lambda", [(q["lambda"], q["dlam"]), (q["lambda"], q["dlam"] + q["eps"])]
+    proto = QuenchProtocol(**config.protocol)
+    return "protocol.lambda_start", [(lam, proto.step) for lam in proto.lambdas[:-1]]
+
+
+def _spectrum_violations(config: RunConfig, params: LatticeParams) -> list[str]:
+    """The first quench whose one-body matrix, after or before it, is not
+    finite, or whose pre-quench Fermi level falls in a degenerate pair of
+    levels (no unique ground state); the run reuses the cached spectra."""
+    key, quenches = _quenches(config)
     try:
-        for lam in starts:
-            lattice.ground_state(params, lam)
+        for lam, dlam in quenches:
+            lattice.quench_energy(params, lam, dlam)
     except DegenerateFermiLevelError as exc:
         return [f"model: {exc}"]
+    except ValueError as exc:
+        return [f"{key}: {exc}"]
     return []
 
 
-def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
-    """Quench amplitudes of an oscillator run whose Poisson occupations run
-    past the oscillator's level cap, which would leave the station grids short
-    and the ensembles unnormalizable midway through the run, and a dlam whose
-    y underflows to 0, where the closed-form temperature is undefined."""
+def _oscillator_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
+    """Quench amplitudes whose Poisson occupations run past the oscillator's
+    level cap, which would leave the station grids short and the ensembles
+    unnormalizable midway through the run, and a dlam whose y underflows to
+    0, where the closed-form temperature is undefined.  Then the lambda
+    furthest out, if the grid around its well center lambda/2 no longer
+    resolves the well, where the offset k lambda^2/4 also swamps hbar*omega."""
     violations = []
     if config.kind == "temperature":
         quench = _with_defaults("quench", config.quench)
@@ -328,7 +338,16 @@ def _level_cap_violations(config: RunConfig, params: OscillatorParams) -> list[s
                 f"{key}: quench amplitude {dlam:g} gives Poisson mean y = {y:.4g}, beyond the "
                 "levels the oscillator keeps"
             )
-    return violations
+    if violations:
+        return violations
+    key, quenches = _quenches(config)
+    lam, dlam = max(quenches, key=lambda quench: abs(quench[0]))
+    y = oscillator.y_parameter(params, dlam)
+    try:
+        oscillator.position_distribution(params, lam, y, tail_tol=config.tolerances["tail_tol"])
+    except ValueError as exc:
+        return [f"{key}: lambda = {lam:g} is too far out for the position grid: {exc}"]
+    return []
 
 
 def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:

@@ -66,9 +66,6 @@ class DiagonalEnsemble:
     def size(self) -> int:
         return self.energies.size
 
-    def total_probability(self) -> float:
-        return float(self.probs.sum())
-
 
 @dataclass(frozen=True)
 class TemperatureEstimate:
@@ -86,7 +83,7 @@ class TemperatureEstimate:
 
 
 def _require_normalized(ens: DiagonalEnsemble) -> None:
-    deficit = abs(ens.total_probability() - 1.0)
+    deficit = abs(float(ens.probs.sum()) - 1.0)
     if deficit > NORMALIZATION_TOL:
         raise NormalizationError(
             f"ensemble '{ens.label}' deviates from unit norm by {deficit:.3e}; "
@@ -113,7 +110,7 @@ def mean_energy(ens: DiagonalEnsemble) -> float:
 
 def renormalize(ens: DiagonalEnsemble) -> DiagonalEnsemble:
     """Scale probabilities to unit sum, recording the discarded tail mass."""
-    total = ens.total_probability()
+    total = float(ens.probs.sum())
     if total <= 0.0:
         raise ValueError("cannot renormalize an ensemble with zero total probability")
     return DiagonalEnsemble(
@@ -141,14 +138,10 @@ def temperature_from_pair(
     """
     dS = entropy(ens_b) - entropy(ens_a)
     dE = mean_energy(ens_b) - mean_energy(ens_a)
-    if abs(dE) < 1e-14:
-        if abs(dS) < 1e-12:
-            # purity-preserving pair: zero temperature by convention
-            return TemperatureEstimate(beta=math.inf, temperature=0.0, dS=dS, dE=dE)
-        raise DegenerateEnergyError(
-            f"dE = {dE:.3e} is below resolution while dS = {dS:.3e}"
-        )
-    if abs(dS) < 1e-14:
+    if abs(dE) < 1e-14 and abs(dS) >= 1e-12:
+        raise DegenerateEnergyError(f"dE = {dE:.3e} is below resolution while dS = {dS:.3e}")
+    if abs(dE) < 1e-14 or abs(dS) < 1e-14:
+        # purity-preserving pair: zero temperature by convention
         return TemperatureEstimate(beta=math.inf, temperature=0.0, dS=dS, dE=dE)
     beta = dS / dE
     return TemperatureEstimate(beta=beta, temperature=1.0 / beta, dS=dS, dE=dE)

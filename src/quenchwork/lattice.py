@@ -46,7 +46,7 @@ _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase tab
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
 _PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
 _LEVEL_WEIGHT_FLOOR = 1e-24  # levels the quench leaves emptier than this do not evolve
-_PUSH_FLOOR = 1e-15  # excitations lighter than this are searched only when the rest run out
+_PUSH_FLOOR = 1e-15  # push floor, times det(A0)^2; also the least p a kept state has
 _CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
 
 
@@ -128,9 +128,13 @@ class TimeSeries:
 @lru_cache(maxsize=256)
 def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     """Dense eigen-decomposition of the tridiagonal one-body matrix, cached
-    per (params, lambda); nothing downstream depends on eigenvector signs."""
+    per (params, lambda); nothing downstream depends on eigenvector signs.
+    Raises ValueError when lambda is so far out that the matrix overflows."""
     k = params.sites
-    diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
+    if not np.isfinite(diag).all():
+        raise ValueError(f"the one-body matrix of H(lambda={lam:g}) is not finite")
     hop = np.full(params.n_sites - 1, -params.hopping)
     values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
     values.setflags(write=False)
@@ -170,9 +174,9 @@ def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
     return float(spec.values @ (b**2).sum(axis=1))
 
 
-def _children(amp, holes, parts, states, rows, weights, low, high):
-    """Yield, in blocks, the children of same-rank search states whose
-    weights lie in (low, high].
+def _children(amp, holes, parts, states, rows, weights, floor):
+    """Yield, in blocks, the children of same-rank search states that weigh
+    more than ``floor``.
 
     A state of rank r is a row of r increasing positions in ``holes``, then
     r increasing positions in ``parts``; ``rows`` are its N_b occupied levels
@@ -191,7 +195,7 @@ def _children(amp, holes, parts, states, rows, weights, low, high):
         child = w[:, None, None] * coef**2
         last_h, last_p = (s[:, r - 1 : r], s[:, -1:]) if r else (np.full((w.size, 1), -1),) * 2
         past_p, past_h = np.arange(parts.size) > last_p, np.arange(holes.size) > last_h
-        keep = past_p[:, :, None] & past_h[:, None, :] & (low < child) & (child <= high)
+        keep = past_p[:, :, None] & past_h[:, None, :] & (child > floor)
         i, cp, ch = np.nonzero(keep)
         yield np.column_stack([s[i, :r], ch, s[i, r:], cp]), child[i, cp, ch]
 
@@ -201,18 +205,8 @@ def _heaviest(frontier: list, k: int) -> list:
     position, so that exactly k are marked."""
     weights = np.concatenate([w for _, w in frontier])
     top = np.zeros(weights.size, dtype=bool)
-    if k:
-        top[np.argpartition(weights, -k)[-k:]] = True
+    top[np.argpartition(weights, -k)[-k:]] = True
     return np.split(top, np.cumsum([w.size for _, w in frontier])[:-1])
-
-
-def _push(frontier: list, rank: int, blocks, room: int) -> None:
-    """Add blocks of rank-``rank`` states to the frontier, then keep only its
-    ``room`` heaviest states: no more can still be visited."""
-    for block in blocks:
-        frontier[rank] = tuple(np.concatenate(x) for x in zip(frontier[rank], block))
-        if sum(w.size for _, w in frontier) > room:
-            frontier[:] = [(s[m], w[m]) for (s, w), m in zip(frontier, _heaviest(frontier, room))]
 
 
 def diagonal_ensemble(
@@ -231,14 +225,15 @@ def diagonal_ensemble(
     G^2 (the Loewdin rule gives a single excitation det(A0)^2 G^2), and a
     state's children add one pair past its last hole and last particle, so
     each state has one parent.  The search pops the frontier's heaviest
-    states in batches and pushes the children heavier than ``_PUSH_FLOOR``;
-    should the frontier run dry first, it pushes the next ``_PUSH_FLOOR``
-    decades of children of every state visited so far.  It stops once the
+    states in batches and pushes the children heavier than ``_PUSH_FLOOR``
+    times det(A0)^2.  The floor is relative, so that however light the Fermi
+    sea, the paths from it to the heavy states stay open.  It stops once the
     captured probability reaches 1 - prob_cutoff, after ``max_states``
-    states, or when every state has been visited; the frontier keeps only
-    as many states as may still be visited.  States lighter than
-    ``_PUSH_FLOOR`` are left out; the result is renormalized and sorted by
-    energy.  A deficit left above ``prob_cutoff`` raises a UserWarning.
+    states, or when the frontier runs dry; the frontier keeps only as many
+    states as may still be visited.  States lighter than ``_PUSH_FLOOR``
+    itself are eigen-solver roundoff and are left out; the result is
+    renormalized and sorted by energy.  A deficit left above
+    ``prob_cutoff`` raises a UserWarning.
 
     Raises
     ------
@@ -264,19 +259,9 @@ def diagonal_ensemble(
             f"dlambda={dlam:g}, so the search has no weight to start from"
         )
     frontier[0] = (np.empty((1, 0), dtype=np.intp), np.array([root]))
-    energies, probs, visited = [], [], []
-    captured, count, floor, stop = 0.0, 0, _PUSH_FLOOR, f"max_states={max_states}"
-    while count < max_states:
-        size = sum(w.size for _, w in frontier)
-        if not size:
-            if not floor:
-                stop = "the exhausted search"
-                break
-            floor, ceiling = floor * _PUSH_FLOOR, floor
-            for rank, *parents in visited:
-                _push(frontier, rank + 1, _children(amp, holes, parts, *parents, floor, ceiling),
-                      max_states - count)
-            continue
+    energies, probs, floor = [], [], _PUSH_FLOOR * root
+    captured, count = 0.0, 0
+    while count < max_states and (size := sum(w.size for _, w in frontier)):
         top = _heaviest(frontier, min(max(16, count // 4), size))
         batch = []
         for rank, ((s, _), m) in enumerate(zip(frontier, top)):
@@ -295,14 +280,17 @@ def diagonal_ensemble(
         energies.append(e_batch[order])
         probs.append(p_batch[order])
         captured, count = float(running[cut - 1]), count + cut
-        if hit.size:
+        if hit.size or count == max_states:
             break
+        room = max_states - count  # the most states that can still be visited
         for rank, *parents in batch[:-1]:
-            visited.append((rank, *parents))
-            _push(frontier, rank + 1, _children(amp, holes, parts, *parents, floor, np.inf),
-                  max_states - count)
+            for block in _children(amp, holes, parts, *parents, floor):
+                frontier[rank + 1] = tuple(np.concatenate(x) for x in zip(frontier[rank + 1], block))
+                if sum(w.size for _, w in frontier) > room:
+                    frontier = [(s[m], w[m]) for (s, w), m in zip(frontier, _heaviest(frontier, room))]
 
     if captured < 1.0 - prob_cutoff:
+        stop = f"max_states={max_states}" if count == max_states else "the exhausted search"
         if captured < 0.99:
             raise EnsembleConvergenceError(
                 f"captured only {captured:.6f} probability in {count} states "

@@ -1,13 +1,15 @@
 """Helpers only the tests use: peak counting, reading ensemble CSVs back, and
 lattice references built from explicit orbital matrices: the dense one-body
-Hamiltonian, single eigenstates and their overlaps, energies, and the exact
-mean and variance of a quench's energy.
+Hamiltonian, single eigenstates and their overlaps, every minor of a
+quench's amplitudes, energies, and the exact mean and variance of a
+quench's energy.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
 """
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from scipy.signal import find_peaks
 
 from quenchwork.distributions import PositionDistribution
 from quenchwork.ensembles import DiagonalEnsemble
-from quenchwork.lattice import LatticeParams, spectrum
+from quenchwork.lattice import LatticeParams, ground_state, spectrum
 
 
 def count_peaks(density, prominence_frac: float = 0.0) -> int:
@@ -87,6 +89,17 @@ def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:
     """Orbital matrix of the many-body eigenstate of H(lambda) with the given
     single-particle levels occupied."""
     return spectrum(params, lam).vectors[:, list(levels)]
+
+
+def exhaustive_minors(params: LatticeParams, lam: float, dlam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energy and weight det(b[n, :])^2 of every many-body eigenstate n of
+    H(lambda) after the quench (lambda - dlambda) -> lambda: all
+    C(N, N_b) minors of b = U^T P0, in lexicographic order of the level
+    sets, so the Fermi sea comes first."""
+    spec = spectrum(params, lam)
+    b = spec.vectors.T @ ground_state(params, lam - dlam)
+    levels = np.array(list(itertools.combinations(range(params.n_sites), params.n_particles)))
+    return spec.values[levels].sum(axis=1), np.linalg.det(b[levels]) ** 2
 
 
 def overlap_probability(initial: np.ndarray, eigen: np.ndarray) -> float:

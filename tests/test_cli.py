@@ -384,11 +384,23 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
          "evolution.featured_lambda"),
         (with_changes(SMALL_OSC_JE, evolution={"featured_lambda": 3 * 0.6935}),
          "evolution.featured_lambda"),
+        # the k lambda^2/4 offset swamps hbar*omega, and the grid around lambda/2 its spacing
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"lambda": 1e8, "dlam": 1.0}},
+         "quench.lambda"),
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"lambda": 1e155, "dlam": 1.0}},
+         "quench.lambda"),
+        (with_changes(SMALL_OSC_JE, protocol={"lambda_start": 3e5}), "protocol.lambda_start"),
+        # V (k - lambda)^2 overflows
+        (with_changes(LATTICE_TEMPERATURE, quench={"lambda": 1e155}), "quench.lambda"),
+        ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
+          "protocol": {"lambda_start": 1e160, "step": 1.0, "stations": 2}}, "protocol.lambda_start"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "too-few-bins",
          "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y",
          "beta-overflows", "featured-last-lattice-station", "featured-off-grid",
-         "featured-last-oscillator-station"],
+         "featured-last-oscillator-station", "oscillator-lambda-swamps-levels",
+         "oscillator-lambda-overflows", "oscillator-lambda-past-grid", "lattice-lambda-overflows",
+         "lattice-run-lambda-overflows"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)

@@ -9,6 +9,7 @@ from oracles import (
     eigenstate,
     energy_expectation,
     energy_series,
+    exhaustive_minors,
     one_body_hamiltonian,
     overlap_probability,
     quench_moments,
@@ -206,9 +207,10 @@ def test_diagonal_ensemble_with_few_empty_levels(n_particles):
 )
 def test_diagonal_ensemble_survives_a_nearly_orthogonal_fermi_sea(center, lam, dlam, sea_weight, tol):
     """Large quenches leave the Fermi sea almost no weight.  At 9.9e-24 it is
-    lighter than the push floor, so every excitation the search needs is
-    reached through states that light.  The probabilities are direct minors
-    and match the oracle either way.  In the first case two levels lie 6e-8
+    lighter than 1e-15, so every excitation the search needs is reached
+    through states that light; the push floor, relative to the sea's own
+    weight, lets them through.  The probabilities are direct minors and
+    match the oracle either way.  In the first case two levels lie 6e-8
     apart, and the dense many-body solver resolves the states built on them
     only to about 4e-10, so that bound is 1e-9 rather than criterion 9's
     1e-10."""
@@ -240,6 +242,47 @@ def test_diagonal_ensemble_keeps_no_state_below_the_push_floor(params, lam, dlam
     assert ens.probs.min() >= _PUSH_FLOOR
 
 
+def random_quenches(rng, n_small, n_strong):
+    """Chains that fill a valid ground state: small ones with N 2-10, any
+    filling, trap 0-1 and dlambda 0-6, then strong-trap ones with N 12-16,
+    2..N/2 particles, trap 0.3-1 and dlambda 2-6."""
+    out = []
+    while len(out) < n_small + n_strong:
+        if len(out) < n_small:
+            n, trap, dlam = int(rng.integers(2, 11)), rng.uniform(0.0, 1.0), rng.uniform(0.0, 6.0)
+            nb = int(rng.integers(1, n + 1))
+        else:
+            n, trap, dlam = int(rng.integers(12, 17)), rng.uniform(0.3, 1.0), rng.uniform(2.0, 6.0)
+            nb = int(rng.integers(2, n // 2 + 1))
+        params = LatticeParams(n_sites=n, n_particles=nb, trap=trap, center=rng.uniform(1, n))
+        lam = rng.uniform(1, n)
+        try:
+            ground_state(params, lam - dlam)
+        except DegenerateFermiLevelError:
+            continue
+        out.append((params, lam, dlam))
+    return out
+
+
+def test_diagonal_ensemble_matches_every_minor_of_random_quenches():
+    """The search converges with no warning on random chains, also where the
+    Fermi sea weighs less than 1e-15, so that the heavy states are reached
+    only through lighter ones, and each kept probability is one of the
+    exhaustive minors at its energy."""
+    light = 0
+    for params, lam, dlam in random_quenches(np.random.default_rng(13), 200, 40):
+        energies, minors = exhaustive_minors(params, lam, dlam)
+        light += minors[0] < 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = diagonal_ensemble(params, lam, dlam, prob_cutoff=1e-10)
+        captured = 1.0 - ens.discarded_mass
+        for e, p in zip(ens.energies, ens.probs * captured):
+            same_energy = np.abs(energies - e) < 1e-9
+            assert np.abs(minors[same_energy] - p).min(initial=np.inf) < 1e-12
+    assert light >= 5
+
+
 def test_diagonal_ensemble_rejects_loose_cutoff():
     with pytest.raises(ValueError):
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-3)
@@ -262,8 +305,10 @@ SERIES_GEOMETRY = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, cente
     "params, lam, dlam",
     [(DEFAULTS, 15.0, 1.0), (DEFAULTS, 15.0, 2.0), (DEFAULTS, 15.0, 4.0),
      (SERIES_GEOMETRY, 27.0, 1.0), (SERIES_GEOMETRY, 30.0, 4.0),
-     (LatticeParams(trap=0.3, center=20.3), 20.1, 6.0)],
-    ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series", "N80-dlam4", "N40-far-quench"],
+     (LatticeParams(trap=0.3, center=20.3), 20.1, 6.0),
+     (LatticeParams(n_sites=57, n_particles=26, trap=0.146, center=37.1), 37.25, 5.5)],
+    ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series", "N80-dlam4", "N40-far-quench",
+         "N57-sea-1e-196"],
 )
 def test_diagonal_ensemble_meets_the_one_body_sum_rules(params, lam, dlam):
     """The enumeration spreads the captured mass 1 - d over the kept states.
