@@ -356,13 +356,15 @@ def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
     dt, tau = evolution["dt"], evolution["tau"]
     n2 = params.n_sites**2
     violations = []
-    # the length of np.arange(0, horizon + dt/2, dt), the series' time grid
-    samples = math.ceil(((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt)
+    # the length of np.arange(0, horizon + dt/2, dt), counted up to the cap: ceil(inf) overflows
+    count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt
+    samples = math.ceil(count) if count <= lattice.MAX_SERIES_SAMPLES else math.inf
     if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
         violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
-    if samples < lattice.MIN_SERIES_SAMPLES:
+    if not lattice.MIN_SERIES_SAMPLES <= samples <= lattice.MAX_SERIES_SAMPLES:
         violations.append(
-            f"evolution.dt: tau/dt gives fewer than {lattice.MIN_SERIES_SAMPLES} samples"
+            f"evolution.dt: tau/dt must give {lattice.MIN_SERIES_SAMPLES} to "
+            f"{lattice.MAX_SERIES_SAMPLES} samples"
         )
     return violations
 

@@ -42,6 +42,7 @@ from .ensembles import DiagonalEnsemble, renormalize
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
 MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
+MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up to N = 915
 _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
 _PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
@@ -174,39 +175,39 @@ def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
     return float(spec.values @ (b**2).sum(axis=1))
 
 
-def _children(amp, holes, parts, states, rows, weights, floor):
-    """Yield, in blocks, the children of same-rank search states that weigh
-    more than ``floor``.
+def _children(amp, holes, parts, rows, last, weights, floor):
+    """Yield, in blocks, the children of search states that weigh more than
+    ``floor``, as the states' (rows, last, weights).
 
-    A state of rank r is a row of r increasing positions in ``holes``, then
-    r increasing positions in ``parts``; ``rows`` are its N_b occupied levels
-    and ``weights`` its det(b[rows, :])^2.  A child adds one pair past both
-    last positions.  With level q written in the parent's rows,
-    b[q, :] = c b[rows, :], the child that puts q in the place of hole j
-    weighs the parent's weight times c_j^2: the Loewdin rule with the parent
-    as reference, which stays accurate however small the Fermi sea's own
-    weight.  Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
-    r = states.shape[1] // 2
+    A state is its N_b occupied levels ``rows``, where row i holds level i or
+    the particle that took hole i's place, and ``last``, the positions of its
+    last hole and last particle in ``holes`` and ``parts``, (-1, -1) for the
+    Fermi sea; ``weights`` are det(b[rows, :])^2.  A child adds one pair past
+    both last positions, so its rows are the parent's with row holes[h] set to
+    parts[p].  With b[q, :] = c b[rows, :], the child that puts level q in
+    the place of hole j weighs the parent's weight times c_j^2: the Loewdin
+    rule with the parent as reference, accurate however light the Fermi sea.
+    Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
     step = max(1, _CHILD_BLOCK // max(1, parts.size * holes.size))
     for lo in range(0, weights.size, step):
         live = weights[lo : lo + step] > 0.0  # a singular parent has no children
-        s, rw, w = (x[lo : lo + step][live] for x in (states, rows, weights))
+        rw, ls, w = (x[lo : lo + step][live] for x in (rows, last, weights))
         coef = amp[parts] @ np.linalg.inv(amp[rw])[:, :, holes]  # (parent, particle, hole)
         child = w[:, None, None] * coef**2
-        last_h, last_p = (s[:, r - 1 : r], s[:, -1:]) if r else (np.full((w.size, 1), -1),) * 2
-        past_p, past_h = np.arange(parts.size) > last_p, np.arange(holes.size) > last_h
+        past_h, past_p = np.arange(holes.size) > ls[:, :1], np.arange(parts.size) > ls[:, 1:]
         keep = past_p[:, :, None] & past_h[:, None, :] & (child > floor)
         i, cp, ch = np.nonzero(keep)
-        yield np.column_stack([s[i, :r], ch, s[i, r:], cp]), child[i, cp, ch]
+        kids = rw[i]
+        kids[np.arange(i.size), holes[ch]] = parts[cp]
+        yield kids, np.column_stack([ch, cp]), child[i, cp, ch]
 
 
-def _heaviest(frontier: list, k: int) -> list:
-    """Per-rank masks of the frontier's k heaviest states, ties included by
-    position, so that exactly k are marked."""
-    weights = np.concatenate([w for _, w in frontier])
+def _heaviest(weights: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k heaviest ``weights``, ties included by position, so
+    that exactly k are marked."""
     top = np.zeros(weights.size, dtype=bool)
     top[np.argpartition(weights, -k)[-k:]] = True
-    return np.split(top, np.cumsum([w.size for _, w in frontier])[:-1])
+    return top
 
 
 def diagonal_ensemble(
@@ -224,10 +225,12 @@ def diagonal_ensemble(
     and G = b[N_b:] A0^-1, holes and particles are ordered by their largest
     G^2 (the Loewdin rule gives a single excitation det(A0)^2 G^2), and a
     state's children add one pair past its last hole and last particle, so
-    each state has one parent.  The search pops the frontier's heaviest
-    states in batches and pushes the children heavier than ``_PUSH_FLOOR``
-    times det(A0)^2.  The floor is relative, so that however light the Fermi
-    sea, the paths from it to the heavy states stay open.  It stops once the
+    each state has one parent.  A state is its occupied rows, int32 since
+    copying them is most of the search's memory traffic, plus the positions
+    of that last pair.  The search pops the frontier's heaviest states in
+    batches and pushes the children heavier than ``_PUSH_FLOOR`` times
+    det(A0)^2.  The floor is relative, so that however light the Fermi sea,
+    the paths from it to the heavy states stay open.  It stops once the
     captured probability reaches 1 - prob_cutoff, after ``max_states``
     states, or when the frontier runs dry; the frontier keeps only as many
     states as may still be visited.  States lighter than ``_PUSH_FLOOR``
@@ -249,8 +252,6 @@ def diagonal_ensemble(
     g = np.linalg.solve(a0.T, amp[nb:].T).T  # particle x hole
     holes = np.argsort(-(g**2).max(axis=0, initial=0.0), kind="stable")
     parts = np.argsort(-(g**2).max(axis=1, initial=0.0), kind="stable") + nb
-    # frontier[r]: the rank-r states (m, 2r) still to visit and their weights
-    frontier = [(np.empty((0, 2 * r), dtype=np.intp), np.empty(0)) for r in range(min(g.shape) + 1)]
     root = np.linalg.det(a0) ** 2
     if not root:  # the Loewdin rule scales every child by the root's weight
         raise EnsembleConvergenceError(
@@ -258,36 +259,31 @@ def diagonal_ensemble(
             f"ln|det A0| = {np.linalg.slogdet(a0).logabsdet:.6g}) for lambda={lam:g}, "
             f"dlambda={dlam:g}, so the search has no weight to start from"
         )
-    frontier[0] = (np.empty((1, 0), dtype=np.intp), np.array([root]))
+    # the frontier: the states still to visit, as _children yields them
+    rows, last, weights = np.arange(nb, dtype=np.int32)[None], np.full((1, 2), -1), np.array([root])
     energies, probs, floor = [], [], _PUSH_FLOOR * root
     captured, count = 0.0, 0
-    while count < max_states and (size := sum(w.size for _, w in frontier)):
-        top = _heaviest(frontier, min(max(16, count // 4), size))
-        batch = []
-        for rank, ((s, _), m) in enumerate(zip(frontier, top)):
-            s = s[m]
-            rows = np.tile(np.arange(nb), (s.shape[0], 1))  # each hole's row takes a particle
-            rows[np.arange(s.shape[0])[:, None], holes[s[:, :rank]]] = parts[s[:, rank:]]
-            batch.append((rank, s, rows, np.linalg.det(amp[rows]) ** 2))
-        frontier = [(s[~m], w[~m]) for (s, w), m in zip(frontier, top)]
-        p_batch = np.concatenate([p for *_, p in batch])
+    while count < max_states and weights.size:
+        top = _heaviest(weights, min(max(16, count // 4), weights.size))
+        batch_rows, batch_last = rows[top], last[top]
+        rows, last, weights = rows[~top], last[~top], weights[~top]
+        p_batch = np.linalg.det(amp[batch_rows]) ** 2
         order = np.argsort(-p_batch, kind="stable")
         running = captured + np.cumsum(p_batch[order])
         hit = np.nonzero(running >= 1.0 - prob_cutoff)[0]
         cut = min(int(hit[0]) + 1 if hit.size else order.size, max_states - count)
         order = order[:cut][p_batch[order[:cut]] >= _PUSH_FLOOR]
-        e_batch = np.concatenate([spec.values[rows].sum(axis=1) for _, _, rows, _ in batch])
-        energies.append(e_batch[order])
+        energies.append(spec.values[batch_rows[order]].sum(axis=1))
         probs.append(p_batch[order])
         captured, count = float(running[cut - 1]), count + cut
         if hit.size or count == max_states:
             break
         room = max_states - count  # the most states that can still be visited
-        for rank, *parents in batch[:-1]:
-            for block in _children(amp, holes, parts, *parents, floor):
-                frontier[rank + 1] = tuple(np.concatenate(x) for x in zip(frontier[rank + 1], block))
-                if sum(w.size for _, w in frontier) > room:
-                    frontier = [(s[m], w[m]) for (s, w), m in zip(frontier, _heaviest(frontier, room))]
+        for block in _children(amp, holes, parts, batch_rows, batch_last, p_batch, floor):
+            rows, last, weights = (np.concatenate(x) for x in zip((rows, last, weights), block))
+            if weights.size > room:
+                top = _heaviest(weights, room)
+                rows, last, weights = rows[top], last[top], weights[top]
 
     if captured < 1.0 - prob_cutoff:
         stop = f"max_states={max_states}" if count == max_states else "the exhausted search"
@@ -372,13 +368,16 @@ def evolve_center_of_mass(
     are never formed.  The grid is uniform with step ``dt`` up to horizon
     ``tau`` (default 2 N^2, in hbar/J units).
 
-    Horizons below N^2 give poorly converged time averages and are rejected.
+    Horizons below N^2 (poorly converged averages) are rejected, and so are
+    grids of more than ``MAX_SERIES_SAMPLES`` samples.
     """
     n2 = params.n_sites**2
     if tau is None:
         tau = 2.0 * n2
     if tau < n2:
         raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
+    if (tau + dt / 2.0) / dt > MAX_SERIES_SAMPLES:
+        raise ValueError(f"tau/dt={tau / dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
     spec, b = _quench_amplitudes(params, lam, dlam)
     kept = (b**2).sum(axis=1) > _LEVEL_WEIGHT_FLOOR
     b, eps, u = b[kept], spec.values[kept], spec.vectors[:, kept]

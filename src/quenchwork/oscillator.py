@@ -71,8 +71,6 @@ def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
         raise ValueError("y must be non-negative")
     if not 0.0 < tail_tol <= MAX_TAIL_TOL:
         raise ValueError(f"tail_tol must lie in (0, {MAX_TAIL_TOL:g}]")
-    if y == 0.0:
-        return np.array([1.0])
     probs = [math.exp(-y)]
     cum = probs[0]
     n = 0

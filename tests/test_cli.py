@@ -189,22 +189,42 @@ def test_lattice_run_outputs(tmp_path):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.filterwarnings("ignore:edge occupancy")
-def test_fig4_matches_its_golden_outputs(tmp_path):
-    """The fig4 preset writes the committed CSVs of tests/data/fig4, header
-    for header and value for value to rtol 1e-9, so that a kernel drifting
-    between commits shows while other BLAS builds still pass."""
-    raw = {**copy.deepcopy(PRESETS["fig4"]), "out_dir": str(tmp_path), "quiet": True}
+def check_golden_outputs(preset, out):
+    """Run ``preset`` into ``out`` and compare its CSVs with the committed
+    ones in tests/data/<preset>: the leading ``#`` lines, or else the column
+    header, as text, except that ``# discarded_mass`` may move by 1e-14, and
+    the numbers to rtol 1e-9, so that a kernel drifting between commits shows
+    while other BLAS builds still pass."""
+    raw = {**copy.deepcopy(PRESETS[preset]), "out_dir": str(out), "quiet": True}
     run(RunConfig.from_dict(raw))
-    golden = sorted(path.name for path in (GOLDEN / "fig4").glob("*.csv"))
-    assert sorted(path.name for path in tmp_path.glob("*.csv")) == golden
+    golden = sorted(path.name for path in (GOLDEN / preset).glob("*.csv"))
+    assert sorted(path.name for path in out.glob("*.csv")) == golden
     for name in golden:
-        want, got = ((d / name).read_text().splitlines() for d in (GOLDEN / "fig4", tmp_path))
-        assert got[0] == want[0] and len(got) == len(want), name
+        want, got = ((d / name).read_text().splitlines() for d in (GOLDEN / preset, out))
+        assert len(got) == len(want), name
+        head = sum(line.startswith("#") for line in want) or 1
+        for w, g in zip(want[:head], got[:head]):
+            key, _, value = w.partition(": ")
+            if key == "# discarded_mass":
+                assert g.startswith(key + ": "), name
+                assert float(g.partition(": ")[2]) == pytest.approx(float(value), rel=0, abs=1e-14)
+            else:
+                assert g == w, name
         np.testing.assert_allclose(
-            np.loadtxt(got[1:], delimiter=","), np.loadtxt(want[1:], delimiter=","),
+            np.loadtxt(got[head:], delimiter=","), np.loadtxt(want[head:], delimiter=","),
             rtol=1e-9, atol=0.0, err_msg=name,
         )
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+def test_fig4_matches_its_golden_outputs(tmp_path):
+    check_golden_outputs("fig4", tmp_path)
+
+
+def test_lattice_temperature_matches_its_golden_outputs(tmp_path):
+    """The excitation search's two ensembles, state for state, and the
+    temperature taken from them."""
+    check_golden_outputs("lattice-temperature", tmp_path)
 
 
 def test_manifest_records_every_warning(tmp_path):
@@ -369,6 +389,10 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
         (with_changes(SMALL_LATTICE_JE, evolution={"tau": 50.0, "dt": 0.04}), "evolution.tau"),
         (with_changes(SMALL_LATTICE_JE, evolution={"tau": 64.0, "dt": 0.0638}), "evolution.tau"),
         (with_changes(SMALL_LATTICE_JE, evolution={"dt": 0.5}), "evolution.dt"),
+        # more samples than a series holds, also where tau/dt overflows to inf
+        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"dt": 5e-324}), "evolution.dt"),
+        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e308}), "evolution.dt"),
+        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e9}), "evolution.dt"),
         (with_changes(SMALL_LATTICE_JE, evolution={"bins": 22}), "evolution.bins"),
         (with_changes(LATTICE_TEMPERATURE, tolerances={"prob_cutoff": 1e-5}),
          "tolerances.prob_cutoff"),
@@ -395,7 +419,8 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
         ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
           "protocol": {"lambda_start": 1e160, "step": 1.0, "stations": 2}}, "protocol.lambda_start"),
     ],
-    ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "too-few-bins",
+    ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "dt-overflows-the-count",
+         "tau-overflows-the-count", "too-many-samples", "too-few-bins",
          "loose-cutoff", "model-kind-mismatch", "y-max-past-entropy-sums", "dlam-underflows-y",
          "beta-overflows", "featured-last-lattice-station", "featured-off-grid",
          "featured-last-oscillator-station", "oscillator-lambda-swamps-levels",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from quenchwork.lattice import (
     _evolution_shape,
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
+    MAX_SERIES_SAMPLES,
     LatticeParams,
     TimeSeries,
     diagonal_ensemble,
@@ -283,6 +285,21 @@ def test_diagonal_ensemble_matches_every_minor_of_random_quenches():
     assert light >= 5
 
 
+def test_diagonal_ensemble_memory_stays_bounded_by_the_frontier_trim():
+    """At N=80 the search pushes about 650 000 children on its way to
+    max_states; with the frontier trimmed to the states that may still be
+    visited it peaks near 13 MB, and untrimmed it would pass 130 MB."""
+    params = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="max_states=10000 left"):
+            diagonal_ensemble(params, 30.0, 6.0, prob_cutoff=1e-8, max_states=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
 def test_diagonal_ensemble_rejects_loose_cutoff():
     with pytest.raises(ValueError):
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-3)
@@ -505,6 +522,12 @@ def test_edge_occupancy_ignores_the_rows_past_the_grid():
 def test_evolution_rejects_short_horizon():
     with pytest.raises(ValueError):
         evolve_center_of_mass(SMALL, 3.0, 1.0, tau=10.0)
+
+
+@pytest.mark.parametrize("tau, dt", [(100.0, 5e-324), (1e308, 0.1), (1e9, 0.1)])
+def test_evolution_rejects_grids_past_the_sample_cap(tau, dt):
+    with pytest.raises(ValueError, match=f"more than {MAX_SERIES_SAMPLES} samples"):
+        evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
 
 
 def test_evolution_warns_when_trap_reaches_edge():
