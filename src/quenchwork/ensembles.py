@@ -150,9 +150,9 @@ def temperature_from_pair(
 def write_csv(path: str | Path, head: list[str], columns) -> None:
     """Write the lines ``head``, then one line per row of the equal-length
     ``columns``, each value in %.12g."""
-    row = ",".join(["{:.12g}"] * len(columns))
-    rows = map(row.format, *(np.asarray(c).tolist() for c in columns))
-    Path(path).write_text("\n".join([*head, *rows]) + "\n")
+    table = np.column_stack(columns)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    Path(path).write_text("\n".join([*head, row * len(table) % tuple(table.ravel().tolist())]))
 
 
 def write_ensemble(ens: DiagonalEnsemble, path: str | Path, lam: float, dlam: float) -> None:

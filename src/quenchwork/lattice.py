@@ -19,11 +19,11 @@ linear algebra on N x N_b orbital matrices:
   eigenstates as particle-hole excitations of the Fermi sea, heaviest
   first, steered by the Loewdin rule,
 * time evolution is a sum of cosines over the frequencies eps_alpha -
-  eps_beta of the pairs of levels the quench occupies; a table of the pair
+  eps_beta of the level pairs that carry weight; a table of the pair
   cosines and sines over one block of times, times per-block coefficients,
-  makes a group of blocks one matrix product, so x(t) and both edge
-  occupancies cost about 3 n_kept^2 multiply-adds per time sample and never
-  form the evolved orbitals,
+  makes a group of blocks one matrix product, so x(t) costs about 2 P_kept
+  multiply-adds per time sample, the edge occupancies as much again only
+  where a bound on them fails, and the evolved orbitals are never formed,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
   coupled to the movable trap.
 """
@@ -46,7 +46,7 @@ MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up
 _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
 _PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
-_LEVEL_WEIGHT_FLOOR = 1e-24  # levels the quench leaves emptier than this do not evolve
+_PAIR_TOLERANCE = 1e-13  # most that the level pairs left out may move x, n_1 or n_N
 _PUSH_FLOOR = 1e-15  # push floor, times det(A0)^2; also the least p a kept state has
 _CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
 
@@ -101,7 +101,8 @@ class TimeSeries:
     """Center-of-mass trajectory x(t); site units, times in hbar/J.
 
     ``edge_occupancy`` is the largest occupancy of site 1 or site N over the
-    samples; above 1e-6 it raises a UserWarning, since open-boundary
+    samples, or a bound on it over all times where that bound is at most
+    1e-6; above 1e-6 it raises a UserWarning, since open-boundary
     reflections may then distort the trajectory."""
 
     times: np.ndarray
@@ -307,13 +308,13 @@ def diagonal_ensemble(
     ))
 
 
-def _evolution_shape(n_pairs: int) -> tuple[int, int]:
+def _evolution_shape(n_pairs: int, n_forms: int) -> tuple[int, int]:
     """Time samples per block and blocks per product for ``n_pairs`` level
-    pairs: neither the pair-phase table nor a product's coefficients exceed
-    ``_PAIR_BUFFER_BYTES``."""
+    pairs and ``n_forms`` evolved forms: neither the pair-phase table nor a
+    product's coefficients exceed ``_PAIR_BUFFER_BYTES``."""
     row = 16 * max(n_pairs, 1)  # bytes of a table row: a cosine and a sine per pair
     rows = max(1, min(_BLOCK_ROWS, _PAIR_BUFFER_BYTES // row))
-    return rows, max(1, min(_GROUP_BLOCKS, _PAIR_BUFFER_BYTES // (3 * row)))
+    return rows, max(1, min(_GROUP_BLOCKS, _PAIR_BUFFER_BYTES // (n_forms * row)))
 
 
 def _pair_phases(phases: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray):
@@ -325,6 +326,29 @@ def _pair_phases(phases: np.ndarray, first: np.ndarray, second: np.ndarray, out:
     pairs = out.view(complex)
     pairs[...] = z.take(first, axis=1)
     pairs *= z.conj().take(second, axis=1)
+
+
+def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
+    """The energies of the levels in kept pairs, those pairs (first, second),
+    each evolved form's weights 2 A per pair, twice for (cos, sin), and
+    constant A_0, and the edge bound: what evolve_center_of_mass sums."""
+    spec, b = _quench_amplitudes(params, lam, dlam)
+    u = spec.vectors
+    # n_e(t) = sum_a |sum_alpha u_e,alpha d_alpha(t) b_alpha,a|^2 with |d_alpha(t)| = 1
+    edge = float(((np.abs(u[[0, -1]]) @ np.abs(b)) ** 2).sum(axis=1).max())
+    rho = b @ b.T
+    forms = [(u.T @ (params.sites[:, None] * u)) * rho / params.n_particles]
+    if edge > _EDGE_OCCUPANCY_WARN:
+        forms += [np.outer(u[0], u[0]) * rho, np.outer(u[-1], u[-1]) * rho]
+    pairs = np.stack(np.triu_indices(len(u), 1))
+    weights = 2.0 * np.stack(forms)[:, pairs[0], pairs[1]]
+    # leave out the lightest pairs while their largest |2A| sum to at most the tolerance
+    heaviest = np.abs(weights).max(axis=0)
+    order = np.argsort(heaviest, kind="stable")
+    kept = np.sort(order[np.cumsum(heaviest[order]) > _PAIR_TOLERANCE])
+    levels, pairs = np.unique(pairs[:, kept], return_inverse=True)  # only these levels evolve
+    weights, constant = np.repeat(weights[:, kept], 2, axis=1), np.trace(forms, axis1=1, axis2=2)
+    return spec.values[levels], pairs.reshape(2, -1), weights, constant[:, None], edge
 
 
 def evolve_center_of_mass(
@@ -346,26 +370,27 @@ def evolve_center_of_mass(
 
     with X = U^T diag(k) U, rho = b b^T, u_1 and u_N the first and last rows
     of U and o the elementwise product.  All three are real and symmetric,
-    so each is a sum over the P = n (n - 1) / 2 pairs of the n evolving
-    levels,
+    so each is a sum over the pairs of levels,
 
         d^+ A d = sum_alpha A_alpha,alpha
                   + 2 sum_{alpha < beta} A_alpha,beta cos(w_alpha,beta t),
 
-    with w_alpha,beta = eps_alpha - eps_beta.  Each time is split as
-    t = t_b + s, its block's start plus an offset.  One table per station
-    holds (cos, sin)(w s) over the offsets of a block, block b has the
-    coefficients 2 A (cos, -sin)(w t_b), and a group of blocks is one matrix
-    product of the (rows x 2P) table with the (2P x 3 blocks) coefficients:
-    about 3 n^2 multiply-adds per sample.  Pair phasors are products of
-    level phasors, so the trigonometric calls grow only as
-    (rows + blocks) n.  The table and a group's coefficients each stay
-    within ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  x(t) is
-    stored; the edge occupancies enter only the series' ``edge_occupancy``,
-    their maximum over every sample.  Only the levels with weight
-    sum_a b_alpha,a^2 above 1e-24 evolve (by Cauchy-Schwarz a dropped level
-    moves an entry of rho by about 1e-12 at most), and the orbitals P(t)
-    are never formed.  The grid is uniform with step ``dt`` up to horizon
+    with w_alpha,beta = eps_alpha - eps_beta.  The lightest pairs, by their
+    largest |2 A| over the evolved forms, are left out while those sum to at
+    most ``_PAIR_TOLERANCE``, which bounds how far each form moves at any t.
+    Where n_e(t) <= sum_a (sum_alpha |U_e,alpha| |b_alpha,a|)^2 is at most
+    ``_EDGE_OCCUPANCY_WARN`` at both edges, only x evolves and the series'
+    ``edge_occupancy`` is that bound, else the largest n_1 or n_N over every
+    sample.  Each time is split as t = t_b + s, its block's start plus
+    an offset.  One table per station holds (cos, sin)(w s) over the offsets
+    of a block, block b has the coefficients 2 A (cos, -sin)(w t_b), and a
+    group of blocks is one matrix product of the (rows x 2P) table with the
+    (2P x forms blocks) coefficients: about 2P multiply-adds per form and
+    sample for the P kept pairs.  Pair phasors are products of level
+    phasors, so the trigonometric calls grow only as (rows + blocks) n, for
+    the n levels in kept pairs.  The table and a group's coefficients each
+    stay within ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  Only
+    x(t) is stored.  The grid is uniform with step ``dt`` up to horizon
     ``tau`` (default 2 N^2, in hbar/J units).
 
     Horizons below N^2 (poorly converged averages) are rejected, and so are
@@ -378,27 +403,17 @@ def evolve_center_of_mass(
         raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
     if (tau + dt / 2.0) / dt > MAX_SERIES_SAMPLES:
         raise ValueError(f"tau/dt={tau / dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
-    spec, b = _quench_amplitudes(params, lam, dlam)
-    kept = (b**2).sum(axis=1) > _LEVEL_WEIGHT_FLOOR
-    b, eps, u = b[kept], spec.values[kept], spec.vectors[:, kept]
-    rho = b @ b.T
-    forms = np.stack([  # x, n_1, n_N
-        (u.T @ (params.sites[:, None] * u)) * rho / params.n_particles,
-        np.outer(u[0], u[0]) * rho,
-        np.outer(u[-1], u[-1]) * rho,
-    ])
-    first, second = np.triu_indices(eps.size, 1)
-    weights = np.repeat(2.0 * forms[:, first, second], 2, axis=1)
-    constant = np.trace(forms, axis1=1, axis2=2)[:, None]
+    eps, (first, second), weights, constant, edge = _evolved_pairs(params, lam, dlam)
+    forms = len(weights)  # x alone, or x, n_1 and n_N
     times = np.arange(0.0, tau + dt / 2.0, dt)
-    rows, blocks = _evolution_shape(first.size)
+    rows, blocks = _evolution_shape(first.size, forms)
     rows = min(rows, times.size)
     table = np.empty((rows, weights.shape[1]))
     _pair_phases(times[:rows, None] * eps, first, second, table)
     starts = times[::rows]
-    coef = np.empty((min(blocks, starts.size), 3, weights.shape[1]))
+    coef = np.empty((min(blocks, starts.size), forms, weights.shape[1]))
     xs = np.empty(times.size)
-    edge_occ = 0.0
+    edge_occ = edge if forms == 1 else 0.0
     for lo in range(0, starts.size, blocks):
         group = coef[: starts.size - lo]
         # cos w(t_b + s) = cos(w t_b) cos(w s) - sin(w t_b) sin(w s): the table
@@ -406,11 +421,11 @@ def evolve_center_of_mass(
         _pair_phases(-starts[lo : lo + blocks, None] * eps, first, second, group[:, 0])
         np.multiply(group[:, :1], weights[1:], out=group[:, 1:])
         group[:, 0] *= weights[0]
-        # x, n_1 and n_N in time order; the last block may run past the grid
-        values = (group.reshape(3 * len(group), -1) @ table.T).reshape(len(group), 3, rows)
-        values = values.transpose(1, 0, 2).reshape(3, -1)[:, : times.size - lo * rows] + constant
+        # each form in time order; the last block may run past the grid
+        values = (group.reshape(forms * len(group), -1) @ table.T).reshape(len(group), forms, rows)
+        values = values.transpose(1, 0, 2).reshape(forms, -1)[:, : times.size - lo * rows] + constant
         xs[lo * rows : lo * rows + values.shape[1]] = values[0]
-        edge_occ = max(edge_occ, values[1:].max())
+        edge_occ = values[1:].max(initial=edge_occ)
     return TimeSeries(
         times=times, values=xs, n_sites=params.n_sites, edge_occupancy=float(edge_occ)
     )

@@ -1,8 +1,9 @@
 """Helpers only the tests use: peak counting, reading ensemble CSVs back, and
 lattice references built from explicit orbital matrices: the dense one-body
 Hamiltonian, single eigenstates and their overlaps, every minor of a
-quench's amplitudes, energies, and the exact mean and variance of a
-quench's energy.
+quench's amplitudes, energies, the exact mean and variance of a quench's
+energy, the edge occupancies of explicitly evolved orbitals, and the mean
+of x(t) over a time grid in closed form.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -72,17 +73,54 @@ def one_body_hamiltonian(params: LatticeParams, lam: float) -> np.ndarray:
     return h - params.hopping * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
+def _dense_quench(params: LatticeParams, lam: float, dlam: float):
+    """Levels eps and vectors U of H(lambda), and the quench amplitudes
+    b = U^T P0 with P0 the ground state of H(lambda - dlambda), all from the
+    dense one-body matrices."""
+    eps, u = np.linalg.eigh(one_body_hamiltonian(params, lam))
+    p0 = np.linalg.eigh(one_body_hamiltonian(params, lam - dlam))[1][:, : params.n_particles]
+    return eps, u, u.T @ p0
+
+
 def quench_moments(params: LatticeParams, lam: float, dlam: float) -> tuple[float, float]:
     """Exact mean energy and variance of H(lambda) in the ground state of
     H(lambda - dlambda): the one-body sum rules E = sum_a eps_a n_a and
     Var H = sum_a eps_a^2 n_a - eps^T (rho o rho) eps, with eps the levels of
     H(lambda), rho the pre-quench one-body density matrix in their basis and
     n its diagonal.  Both bases come from the dense one-body matrices."""
-    eps, u = np.linalg.eigh(one_body_hamiltonian(params, lam))
-    p0 = np.linalg.eigh(one_body_hamiltonian(params, lam - dlam))[1][:, : params.n_particles]
-    rho = u.T @ p0 @ p0.T @ u
+    eps, _, b = _dense_quench(params, lam, dlam)
+    rho = b @ b.T
     n = np.diag(rho)
     return float(eps @ n), float(eps**2 @ n - eps @ (rho * rho) @ eps)
+
+
+def edge_occupancies(params: LatticeParams, lam: float, dlam: float, times) -> np.ndarray:
+    """n_1(t) and n_N(t), as two rows, from the end rows of the explicitly
+    evolved orbitals P(t) = U exp(-i eps t) b, a few thousand times at once."""
+    eps, u, b = _dense_quench(params, lam, dlam)
+    ends = u[[0, -1], :, None] * b  # (edge, level, orbital)
+    times = np.asarray(times, dtype=float)
+    out = [
+        (np.abs(np.exp(-1j * np.outer(chunk, eps)) @ ends) ** 2).sum(axis=2)
+        for chunk in np.array_split(times, -(-times.size // 4096))
+    ]
+    return np.concatenate(out, axis=1)
+
+
+def grid_mean_center_of_mass(
+    params: LatticeParams, lam: float, dlam: float, samples: int, dt: float
+) -> float:
+    """Mean of x(t) over the grid t_k = k dt, k < K = ``samples``, in closed
+    form over every level pair: x(t) = A_0 + sum_p 2 A_p cos(w_p t) with
+    A = (X o rho) / N_b, and cos(w t) averages over the grid to the Dirichlet
+    kernel D_K(w) = sin(K w dt / 2) / (K sin(w dt / 2)) cos((K - 1) w dt / 2)."""
+    eps, u, b = _dense_quench(params, lam, dlam)
+    a = (u.T @ (params.sites[:, None] * u)) * (b @ b.T) / params.n_particles
+    first, second = np.triu_indices(eps.size, 1)
+    half = (eps[first] - eps[second]) * dt / 2.0
+    # sin(K h) / (K sin h) as a ratio of sincs, which is 1 where h is 0
+    dirichlet = np.sinc(samples * half / np.pi) / np.sinc(half / np.pi) * np.cos((samples - 1) * half)
+    return float(np.trace(a) + 2.0 * a[first, second] @ dirichlet)
 
 
 def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:

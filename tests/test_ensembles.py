@@ -14,6 +14,7 @@ from quenchwork import (
     temperature_from_pair,
     write_ensemble,
 )
+from quenchwork.ensembles import write_csv
 from quenchwork.oscillator import (
     OscillatorParams,
     entropy_closed_form,
@@ -205,3 +206,17 @@ def test_serialization_round_trip(tmp_path):
     assert np.allclose(back.probs, ens.probs, rtol=1e-11)
     header = path.read_text().splitlines()[0]
     assert header.startswith("# label:")
+
+
+def test_write_csv_formats_each_value_in_12_digits(tmp_path):
+    """One row template over the stacked columns writes what formatting each
+    value on its own does, for float, int and non-finite columns."""
+    rng = np.random.default_rng(3)
+    columns = (
+        rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+        rng.integers(0, 10**6, 50),
+        np.r_[np.inf, -np.inf, -0.0, rng.random(47)],
+    )
+    write_csv(tmp_path / "t.csv", ["# note", "a,n,b"], columns)
+    rows = (",".join(format(v, ".12g") for v in row) for row in zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "a,n,b", *rows]) + "\n"

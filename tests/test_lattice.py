@@ -7,19 +7,23 @@ import pytest
 from fock_oracle import DenseFockModel
 from oracles import (
     count_peaks,
+    edge_occupancies,
     eigenstate,
     energy_expectation,
     energy_series,
     exhaustive_minors,
+    grid_mean_center_of_mass,
     one_body_hamiltonian,
     overlap_probability,
     quench_moments,
 )
 from quenchwork import mean_energy
 from quenchwork.lattice import (
-    _LEVEL_WEIGHT_FLOOR,
+    _EDGE_OCCUPANCY_WARN,
+    _PAIR_TOLERANCE,
     _PUSH_FLOOR,
     _evolution_shape,
+    _evolved_pairs,
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     MAX_SERIES_SAMPLES,
@@ -35,6 +39,8 @@ from quenchwork.lattice import (
 DEFAULTS = LatticeParams()
 SMALL = LatticeParams(n_sites=6, n_particles=2, trap=0.1, center=2.0)
 SMALL_ORACLE = DenseFockModel(6, 2, trap=0.1, center=2.0)
+# the benchmark's lattice-series chain: fig4's at twice the size
+N80 = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
 
 
 def test_hamiltonian_free_chain_spectrum():
@@ -427,17 +433,11 @@ def direct_center_and_edges(params, lam, dlam, times):
     return np.array(out)
 
 
-def evolving_levels(params, lam, dlam):
-    """The number of levels the quench occupies above the weight floor."""
-    b = spectrum(params, lam).vectors.T @ ground_state(params, lam - dlam)
-    return int(((b**2).sum(axis=1) > _LEVEL_WEIGHT_FLOOR).sum())
-
-
 def evolution_blocks(params, lam, dlam):
     """Time samples per block and blocks per product of this quench's
-    evolution, from its number of level pairs."""
-    n = evolving_levels(params, lam, dlam)
-    return _evolution_shape(n * (n - 1) // 2)
+    evolution, from its kept level pairs and evolved forms."""
+    _, pairs, weights, _, _ = _evolved_pairs(params, lam, dlam)
+    return _evolution_shape(pairs.shape[1], len(weights))
 
 
 def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
@@ -451,15 +451,16 @@ def test_center_of_mass_matches_orbital_propagation_at_fig4_size():
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_center_of_mass_matches_orbital_propagation_across_blocks():
-    """The N=80 chain keeps only the levels the quench occupies and ends on a
-    partial block of samples in a partial group of blocks: x(t) on both
+    """The N=80 chain evolves only the level pairs that carry weight and ends
+    on a partial block of samples in a partial group of blocks: x(t) on both
     sides of every block boundary, group boundaries among them, and at the
     last sample matches explicit orbital propagation."""
-    params = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
+    params = N80
     series = evolve_center_of_mass(params, 27.0, 1.0, tau=float(params.n_sites**2))
     rows, blocks = evolution_blocks(params, 27.0, 1.0)
     size = series.values.size
-    assert evolving_levels(params, 27.0, 1.0) < params.n_sites
+    levels, pairs, _, _, _ = _evolved_pairs(params, 27.0, 1.0)
+    assert levels.size < params.n_sites and pairs.shape[1] < levels.size * (levels.size - 1) // 2
     assert size % rows != 0 and -(-size // rows) % blocks != 0
     bounds = np.arange(rows, size, rows)
     assert np.count_nonzero(bounds % (rows * blocks) == 0) >= 2
@@ -474,7 +475,7 @@ def test_center_of_mass_of_a_single_evolving_level_is_constant():
     pair of levels to beat, and x(t) and the edge occupancy are those of the
     ground-state orbital at every sample."""
     params = LatticeParams(n_sites=6, n_particles=1)
-    assert evolving_levels(params, 3.0, 0.0) == 1
+    assert _evolved_pairs(params, 3.0, 0.0)[1].size == 0
     series = evolve_center_of_mass(params, 3.0, 0.0, tau=100.0, dt=0.1)
     occ = spectrum(params, 3.0).vectors[:, 0] ** 2
     assert np.abs(series.values - occ @ params.sites).max() < 1e-12
@@ -517,6 +518,72 @@ def test_edge_occupancy_ignores_the_rows_past_the_grid():
     )
     assert off_grid > on_grid * (1 + 1e-3)
     assert series.edge_occupancy == pytest.approx(on_grid, rel=1e-10)
+
+
+FIG4_STATIONS = [
+    pytest.param(DEFAULTS, float(lam), None, id=f"fig4-{lam}") for lam in range(13, 20)
+]
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize(
+    "params, lam, tau", [*FIG4_STATIONS, pytest.param(N80, 27.0, 6400.0, id="series")]
+)
+def test_edge_bound_holds_and_spares_the_edge_forms_below_the_warning(params, lam, tau):
+    """The edge bound is at least the largest n_1 or n_N of explicit orbital
+    propagation.  At most 1e-6, only x evolves and the series carries the
+    bound; above it, all three forms evolve and it carries that maximum."""
+    _, _, weights, _, bound = _evolved_pairs(params, lam, 1.0)
+    series = evolve_center_of_mass(params, lam, 1.0, tau=tau)
+    exact = edge_occupancies(params, lam, 1.0, series.times).max()
+    assert bound >= exact
+    if bound <= _EDGE_OCCUPANCY_WARN:
+        assert len(weights) == 1 and series.edge_occupancy == bound
+    else:
+        assert len(weights) == 3
+        assert series.edge_occupancy == pytest.approx(exact, rel=0, abs=_PAIR_TOLERANCE + 1e-15)
+
+
+def test_edge_bound_holds_on_random_small_chains():
+    """One particle can line up every level's term at t = 0, where the bound
+    is reached to roundoff."""
+    rng = np.random.default_rng(2013)
+    for _ in range(20):
+        n = int(rng.integers(4, 13))
+        params = LatticeParams(
+            n_sites=n, n_particles=int(rng.integers(1, n)),
+            trap=rng.uniform(0.0, 0.2), center=rng.uniform(1.0, n),
+        )
+        lam, dlam = rng.uniform(1.0, n), rng.uniform(-2.0, 2.0)
+        bound = _evolved_pairs(params, lam, dlam)[-1]
+        exact = edge_occupancies(params, lam, dlam, np.arange(0.0, 2.0 * n * n, 0.1)).max()
+        assert bound >= exact * (1.0 - 1e-12)
+
+
+def test_fig4_stations_warn_from_the_same_three_edge_occupancies():
+    with pytest.warns(UserWarning, match="edge occupancy") as caught:
+        for lam in range(13, 20):
+            evolve_center_of_mass(DEFAULTS, float(lam), 1.0)
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        f"edge occupancy reached {edge}" for edge in ("6.121e-05", "1.189e-05", "2.015e-06")
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize("params, lam", [
+    pytest.param(DEFAULTS, 13.0, id="fig4-13"),
+    # fig4's geometry at N=160: trap scaled by (40/N)^2, center 13 N/40, N_b = N/4
+    pytest.param(
+        LatticeParams(n_sites=160, n_particles=40, trap=0.0225 / 16, center=52.0), 41.0, id="N160"
+    ),
+])
+def test_center_of_mass_grid_mean_matches_its_closed_form(params, lam):
+    """The mean of every sample of the pruned series against the Dirichlet
+    kernel sum over all level pairs, at an N where orbital propagation of
+    the whole grid is too slow."""
+    series = evolve_center_of_mass(params, lam, 1.0)
+    exact = grid_mean_center_of_mass(params, lam, 1.0, series.values.size, 0.1)
+    assert abs(series.values.mean() - exact) <= _PAIR_TOLERANCE + 1e-12
 
 
 def test_evolution_rejects_short_horizon():
