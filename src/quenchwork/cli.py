@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
-from .ensembles import mean_energy, temperature_from_pair, write_csv, write_ensemble
+from .ensembles import finite_real, mean_energy, temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
@@ -204,12 +204,11 @@ def _unmet(spec: Field, value) -> str | None:
     if spec.type is str:
         fits = isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
         return None if fits else "a file name without a directory part"
-    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     if spec.type is int:
-        fits = number and isinstance(value, int) and value >= spec.bound
+        fits = finite_real(value) and isinstance(value, int) and value >= spec.bound
         return None if fits else f"an integer of at least {spec.bound}"
     low, high = spec.bound or (-math.inf, math.inf)
-    if number and low < value <= high:
+    if finite_real(value) and low < value <= high:
         return None
     above = f" above {low:g}" if low > -math.inf else ""
     return f"a number{above}" + (f" and at most {high:g}" if high < math.inf else "")

@@ -13,6 +13,8 @@ control-parameter value but with slightly different quench amplitudes.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +25,13 @@ import numpy as np
 NORMALIZATION_TOL = 1e-8
 
 _PROB_SLACK = 1e-12
+_CSV_BLOCK_ROWS = 1 << 16  # rows write_csv formats at once, which bounds its memory
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a float holds finitely."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 class NormalizationError(ValueError):
@@ -149,10 +158,13 @@ def temperature_from_pair(
 
 def write_csv(path: str | Path, head: list[str], columns) -> None:
     """Write the lines ``head``, then one line per row of the equal-length
-    ``columns``, each value in %.12g."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    Path(path).write_text("\n".join([*head, row * len(table) % tuple(table.ravel().tolist())]))
+    ``columns``, each value in %.12g, ``_CSV_BLOCK_ROWS`` rows at a time."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    with open(path, "w") as out:
+        out.write("".join(line + "\n" for line in head))
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            table = np.column_stack([column[lo : lo + _CSV_BLOCK_ROWS] for column in columns])
+            out.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_ensemble(ens: DiagonalEnsemble, path: str | Path, lam: float, dlam: float) -> None:

@@ -22,8 +22,8 @@ linear algebra on N x N_b orbital matrices:
   eps_beta of the level pairs that carry weight; a table of the pair
   cosines and sines over one block of times, times per-block coefficients,
   makes a group of blocks one matrix product, so x(t) costs about 2 P_kept
-  multiply-adds per time sample, the edge occupancies as much again only
-  where a bound on them fails, and the evolved orbitals are never formed,
+  multiply-adds per time sample and the evolved orbitals are never formed;
+  the edge occupancies are not evolved but bounded over all times,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
   coupled to the movable trap.
 """
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import PositionDistribution
-from .ensembles import DiagonalEnsemble, renormalize
+from .ensembles import DiagonalEnsemble, finite_real, renormalize
 
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
@@ -46,7 +46,7 @@ MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up
 _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
 _PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
-_PAIR_TOLERANCE = 1e-13  # most that the level pairs left out may move x, n_1 or n_N
+_PAIR_TOLERANCE = 1e-13  # most that the level pairs left out may move x
 _PUSH_FLOOR = 1e-15  # push floor, times det(A0)^2; also the least p a kept state has
 _CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
 
@@ -76,6 +76,8 @@ class LatticeParams:
             for n in (self.n_sites, self.n_particles)
         ):
             raise TypeError("n_sites and n_particles must be integers")
+        if not all(map(finite_real, (self.hopping, self.trap, self.center))):
+            raise ValueError("hopping, trap and center must be finite real numbers")
         if not 1 <= self.n_particles <= self.n_sites:
             raise ValueError("need 1 <= n_particles <= n_sites")
         if self.hopping <= 0:
@@ -100,9 +102,8 @@ class SingleParticleSpectrum:
 class TimeSeries:
     """Center-of-mass trajectory x(t); site units, times in hbar/J.
 
-    ``edge_occupancy`` is the largest occupancy of site 1 or site N over the
-    samples, or a bound on it over all times where that bound is at most
-    1e-6; above 1e-6 it raises a UserWarning, since open-boundary
+    ``edge_occupancy`` bounds the occupancy of site 1 and of site N over all
+    times; above 1e-6 it raises a UserWarning, since open-boundary
     reflections may then distort the trajectory."""
 
     times: np.ndarray
@@ -117,7 +118,7 @@ class TimeSeries:
             raise ValueError("center of mass left the chain, sites run 1..N")
         if self.edge_occupancy > _EDGE_OCCUPANCY_WARN:
             warnings.warn(
-                f"edge occupancy reached {self.edge_occupancy:.3e}; open-boundary "
+                f"edge occupancy may reach {self.edge_occupancy:.3e}; open-boundary "
                 "reflections may distort the trajectory",
                 stacklevel=3,
             )
@@ -308,13 +309,12 @@ def diagonal_ensemble(
     ))
 
 
-def _evolution_shape(n_pairs: int, n_forms: int) -> tuple[int, int]:
+def _evolution_shape(n_pairs: int) -> tuple[int, int]:
     """Time samples per block and blocks per product for ``n_pairs`` level
-    pairs and ``n_forms`` evolved forms: neither the pair-phase table nor a
-    product's coefficients exceed ``_PAIR_BUFFER_BYTES``."""
-    row = 16 * max(n_pairs, 1)  # bytes of a table row: a cosine and a sine per pair
-    rows = max(1, min(_BLOCK_ROWS, _PAIR_BUFFER_BYTES // row))
-    return rows, max(1, min(_GROUP_BLOCKS, _PAIR_BUFFER_BYTES // (n_forms * row)))
+    pairs: neither the pair-phase table nor a product's coefficients exceed
+    ``_PAIR_BUFFER_BYTES``."""
+    fit = _PAIR_BUFFER_BYTES // (16 * max(n_pairs, 1))  # rows of a cosine and sine per pair
+    return max(1, min(_BLOCK_ROWS, fit)), max(1, min(_GROUP_BLOCKS, fit))
 
 
 def _pair_phases(phases: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray):
@@ -330,25 +330,21 @@ def _pair_phases(phases: np.ndarray, first: np.ndarray, second: np.ndarray, out:
 
 def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     """The energies of the levels in kept pairs, those pairs (first, second),
-    each evolved form's weights 2 A per pair, twice for (cos, sin), and
-    constant A_0, and the edge bound: what evolve_center_of_mass sums."""
+    x's weights 2 M per pair, twice for (cos, sin), its constant trace M, and
+    the edge bound: what evolve_center_of_mass sums."""
     spec, b = _quench_amplitudes(params, lam, dlam)
     u = spec.vectors
     # n_e(t) = sum_a |sum_alpha u_e,alpha d_alpha(t) b_alpha,a|^2 with |d_alpha(t)| = 1
     edge = float(((np.abs(u[[0, -1]]) @ np.abs(b)) ** 2).sum(axis=1).max())
-    rho = b @ b.T
-    forms = [(u.T @ (params.sites[:, None] * u)) * rho / params.n_particles]
-    if edge > _EDGE_OCCUPANCY_WARN:
-        forms += [np.outer(u[0], u[0]) * rho, np.outer(u[-1], u[-1]) * rho]
+    form = (u.T @ (params.sites[:, None] * u)) * (b @ b.T) / params.n_particles
     pairs = np.stack(np.triu_indices(len(u), 1))
-    weights = 2.0 * np.stack(forms)[:, pairs[0], pairs[1]]
-    # leave out the lightest pairs while their largest |2A| sum to at most the tolerance
-    heaviest = np.abs(weights).max(axis=0)
-    order = np.argsort(heaviest, kind="stable")
-    kept = np.sort(order[np.cumsum(heaviest[order]) > _PAIR_TOLERANCE])
+    weights = 2.0 * form[pairs[0], pairs[1]]
+    # leave out the lightest pairs while their |2M| sum to at most the tolerance
+    order = np.argsort(np.abs(weights), kind="stable")
+    kept = np.sort(order[np.cumsum(np.abs(weights[order])) > _PAIR_TOLERANCE])
     levels, pairs = np.unique(pairs[:, kept], return_inverse=True)  # only these levels evolve
-    weights, constant = np.repeat(weights[:, kept], 2, axis=1), np.trace(forms, axis1=1, axis2=2)
-    return spec.values[levels], pairs.reshape(2, -1), weights, constant[:, None], edge
+    weights = np.repeat(weights[kept], 2)
+    return spec.values[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
 
 
 def evolve_center_of_mass(
@@ -363,35 +359,32 @@ def evolve_center_of_mass(
     The ground state of H(lambda - dlambda) evolves exactly under H(lambda).
     In the level basis of H(lambda) the state is b = U^T P0 and the level
     phases are d(t) = exp(-i eps t), so the reaction coordinate
-    x(t) = sum_k k n_k(t) / N_b and the end-site occupancies n_1(t), n_N(t)
-    are the quadratic forms d^+ A d of
+    x(t) = sum_k k n_k(t) / N_b is the quadratic form d^+ M d of
 
-        M = (X o rho) / N_b,   E_1 = (u_1 u_1^T) o rho,   E_N = (u_N u_N^T) o rho,
+        M = (X o rho) / N_b,
 
-    with X = U^T diag(k) U, rho = b b^T, u_1 and u_N the first and last rows
-    of U and o the elementwise product.  All three are real and symmetric,
-    so each is a sum over the pairs of levels,
+    with X = U^T diag(k) U, rho = b b^T and o the elementwise product.  M is
+    real and symmetric, so x is a sum over the pairs of levels,
 
-        d^+ A d = sum_alpha A_alpha,alpha
-                  + 2 sum_{alpha < beta} A_alpha,beta cos(w_alpha,beta t),
+        d^+ M d = sum_alpha M_alpha,alpha
+                  + 2 sum_{alpha < beta} M_alpha,beta cos(w_alpha,beta t),
 
-    with w_alpha,beta = eps_alpha - eps_beta.  The lightest pairs, by their
-    largest |2 A| over the evolved forms, are left out while those sum to at
-    most ``_PAIR_TOLERANCE``, which bounds how far each form moves at any t.
-    Where n_e(t) <= sum_a (sum_alpha |U_e,alpha| |b_alpha,a|)^2 is at most
-    ``_EDGE_OCCUPANCY_WARN`` at both edges, only x evolves and the series'
-    ``edge_occupancy`` is that bound, else the largest n_1 or n_N over every
-    sample.  Each time is split as t = t_b + s, its block's start plus
-    an offset.  One table per station holds (cos, sin)(w s) over the offsets
-    of a block, block b has the coefficients 2 A (cos, -sin)(w t_b), and a
-    group of blocks is one matrix product of the (rows x 2P) table with the
-    (2P x forms blocks) coefficients: about 2P multiply-adds per form and
-    sample for the P kept pairs.  Pair phasors are products of level
-    phasors, so the trigonometric calls grow only as (rows + blocks) n, for
-    the n levels in kept pairs.  The table and a group's coefficients each
-    stay within ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  Only
-    x(t) is stored.  The grid is uniform with step ``dt`` up to horizon
-    ``tau`` (default 2 N^2, in hbar/J units).
+    with w_alpha,beta = eps_alpha - eps_beta.  The lightest pairs are left
+    out while their |2 M| sum to at most ``_PAIR_TOLERANCE``, which bounds
+    how far x moves at any t.  The edge occupancies are not evolved: the
+    series' ``edge_occupancy`` is the larger of the two edges' bounds
+    n_e(t) <= sum_a (sum_alpha |U_e,alpha| |b_alpha,a|)^2, which hold at
+    every t.  Each time is split as t = t_b + s, its block's start plus an
+    offset.  One table per station holds (cos, sin)(w s) over the offsets of
+    a block, block b has the coefficients 2 M (cos, -sin)(w t_b), and a
+    group of blocks is one matrix product of the (blocks x 2P) coefficients
+    with the (2P x rows) table: about 2P multiply-adds per sample for the P
+    kept pairs.  Pair phasors are products of level phasors, so the
+    trigonometric calls grow only as (rows + blocks) n, for the n levels in
+    kept pairs.  The table and a group's coefficients each stay within
+    ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  The grid is
+    uniform with step ``dt`` up to horizon ``tau`` (default 2 N^2, in hbar/J
+    units).
 
     Horizons below N^2 (poorly converged averages) are rejected, and so are
     grids of more than ``MAX_SERIES_SAMPLES`` samples.
@@ -404,31 +397,24 @@ def evolve_center_of_mass(
     if (tau + dt / 2.0) / dt > MAX_SERIES_SAMPLES:
         raise ValueError(f"tau/dt={tau / dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
     eps, (first, second), weights, constant, edge = _evolved_pairs(params, lam, dlam)
-    forms = len(weights)  # x alone, or x, n_1 and n_N
     times = np.arange(0.0, tau + dt / 2.0, dt)
-    rows, blocks = _evolution_shape(first.size, forms)
+    rows, blocks = _evolution_shape(first.size)
     rows = min(rows, times.size)
-    table = np.empty((rows, weights.shape[1]))
+    table = np.empty((rows, weights.size))
     _pair_phases(times[:rows, None] * eps, first, second, table)
     starts = times[::rows]
-    coef = np.empty((min(blocks, starts.size), forms, weights.shape[1]))
+    coef = np.empty((min(blocks, starts.size), weights.size))
     xs = np.empty(times.size)
-    edge_occ = edge if forms == 1 else 0.0
     for lo in range(0, starts.size, blocks):
         group = coef[: starts.size - lo]
         # cos w(t_b + s) = cos(w t_b) cos(w s) - sin(w t_b) sin(w s): the table
-        # holds (cos, sin)(w s), and block b 2A (cos, sin)(-w t_b) per form
-        _pair_phases(-starts[lo : lo + blocks, None] * eps, first, second, group[:, 0])
-        np.multiply(group[:, :1], weights[1:], out=group[:, 1:])
-        group[:, 0] *= weights[0]
-        # each form in time order; the last block may run past the grid
-        values = (group.reshape(forms * len(group), -1) @ table.T).reshape(len(group), forms, rows)
-        values = values.transpose(1, 0, 2).reshape(forms, -1)[:, : times.size - lo * rows] + constant
-        xs[lo * rows : lo * rows + values.shape[1]] = values[0]
-        edge_occ = values[1:].max(initial=edge_occ)
-    return TimeSeries(
-        times=times, values=xs, n_sites=params.n_sites, edge_occupancy=float(edge_occ)
-    )
+        # holds (cos, sin)(w s), and block b 2M (cos, sin)(-w t_b)
+        _pair_phases(-starts[lo : lo + blocks, None] * eps, first, second, group)
+        group *= weights
+        # in time order; the last block may run past the grid
+        values = (group @ table.T).ravel()[: times.size - lo * rows] + constant
+        xs[lo * rows : lo * rows + values.size] = values
+    return TimeSeries(times=times, values=xs, n_sites=params.n_sites, edge_occupancy=edge)
 
 
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import PositionDistribution, QuenchProtocol
-from .ensembles import DiagonalEnsemble, renormalize
+from .ensembles import DiagonalEnsemble, finite_real, renormalize
 
 _MAX_LEVELS = 200
 MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
@@ -47,8 +47,8 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if min(self.mass, self.stiffness, self.hbar) <= 0:
-            raise ValueError("mass, stiffness and hbar must be positive")
+        if not all(finite_real(v) and v > 0 for v in (self.mass, self.stiffness, self.hbar)):
+            raise ValueError("mass, stiffness and hbar must be positive finite real numbers")
 
     @property
     def omega(self) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import quenchwork
 from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
 from quenchwork.lattice import LatticeParams, evolve_center_of_mass
+from quenchwork.oscillator import OscillatorParams
 
 SMALL_LATTICE_JE = {
     "kind": "lattice-je",
@@ -238,7 +240,7 @@ def test_manifest_records_every_warning(tmp_path):
     ]
     assert len(caught) == 2  # one per station
     assert [w["message"].split(";")[0] for w in manifest["warnings"]] == [
-        f"edge occupancy reached {edge:.3e}" for edge in manifest["edge_occupancy"]
+        f"edge occupancy may reach {edge:.3e}" for edge in manifest["edge_occupancy"]
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -434,6 +436,9 @@ def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     assert not (tmp_path / "o").exists()
 
 
+LATTICE_TEMPERATURE = {
+    "kind": "temperature", "model": {"type": "lattice"}, "quench": {"lambda": 15.0, "dlam": 1.0}
+}
 # a trap strong enough to pair the levels around its center, which lies
 # between two sites for lambda = 11; the Fermi level falls in the pair
 STRONG_TRAP = {"type": "lattice", "n_sites": 20, "n_particles": 11, "trap": 0.5, "center": 10.0}
@@ -483,9 +488,23 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         (with_changes(SMALL_OSC_JE, sampler={"n_path": 300}, protocol={"stepz": 0.7},
                       evolution={"binz": 30}, tolerances={"tail_toll": 1e-3}),
          ["protocol.stepz", "sampler.n_path", "evolution.binz", "tolerances.tail_toll"]),
+        *(
+            (with_changes(base, model=model), ["model"])
+            for base, model in [
+                (LATTICE_TEMPERATURE, {"hopping": math.nan}),
+                (LATTICE_TEMPERATURE, {"hopping": math.inf}),
+                (PRESETS["fig2"], {"mass": math.nan}),
+                (PRESETS["fig2"], {"stiffness": math.inf}),
+                (SMALL_LATTICE_JE, {"trap": math.nan}),
+                (SMALL_LATTICE_JE, {"center": math.inf}),
+                (SMALL_LATTICE_JE, {"hopping": True}),
+            ]
+        ),
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
-         "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys"],
+         "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys",
+         "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",
+         "bool-hopping"],
 )
 def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, fields):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -579,6 +598,11 @@ FUZZ_MODELS = {
         optional={"trap": st.floats(0.0, 0.2), "center": st.floats(-5.0, 15.0)},
     )),
 }
+# the float fields of each model, which any_config now and then sets to a non-number
+FUZZ_MODEL_FLOATS = {
+    mtype: [f.name for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+    for mtype, cls in (("oscillator", OscillatorParams), ("lattice", LatticeParams))
+}
 
 
 def fuzz_values(name, spec):
@@ -597,11 +621,15 @@ def fuzz_values(name, spec):
 def any_config(draw, kind):
     """A config of ``kind`` built from the FIELDS rows: the required fields of
     the kind's sections always, every other field or not, and now and then
-    one unknown key or one value of the wrong type."""
+    one unknown key, one value of the wrong type or one model float field
+    that is NaN, infinite or a bool."""
     mtype = kind.split("-")[0]
     if mtype == "temperature":
         mtype = draw(st.sampled_from(list(FUZZ_MODELS)))
     raw = {"kind": kind, "model": draw(FUZZ_MODELS[mtype])}
+    if draw(st.integers(0, 2)) == 2:  # one model float field that is not a finite number
+        key = draw(st.sampled_from(FUZZ_MODEL_FLOATS[mtype]))
+        raw["model"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, True]))
     for section, specs in FIELDS.items():
         values = {}
         for key, spec in specs.items():
@@ -630,10 +658,12 @@ def any_config(draw, kind):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_config_exits_cleanly(tmp_path, kind, data):
-    """Any config of any kind runs (exit 0), is rejected (exit 2) or fails to
-    converge (exit 3); nothing raises."""
+    """Any config of any kind runs (exit 0) and writes no NaN, is rejected
+    (exit 2) or fails to converge (exit 3); nothing raises."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data.draw(any_config(kind))))
+    out = tmp_path / "o"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        code = main(["--config", str(path), "--out", str(out), "--quiet"])
     assert code in (0, 2, 3)
+    assert code != 0 or not any("nan" in csv.read_text() for csv in out.glob("*.csv"))

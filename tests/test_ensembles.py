@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from quenchwork import (
     temperature_from_pair,
     write_ensemble,
 )
-from quenchwork.ensembles import write_csv
+from quenchwork.ensembles import _CSV_BLOCK_ROWS, write_csv
 from quenchwork.oscillator import (
     OscillatorParams,
     entropy_closed_form,
@@ -210,13 +211,30 @@ def test_serialization_round_trip(tmp_path):
 
 def test_write_csv_formats_each_value_in_12_digits(tmp_path):
     """One row template over the stacked columns writes what formatting each
-    value on its own does, for float, int and non-finite columns."""
+    value on its own does, for float, int and non-finite columns, also where
+    the rows run past one block into a second."""
     rng = np.random.default_rng(3)
-    columns = (
-        rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
-        rng.integers(0, 10**6, 50),
-        np.r_[np.inf, -np.inf, -0.0, rng.random(47)],
-    )
-    write_csv(tmp_path / "t.csv", ["# note", "a,n,b"], columns)
-    rows = (",".join(format(v, ".12g") for v in row) for row in zip(*(c.tolist() for c in columns)))
-    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "a,n,b", *rows]) + "\n"
+    for size in (50, _CSV_BLOCK_ROWS + 1):
+        columns = (
+            rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size),
+            rng.integers(0, 10**6, size),
+            np.r_[np.inf, -np.inf, -0.0, rng.random(size - 3)],
+        )
+        write_csv(tmp_path / "t.csv", ["# note", "a,n,b"], columns)
+        values = zip(*(c.tolist() for c in columns))
+        rows = (",".join(format(v, ".12g") for v in row) for row in values)
+        assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "a,n,b", *rows]) + "\n"
+
+
+def test_write_csv_memory_stays_bounded_by_its_row_blocks(tmp_path):
+    """A 200 001-row (t, x) series, an N=100 station's default horizon, is
+    written a block of rows at a time: formatting it whole peaks at 22 MB."""
+    t = np.arange(200_001) * 0.1
+    x = 13.0 + np.sin(0.37 * t)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "series.csv", ["t,x"], (t, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

@@ -259,3 +259,6 @@ def test_params_validation():
         OscillatorParams(mass=-1.0)
     with pytest.raises(ValueError):
         OscillatorParams(stiffness=0.0)
+    for value in (math.nan, math.inf, True, 10**400):  # 10**400 has no float
+        with pytest.raises(ValueError, match="must be positive finite real numbers"):
+            OscillatorParams(hbar=value)
