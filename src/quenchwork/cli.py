@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jarzynski, lattice, oscillator
-from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol
+from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol, histogram_span
 from .ensembles import finite_real, mean_energy, temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
@@ -44,7 +44,8 @@ class Field(NamedTuple):
     """A row of FIELDS.  ``default`` stands in for a value left out or null
     (a callable one is computed from the section); ``type`` is int, float or
     str (a file name inside ``out_dir``); ``bound`` is an int's least value or
-    a float's (open lower, closed upper) range, None for any float."""
+    closed range, or a float's (open lower, closed upper) range, None for any
+    float."""
 
     default: object
     type: type
@@ -60,7 +61,10 @@ FIELDS: dict[str | None, dict[str, Field]] = {
         "step": Field(REQUIRED, float),
         "stations": Field(REQUIRED, int, 2),
     },
-    "sampler": {"n_paths": Field(100000, int, 1), "seed": Field(REQUIRED, int, 0)},
+    "sampler": {
+        "n_paths": Field(100000, int, (1, jarzynski.MAX_PATHS)),
+        "seed": Field(REQUIRED, int, 0),
+    },
     "evolution": {
         "tau": Field(None, float),  # None: 2 * n_sites**2
         "dt": Field(0.1, float, (0.0, math.inf)),
@@ -205,8 +209,11 @@ def _unmet(spec: Field, value) -> str | None:
         fits = isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
         return None if fits else "a file name without a directory part"
     if spec.type is int:
-        fits = finite_real(value) and isinstance(value, int) and value >= spec.bound
-        return None if fits else f"an integer of at least {spec.bound}"
+        low, high = spec.bound if isinstance(spec.bound, tuple) else (spec.bound, math.inf)
+        fits = finite_real(value) and isinstance(value, int) and low <= value <= high
+        return None if fits else f"an integer of at least {low}" + (
+            f" and at most {high}" if high < math.inf else ""
+        )
     low, high = spec.bound or (-math.inf, math.inf)
     if finite_real(value) and low < value <= high:
         return None
@@ -421,7 +428,11 @@ def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
             fname = config.filenames["featured_histogram"]
             write_csv(out / fname, ["x,f"], (dist.x, dist.density))
             files.append(fname)
-    counts, edges = np.histogram(profile.final_work, bins=60)
+    lo, hi = profile.final_work.min(), profile.final_work.max()
+    # np.histogram's own range (lo, hi), opened only where it is too narrow for 60 bins
+    span = histogram_span(lo, hi)
+    limits = (lo, hi if span == hi - lo else lo + span)
+    counts, edges = np.histogram(profile.final_work, bins=60, range=limits)
     name = config.filenames["work_histogram"]
     write_csv(out / name, ["W,count"], (0.5 * (edges[:-1] + edges[1:]), counts))
     files.append(name)

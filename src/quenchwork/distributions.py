@@ -21,6 +21,13 @@ _GUIDE = 1 << 14  # cells of the inverse-CDF guide table
 _BLOCK = 4096  # draws per block of the inverse-CDF search
 
 
+def histogram_span(lo: float, hi: float) -> float:
+    """Width of a histogram range over samples in [lo, hi]: hi - lo, unless
+    that is (nearly) constant, where a window is opened wide enough that the
+    bin width stays clear of float resolution at this magnitude."""
+    return max(hi - lo, 1e-6 * max(1.0, abs(lo)))
+
+
 @dataclass(frozen=True)
 class QuenchProtocol:
     """Multi-quench schedule lambda_i = lambda_start + (i-1)*step, i = 1..stations."""
@@ -72,18 +79,20 @@ class PositionDistribution:
     def bin_edges(self) -> np.ndarray:
         return np.concatenate([self.x - 0.5 * self.dx, [self.x[-1] + 0.5 * self.dx]])
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         """Draw samples by inverting the piecewise-constant CDF on the bins.
 
         A guide-table inverse-CDF search (Chen & Asau 1974; Devroye 1986,
         sec. III.2), bit-identical to linear interpolation of the CDF,
         ``np.interp(u, cdf, edges)``, on the uniforms u of one
-        ``rng.random(size)`` call.  [0, 1) is cut into ``_GUIDE`` equal
-        cells.  A cell that holds no CDF knot sends every u in it to one
-        knot j, the last with cdf[j] <= u; only the few cells that hold a
-        knot search for it.  The value is then slope[j] * (u - cdf[j]) +
+        ``rng.random(size, out=out)`` call.  [0, 1) is cut into ``_GUIDE``
+        equal cells.  A cell that holds no CDF knot sends every u in it to
+        one knot j, the last with cdf[j] <= u; only the few cells that hold
+        a knot search for it.  The value is then slope[j] * (u - cdf[j]) +
         edge[j], np.interp's own operations in its order.  The draws go in
-        blocks of ``_BLOCK``, so the temporaries stay small.
+        blocks of ``_BLOCK``, so the temporaries stay small, and each draw
+        is written over its own uniform: into ``out`` when it is given (a
+        float array of ``size`` entries), else into a new array.
         """
         edges = self.bin_edges()
         cdf = np.concatenate([[0.0], np.cumsum(self.density * self.dx)])
@@ -93,8 +102,7 @@ class PositionDistribution:
         knots_per_cell = np.bincount(np.ceil(cdf * _GUIDE).astype(np.intp), minlength=_GUIDE + 1)
         first = np.cumsum(knots_per_cell) - 1
         cell = np.where(first[1:] == first[:-1], first[:-1], -1)
-        u = rng.random(size)
-        out = np.empty_like(u)
+        u = rng.random(size, out=out)
         # silent like np.interp: empty bins are never selected, and a slope may overflow
         with np.errstate(all="ignore"):
             slopes = np.diff(edges) / np.diff(cdf)
@@ -103,13 +111,12 @@ class PositionDistribution:
                 j = cell[(u_b * _GUIDE).astype(np.intp)]
                 amb = j < 0
                 j[amb] = np.searchsorted(cdf, u_b[amb], side="right") - 1
-                out_b = out[lo:lo + _BLOCK]
-                np.multiply(slopes[j], u_b - cdf[j], out=out_b)
-                out_b += edges[j]
+                np.multiply(slopes[j], u_b - cdf[j], out=u_b)
+                u_b += edges[j]
                 # a draw on a knot whose slope overflows: np.interp returns its edge
-                bad = np.isnan(out_b)
-                out_b[bad] = edges[j[bad]]
-        return out
+                bad = np.isnan(u_b)
+                u_b[bad] = edges[j[bad]]
+        return u
 
     @classmethod
     def from_histogram(cls, values, bins: int = 40):
@@ -125,10 +132,7 @@ class PositionDistribution:
         if values.size < 1:
             raise ValueError("no samples to histogram")
         lo, hi = values.min(), values.max()
-        # degenerate (constant) samples: open a window wide enough that the
-        # bin width stays clear of float resolution at this magnitude
-        span = max(hi - lo, 1e-6 * max(1.0, abs(lo)))
-        margin = _HISTOGRAM_PAD * span
+        margin = _HISTOGRAM_PAD * histogram_span(lo, hi)
         counts, edges = np.histogram(values, bins=bins, range=(lo - margin, hi + margin))
         dx = edges[1] - edges[0]
         density = counts / (counts.sum() * dx)

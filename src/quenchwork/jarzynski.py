@@ -32,6 +32,9 @@ from . import lattice, oscillator
 from .distributions import PositionDistribution, QuenchProtocol
 
 _MIN_ESS = 10.0
+# most paths a profile samples: its three path-long float buffers (running
+# work, weights, draws) then take 384 MiB
+MAX_PATHS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -58,47 +61,63 @@ class FreeEnergyProfile:
     targets: np.ndarray
 
 
-def trap_work(x, lam_i: float, lam_next: float, coupling: float):
+def trap_work(x, lam_i: float, lam_next: float, coupling: float, out: np.ndarray | None = None):
     """Work of moving the trap lam_i -> lam_next at fixed x, factored so that
-    no two large squares are subtracted."""
-    return coupling * (lam_next - lam_i) * (lam_i + lam_next - 2.0 * x)
+    no two large squares are subtracted; ``out`` (which may be ``x``) takes
+    the result in place of a new array."""
+    twice = np.multiply(2.0, x, out=out)
+    offset = np.subtract(lam_i + lam_next, twice, out=out)
+    return np.multiply(coupling * (lam_next - lam_i), offset, out=out)
 
 
-def _weights(works, beta: float) -> tuple[np.ndarray, float]:
-    """Weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1, of a
-    non-empty work sample, and its min W: the estimators' one input."""
+def _estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, float]:
+    """(dF, jackknife error, ESS) of a non-empty work sample from one pass of
+    the weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1.
+
+    ``p`` and ``scratch`` are float arrays of the sample's size that the
+    pass writes over; None allocates them.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     w = np.asarray(works, dtype=float)
     if w.size < 1:
         raise ValueError("need at least one work sample")
+    m = w.size
+    p = np.empty(m) if p is None else p
+    scratch = np.empty(m) if scratch is None else scratch
     w_min = float(w.min())
     with np.errstate(over="ignore"):  # a beta*(W - min W) past the float range gives p = 0
-        return np.exp(-beta * (w - w_min)), w_min
+        np.exp(np.multiply(-beta, np.subtract(w, w_min, out=p), out=p), out=p)
+    total = p.sum()
+    # dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta
+    df = float(w_min - math.log(total / m) / beta)
+    # ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p)
+    ess = float(total**2 / (p @ p))
+    if m < 2:
+        return df, 0.0, ess
+    # delete-one jackknife: of the estimate without path i only
+    # -ln(1 - p_i/sum p)/beta varies with i; the clip keeps a single totally
+    # dominant sample from giving ln 0
+    df_loo = np.minimum(np.divide(p, total, out=scratch), math.exp(-1e-12), out=scratch)
+    np.negative(np.log1p(np.negative(df_loo, out=df_loo), out=df_loo), out=df_loo)
+    np.divide(df_loo, beta, out=df_loo)
+    np.square(np.subtract(df_loo, df_loo.mean(), out=df_loo), out=df_loo)
+    return df, float(np.sqrt((m - 1) / m * np.sum(df_loo))), ess
 
 
 def free_energy_estimate(works, beta: float) -> float:
     """dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta."""
-    p, w_min = _weights(works, beta)
-    return float(w_min - math.log(p.mean()) / beta)
+    return _estimates(works, beta)[0]
 
 
 def jackknife_error(works, beta: float) -> float:
-    """Delete-one jackknife standard error of the free-energy estimate; of
-    the estimate without path i only -ln(1 - p_i/sum p)/beta varies with i."""
-    p, _ = _weights(works, beta)
-    m = p.size
-    if m < 2:
-        return 0.0
-    # the clip keeps a single totally dominant sample from giving ln 0
-    df_loo = -np.log1p(-np.minimum(p / p.sum(), math.exp(-1e-12))) / beta
-    return float(np.sqrt((m - 1) / m * np.sum((df_loo - df_loo.mean()) ** 2)))
+    """Delete-one jackknife standard error of the free-energy estimate."""
+    return _estimates(works, beta)[1]
 
 
 def effective_sample_size(works, beta: float) -> float:
-    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p)."""
-    p, _ = _weights(works, beta)
-    return float(p.sum() ** 2 / (p @ p))
+    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}."""
+    return _estimates(works, beta)[2]
 
 
 def profile_from_distributions(
@@ -115,13 +134,16 @@ def profile_from_distributions(
     One pass per station: pass i draws x_i from ``dists[i]`` with the one
     generator ``default_rng(seed)``, adds ``trap_work(x_i, lambdas[i],
     lambdas[i+1], coupling)`` to the running work of every path and
-    estimates station i+1 from it, so memory is O(n_paths) whatever the
-    number of stations.  The targets are ``coupling * (lambda - anchor)**2 / 2``
-    less their first entry; they and the estimates are zero at station 1.
+    estimates station i+1 from one pass of its weights.  The running work,
+    the weights and the draws live in three path-long buffers made once, so
+    memory is three arrays of ``n_paths`` (at most ``MAX_PATHS``) whatever
+    the number of stations, and no station allocates another.  The targets
+    are ``coupling * (lambda - anchor)**2 / 2`` less their first entry; they
+    and the estimates are zero at station 1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    if not 1 <= n_paths <= MAX_PATHS:
+        raise ValueError(f"n_paths must be at least 1 and at most {MAX_PATHS}")
     if not 0 < len(dists) == lambdas.size - 1:
         raise ValueError("need at least one quench step and one distribution per step")
     rng = np.random.default_rng(seed)
@@ -130,14 +152,19 @@ def profile_from_distributions(
     work_std = np.zeros(s)
     jk = np.zeros(s)
     ess = np.full(s, float(n_paths))
+    work, p, scratch = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     for i, dist in enumerate(dists):
-        step = trap_work(dist.sample(rng, n_paths), lambdas[i], lambdas[i + 1], coupling)
+        x = dist.sample(rng, n_paths, out=scratch)
+        step = trap_work(x, lambdas[i], lambdas[i + 1], coupling, out=scratch)
         # the first step starts the sum, so that a -0.0 step stays -0.0
-        work = step if i == 0 else work + step
-        delta_f[i + 1] = free_energy_estimate(work, beta)
-        work_std[i + 1] = work.std()
-        jk[i + 1] = jackknife_error(work, beta)
-        ess[i + 1] = effective_sample_size(work, beta)
+        if i == 0:
+            work[:] = step
+        else:
+            work += step
+        delta_f[i + 1], jk[i + 1], ess[i + 1] = _estimates(work, beta, p, scratch)
+        # work.std(), numpy's own operations in its order, over the scratch buffer
+        np.square(np.subtract(work, work.mean(), out=scratch), out=scratch)
+        work_std[i + 1] = math.sqrt(scratch.sum() / n_paths)
     if ess.min() < _MIN_ESS:
         warnings.warn(
             f"effective sample size dropped to {ess.min():.1f}; "

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import quenchwork
 from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
+from quenchwork.jarzynski import MAX_PATHS
 from quenchwork.lattice import LatticeParams, evolve_center_of_mass
 from quenchwork.oscillator import OscillatorParams
 
@@ -145,6 +146,20 @@ def test_near_zero_temperature_profile_is_finite(tmp_path):
     rows = (tmp_path / "cold" / "profile.csv").read_text().splitlines()[1:]
     values = [float(v) for row in rows for v in row.split(",")]
     assert len(values) == 4 * 6 and all(map(math.isfinite, values))
+
+
+def test_subnormal_work_range_writes_a_work_histogram(tmp_path, capsys):
+    """Every path's work lies within a subnormal range, too narrow for 60 bins
+    of np.histogram's own range."""
+    raw = {"kind": "oscillator-je", "model": {"type": "oscillator", "stiffness": 2.0},
+           "temperature": 1.0, "protocol": {"lambda_start": 0.0, "step": 5e-324, "stations": 2},
+           "sampler": {"seed": 0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    assert len((out / "work_hist.csv").read_text().splitlines()) == 61
+    assert not any("nan" in csv.read_text() for csv in out.glob("*.csv"))
 
 
 def test_byte_identical_across_processes(tmp_path):
@@ -482,6 +497,10 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ([1, 2], ["config"]),
         (with_changes(SMALL_OSC_JE, model={"type": ["oscillator"]}), ["model.type"]),
         (with_changes(SMALL_OSC_JE, sampler={"seed": -1}), ["sampler.seed"]),
+        # more paths than the profile's buffers hold, and past any array numpy makes
+        (with_changes(SMALL_OSC_JE, sampler={"n_paths": MAX_PATHS + 1}), ["sampler.n_paths"]),
+        (with_changes(SMALL_OSC_JE, sampler={"n_paths": 10**12}), ["sampler.n_paths"]),
+        (with_changes(SMALL_OSC_JE, sampler={"n_paths": 10**300}), ["sampler.n_paths"]),
         (with_changes(SMALL_LATTICE_JE, model={"n_sites": 8.5}), ["model"]),
         (with_changes(SMALL_OSC_JE, protocol={"step": 500}), ["protocol.step"]),
         (with_changes(SMALL_OSC_JE, tolerances={"tail_tol": 1e-3}), ["tolerances.tail_tol"]),
@@ -502,7 +521,7 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ),
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
-         "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys",
+         "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys",
          "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",
          "bool-hopping"],
 )

@@ -57,14 +57,18 @@ def test_sampling_reproduces_density():
 
 
 class _FixedUniforms:
-    """Generator stub whose ``random(size)`` returns the given uniforms."""
+    """Generator stub whose ``random(size, out=None)`` returns the given
+    uniforms, in ``out`` when it is given."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size):
+    def random(self, size, out=None):
         assert size == self.u.size
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
 
 
 def _cdf(dist):
@@ -113,12 +117,10 @@ def test_sample_matches_np_interp_bit_for_bit(stations, name, size):
     _assert_same_bits(got, np.interp(u, _cdf(dist), dist.bin_edges()))
 
 
-@pytest.mark.parametrize("name", ["fig3d", "histogram", "spiked", "subnormal"])
-def test_sample_matches_np_interp_on_knots_and_cell_boundaries(stations, name):
-    dist = stations[name]
-    cdf = _cdf(dist)
+def _knot_uniforms(cdf):
+    """Uniforms on and beside every CDF knot and guide-cell boundary."""
     inner = cdf[cdf < 1.0]
-    u = np.concatenate([
+    return np.concatenate([
         [0.0, 2.0**-53, 1.0 - 2.0**-53],
         inner,  # exact knots, repeated ones included
         np.nextafter(inner, 1.0),
@@ -126,10 +128,32 @@ def test_sample_matches_np_interp_on_knots_and_cell_boundaries(stations, name):
         np.arange(_GUIDE) / _GUIDE,  # every cell boundary k/G
         (np.arange(_GUIDE) + 0.5) / _GUIDE,
     ])
+
+
+@pytest.mark.parametrize("name", ["fig3d", "histogram", "spiked", "subnormal"])
+def test_sample_matches_np_interp_on_knots_and_cell_boundaries(stations, name):
+    dist = stations[name]
+    cdf = _cdf(dist)
+    u = _knot_uniforms(cdf)
     if name == "histogram":
         assert np.count_nonzero(np.diff(cdf) == 0.0) >= 2  # empty outer bins repeat knots
     got = dist.sample(_FixedUniforms(u), u.size)
     _assert_same_bits(got, np.interp(u, cdf, dist.bin_edges()))
+
+
+@pytest.mark.parametrize("name", ["fig3d", "histogram", "spiked", "subnormal"])
+def test_sample_fills_a_callers_buffer_like_np_interp(stations, name):
+    """With ``out``, the draws overwrite their uniforms in the caller's buffer."""
+    dist = stations[name]
+    cdf = _cdf(dist)
+    u = _knot_uniforms(cdf)
+    buf = np.full(u.size, np.nan)
+    got = dist.sample(_FixedUniforms(u), u.size, out=buf)
+    assert got is buf
+    _assert_same_bits(buf, np.interp(u, cdf, dist.bin_edges()))
+    # a real generator fills the buffer with the same draws as without it
+    again = dist.sample(np.random.default_rng(3), u.size, out=buf)
+    _assert_same_bits(again, dist.sample(np.random.default_rng(3), u.size))
 
 
 def test_count_peaks_prominence_filter():

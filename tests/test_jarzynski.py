@@ -6,6 +6,7 @@ import pytest
 
 from quenchwork.distributions import PositionDistribution, QuenchProtocol
 from quenchwork.jarzynski import (
+    MAX_PATHS,
     build_profile,
     effective_sample_size,
     free_energy_estimate,
@@ -306,10 +307,11 @@ def test_profile_draws_stations_in_order_and_sums_them_sequentially():
 
 
 def test_profile_memory_does_not_grow_with_stations():
-    """A 10-step profile holds a few path-length arrays at a time, not one
+    """A 10-step profile holds its three path-length buffers (running work,
+    weights, draws) and no path-length temporary beside them, not one
     (n_paths, steps) matrix, and its final work is not a view of one."""
     dists, lambdas = oscillator_stations(0.6935, 11)
-    n_paths = 200_000
+    n_paths = 1 << 18
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -320,7 +322,7 @@ def test_profile_memory_does_not_grow_with_stations():
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * n_paths)
-    assert arrays < 8.0, f"peak of {arrays:.1f} path-length arrays"
+    assert arrays < 4.0, f"peak of {arrays:.2f} path-length arrays"
     assert profile.final_work.base is None
 
 
@@ -330,8 +332,9 @@ def test_profile_memory_does_not_grow_with_stations():
         (0, [0.0], 10, "at least one quench step"),
         (1, [0.0, 1.0, 2.0], 10, "one distribution per step"),
         (1, [0.0, 1.0], 0, "n_paths must be at least 1"),
+        (1, [0.0, 1.0], MAX_PATHS + 1, f"at most {MAX_PATHS}"),
     ],
-    ids=["no-steps", "one-distribution-short", "no-paths"],
+    ids=["no-steps", "one-distribution-short", "no-paths", "too-many-paths"],
 )
 def test_profile_rejects_bad_sampler_inputs(stations, lambdas, n_paths, message):
     dists = [point_mass(0.3)] * stations
