@@ -66,7 +66,7 @@ FIELDS: dict[str | None, dict[str, Field]] = {
         "seed": Field(REQUIRED, int, 0),
     },
     "evolution": {
-        "tau": Field(None, float),  # None: 2 * n_sites**2
+        "tau": Field(None, float),  # None: evolve_center_of_mass's default horizon
         "dt": Field(0.1, float, (0.0, math.inf)),
         "bins": Field(40, int, MIN_HISTOGRAM_BINS),
         "featured_lambda": Field(None, float),
@@ -362,9 +362,7 @@ def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
     dt, tau = evolution["dt"], evolution["tau"]
     n2 = params.n_sites**2
     violations = []
-    # the length of np.arange(0, horizon + dt/2, dt), counted up to the cap: ceil(inf) overflows
-    count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt
-    samples = math.ceil(count) if count <= lattice.MAX_SERIES_SAMPLES else math.inf
+    samples = lattice.series_samples(params, tau, dt)
     if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
         violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
     if not lattice.MIN_SERIES_SAMPLES <= samples <= lattice.MAX_SERIES_SAMPLES:

@@ -29,6 +29,7 @@ linear algebra on N x N_b orbital matrices:
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -100,20 +101,18 @@ class SingleParticleSpectrum:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Center-of-mass trajectory x(t); site units, times in hbar/J.
+    """Center-of-mass trajectory x(t) at t = i dt, i = 0, 1, ...; site units, times in hbar/J.
 
     ``edge_occupancy`` bounds the occupancy of site 1 and of site N over all
     times; above 1e-6 it raises a UserWarning, since open-boundary
     reflections may then distort the trajectory."""
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
     n_sites: int
     edge_occupancy: float = 0.0
 
     def __post_init__(self):
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have the same shape")
         if self.values.min() < 1.0 - 1e-9 or self.values.max() > self.n_sites + 1e-9:
             raise ValueError("center of mass left the chain, sites run 1..N")
         if self.edge_occupancy > _EDGE_OCCUPANCY_WARN:
@@ -124,8 +123,12 @@ class TimeSeries:
             )
 
     @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.values.size) * self.dt
+
+    @property
     def span(self) -> float:
-        return float(self.times[-1] - self.times[0])
+        return float((self.values.size - 1) * self.dt)
 
 
 @lru_cache(maxsize=256)
@@ -347,6 +350,13 @@ def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     return spec.values[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
 
 
+def series_samples(params: LatticeParams, tau: float | None, dt: float) -> float:
+    """Length of evolve_center_of_mass's grid np.arange(0, tau + dt/2, dt), tau=None
+    meaning 2 N^2; inf past ``MAX_SERIES_SAMPLES``, where ceil would overflow."""
+    count = ((2.0 * params.n_sites**2 if tau is None else tau) + dt / 2.0) / dt
+    return math.ceil(count) if count <= MAX_SERIES_SAMPLES else math.inf
+
+
 def evolve_center_of_mass(
     params: LatticeParams,
     lam: float,
@@ -384,27 +394,25 @@ def evolve_center_of_mass(
     kept pairs.  The table and a group's coefficients each stay within
     ``_PAIR_BUFFER_BYTES``, which bounds memory at any N.  The grid is
     uniform with step ``dt`` up to horizon ``tau`` (default 2 N^2, in hbar/J
-    units).
+    units) and never stored: its offsets and block starts are integers times
+    ``dt``, bit for bit the values of np.arange's grid.
 
     Horizons below N^2 (poorly converged averages) are rejected, and so are
     grids of more than ``MAX_SERIES_SAMPLES`` samples.
     """
     n2 = params.n_sites**2
-    if tau is None:
-        tau = 2.0 * n2
-    if tau < n2:
+    if tau is not None and tau < n2:
         raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
-    if (tau + dt / 2.0) / dt > MAX_SERIES_SAMPLES:
-        raise ValueError(f"tau/dt={tau / dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
+    if (samples := series_samples(params, tau, dt)) > MAX_SERIES_SAMPLES:
+        raise ValueError(f"step dt={dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
     eps, (first, second), weights, constant, edge = _evolved_pairs(params, lam, dlam)
-    times = np.arange(0.0, tau + dt / 2.0, dt)
     rows, blocks = _evolution_shape(first.size)
-    rows = min(rows, times.size)
+    rows = min(rows, samples)
     table = np.empty((rows, weights.size))
-    _pair_phases(times[:rows, None] * eps, first, second, table)
-    starts = times[::rows]
+    _pair_phases((np.arange(rows) * dt)[:, None] * eps, first, second, table)
+    starts = np.arange(0, samples, rows) * dt
     coef = np.empty((min(blocks, starts.size), weights.size))
-    xs = np.empty(times.size)
+    xs = np.empty(samples)
     for lo in range(0, starts.size, blocks):
         group = coef[: starts.size - lo]
         # cos w(t_b + s) = cos(w t_b) cos(w s) - sin(w t_b) sin(w s): the table
@@ -412,9 +420,9 @@ def evolve_center_of_mass(
         _pair_phases(-starts[lo : lo + blocks, None] * eps, first, second, group)
         group *= weights
         # in time order; the last block may run past the grid
-        values = (group @ table.T).ravel()[: times.size - lo * rows] + constant
+        values = (group @ table.T).ravel()[: samples - lo * rows] + constant
         xs[lo * rows : lo * rows + values.size] = values
-    return TimeSeries(times=times, values=xs, n_sites=params.n_sites, edge_occupancy=edge)
+    return TimeSeries(dt=dt, values=xs, n_sites=params.n_sites, edge_occupancy=edge)
 
 
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:

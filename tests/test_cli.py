@@ -19,7 +19,13 @@ import quenchwork
 from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
 from quenchwork.jarzynski import MAX_PATHS
-from quenchwork.lattice import LatticeParams, evolve_center_of_mass
+from quenchwork.lattice import (
+    MAX_SERIES_SAMPLES,
+    LatticeParams,
+    evolve_center_of_mass,
+    series_samples,
+    time_average_distribution,
+)
 from quenchwork.oscillator import OscillatorParams
 
 SMALL_LATTICE_JE = {
@@ -449,6 +455,71 @@ def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     assert code == 2
     assert [v.split(":")[0] for v in violations] == [field]
     assert not (tmp_path / "o").exists()
+
+
+SMALL_LATTICE = LatticeParams(**{k: v for k, v in SMALL_LATTICE_JE["model"].items() if k != "type"})
+
+
+def lattice_run_with_grid(tau, dt):
+    """SMALL_LATTICE_JE as a lattice-run on the grid of ``tau`` (None: the
+    default horizon) and ``dt``."""
+    raw = with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"dt": dt})
+    if tau is None:
+        del raw["evolution"]["tau"]
+    else:
+        raw["evolution"]["tau"] = tau
+    return RunConfig.from_dict(raw)
+
+
+def lattice_accepts_grid(tau, dt):
+    """Whether the first lattice-run station of SMALL_LATTICE_JE evolves and
+    averages on the grid of ``tau`` and ``dt``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series = evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
+            time_average_distribution(series, bins=SMALL_LATTICE_JE["evolution"]["bins"])
+    except ValueError:
+        return False
+    return True
+
+
+def seeded_grids(count, seed=2102):
+    """Horizons around and past N^2 = 64, or the default one, and steps that
+    give about 10^3 samples, where the sample floor bites, or up to 2 x 10^4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tau = [None, rng.uniform(56.0, 72.0), rng.uniform(64.0, 400.0)][rng.integers(3)]
+        samples = rng.uniform(990.0, 1010.0) if rng.integers(2) else rng.uniform(500.0, 19000.0)
+        yield tau, (128.0 if tau is None else tau) / samples
+
+
+def test_validate_accepts_the_grids_the_lattice_accepts():
+    """cli.validate's horizon and sample checks pass exactly when the lattice
+    evolves a station and averages it, on seeded grids and on the edges."""
+    edges = [(64.0, 0.0638), (64.0, 0.0639), (64.0, 0.064), (50.0, 0.04), (None, 0.5),
+             (None, 0.1), (128.0, 0.1)]
+    accepted = []
+    for tau, dt in edges + list(seeded_grids(60)):
+        accepted.append(validate(lattice_run_with_grid(tau, dt)) == [])
+        assert accepted[-1] == lattice_accepts_grid(tau, dt), (tau, dt)
+    assert any(accepted) and not all(accepted)
+
+
+# grids of exactly 2^24 samples and of one more, set by tau and by dt
+@pytest.mark.parametrize("tau, dt, over", [
+    (MAX_SERIES_SAMPLES - 0.5, 1.0, False), (float(MAX_SERIES_SAMPLES), 1.0, True),
+    (None, 8e-6, False), (None, 7e-6, True),
+])
+def test_validate_caps_the_grid_where_the_lattice_does(tau, dt, over):
+    """At the sample cap only the grid length is compared: a grid of 2^24
+    samples is never evolved, and one past it is rejected before any work."""
+    assert (series_samples(SMALL_LATTICE, tau, dt) > MAX_SERIES_SAMPLES) == over
+    violations = validate(lattice_run_with_grid(tau, dt))
+    assert [v.split(":")[0] for v in violations] == (["evolution.dt"] if over else [])
+    if over:
+        with pytest.raises(ValueError, match=f"more than {MAX_SERIES_SAMPLES} samples"):
+            evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
 
 
 LATTICE_TEMPERATURE = {

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -31,6 +32,7 @@ from quenchwork.lattice import (
     diagonal_ensemble,
     evolve_center_of_mass,
     ground_state,
+    series_samples,
     spectrum,
     time_average_distribution,
 )
@@ -568,6 +570,46 @@ def test_evolution_rejects_grids_past_the_sample_cap(tau, dt):
         evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
 
 
+_GRID_RNG = np.random.default_rng(2101)
+# the default horizon, the grids that CLI validation rejects for N=8 (ending
+# just short of N^2 = 64, and tau below it), the long dephasing run, the CLI
+# tests' grid, and seeded horizons and steps
+GRID_CASES = [(None, 0.1), (64.0, 0.0638), (50.0, 0.04), (20000.0, 0.37), (128.0, 0.1)] + [
+    (float(tau), float(dt))
+    for tau, dt in zip(_GRID_RNG.uniform(36.0, 1000.0, 16), np.exp(_GRID_RNG.uniform(-4.6, -0.7, 16)))
+]
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize("tau, dt", GRID_CASES)
+def test_series_times_are_the_arange_grid_bit_for_bit(tau, dt):
+    """The series keeps only dt, and its times, and so the evolution's block
+    offsets and starts, are the bits of the grid np.arange gives."""
+    grid = np.arange(0.0, (2.0 * SMALL.n_sites**2 if tau is None else tau) + dt / 2.0, dt)
+    series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
+    assert series_samples(SMALL, tau, dt) == len(grid) == series.values.size
+    assert np.array_equal(series.times.view(np.int64), grid.view(np.int64))
+    assert series.span == grid[-1]
+
+
+def test_evolution_keeps_no_time_grid():
+    """One station at the N=160 geometry of CI's lattice-run step peaks below
+    1.6 series arrays, with its spectra cached as a run's later stations find
+    them; a stored grid of times took the peak to 2.4."""
+    params = LatticeParams(n_sites=160, n_particles=40, trap=0.00140625, center=52.0)
+    spectrum(params, 40.0), spectrum(params, 41.0)
+    tracemalloc.start()
+    try:
+        series = evolve_center_of_mass(params, 41.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * series.values.nbytes
+    arrays = [f.name for f in dataclasses.fields(series)
+              if isinstance(getattr(series, f.name), np.ndarray)]
+    assert arrays == ["values"]
+
+
 def test_evolution_warns_when_trap_reaches_edge():
     params = LatticeParams(n_sites=10, n_particles=2, trap=0.0225, center=1.5)
     with pytest.warns(UserWarning, match="edge occupancy"):
@@ -576,31 +618,30 @@ def test_evolution_warns_when_trap_reaches_edge():
 
 def test_time_series_validation():
     with pytest.raises(ValueError):
-        TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.5, 2.0]), n_sites=4)
+        TimeSeries(dt=1.0, values=np.array([0.5, 2.0]), n_sites=4)
 
 
 def test_time_series_warns_from_its_edge_occupancy():
-    times, values = np.array([0.0, 1.0]), np.array([1.5, 2.0])
+    values = np.array([1.5, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        TimeSeries(times=times, values=values, n_sites=4, edge_occupancy=1e-6)
+        TimeSeries(dt=1.0, values=values, n_sites=4, edge_occupancy=1e-6)
     with pytest.warns(UserWarning, match=r"^edge occupancy may reach 2\.500e-06; open-boundary"):
-        TimeSeries(times=times, values=values, n_sites=4, edge_occupancy=2.5e-6)
+        TimeSeries(dt=1.0, values=values, n_sites=4, edge_occupancy=2.5e-6)
 
 
 def test_time_average_distribution_constant_series():
-    times = np.linspace(0.0, 40.0, 2000)
-    series = TimeSeries(times=times, values=np.full(2000, 2.5), n_sites=6)
+    series = TimeSeries(dt=40.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
     dist = time_average_distribution(series, bins=40)
     assert np.count_nonzero(dist.density) == 1
     assert abs(np.trapezoid(dist.density, dist.x) - 1.0) < 1e-9
 
 
 def test_time_average_distribution_needs_samples_and_span():
-    short = TimeSeries(times=np.linspace(0, 40, 500), values=np.full(500, 2.5), n_sites=6)
+    short = TimeSeries(dt=40.0 / 499, values=np.full(500, 2.5), n_sites=6)
     with pytest.raises(ValueError, match="1000 samples"):
         time_average_distribution(short)
-    brief = TimeSeries(times=np.linspace(0, 10, 2000), values=np.full(2000, 2.5), n_sites=6)
+    brief = TimeSeries(dt=10.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
     with pytest.raises(ValueError, match="spans"):
         time_average_distribution(brief)
 
