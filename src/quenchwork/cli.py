@@ -284,73 +284,59 @@ def validate(config: RunConfig) -> list[str]:
         violations.append("sweep: need y_min < y_max")
     if config.kind in ("lattice-run", "lattice-je"):
         violations.extend(_horizon_violations(config.evolution, params))
-    if mtype == "oscillator" and config.kind != "oscillator-sweep":
-        violations.extend(_oscillator_violations(config, params))
-    if mtype == "lattice":
-        violations.extend(_spectrum_violations(config, params))
+    if config.kind != "oscillator-sweep":
+        violations.extend(_model_violations(config, params))
     featured = config.evolution["featured_lambda"]
     if config.kind.endswith("-je") and featured is not None:
-        lams = QuenchProtocol(**config.protocol).lambdas[:-1]  # the stations with a distribution
-        if not any(math.isclose(featured, lam) for lam in lams):
+        if not any(math.isclose(featured, lam) for _, lam, _, _ in _quenches(config)):
             violations.append(f"evolution.featured_lambda: {featured:g} has no station distribution")
     return violations
 
 
-def _quenches(config: RunConfig) -> tuple[str, list[tuple[float, float]]]:
-    """The field that places a run's quenches, and the (lambda, dlambda) of
-    each quench (lambda - dlambda) -> lambda the run makes."""
+def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
+    """(lambda field, lambda, dlambda field, dlambda) of each quench
+    (lambda - dlambda) -> lambda the run makes; a profile run makes one per
+    station with a distribution, lambda_1 to lambda_{s-1}."""
     if config.kind == "temperature":
         q = _with_defaults("quench", config.quench)
-        return "quench.lambda", [(q["lambda"], q["dlam"]), (q["lambda"], q["dlam"] + q["eps"])]
+        return [("quench.lambda", q["lambda"], "quench.dlam", q["dlam"]),
+                ("quench.lambda", q["lambda"], "quench.eps", q["dlam"] + q["eps"])]
     proto = QuenchProtocol(**config.protocol)
-    return "protocol.lambda_start", [(lam, proto.step) for lam in proto.lambdas[:-1]]
+    return [("protocol.lambda_start", l, "protocol.step", proto.step) for l in proto.lambdas[:-1]]
 
 
-def _spectrum_violations(config: RunConfig, params: LatticeParams) -> list[str]:
-    """The first quench whose one-body matrix, after or before it, is not
-    finite, or whose pre-quench Fermi level falls in a degenerate pair of
-    levels (no unique ground state); the run reuses the cached spectra."""
-    key, quenches = _quenches(config)
-    try:
-        for lam, dlam in quenches:
-            lattice.quench_energy(params, lam, dlam)
-    except DegenerateFermiLevelError as exc:
-        return [f"model: {exc}"]
-    except ValueError as exc:
-        return [f"{key}: {exc}"]
-    return []
-
-
-def _oscillator_violations(config: RunConfig, params: OscillatorParams) -> list[str]:
-    """Quench amplitudes whose Poisson occupations run past the oscillator's
-    level cap, which would leave the station grids short and the ensembles
-    unnormalizable midway through the run, and a dlam whose y underflows to
-    0, where the closed-form temperature is undefined.  Then the lambda
-    furthest out, if the grid around its well center lambda/2 no longer
-    resolves the well, where the offset k lambda^2/4 also swamps hbar*omega."""
+def _model_violations(config: RunConfig, params: LatticeParams | OscillatorParams) -> list[str]:
+    """Dry runs of the model calls the run makes on its quenches, each failure
+    under the field that set the failing value.  Lattice: the first quench
+    whose spectra fail (the run reuses the cached ones).  Oscillator: every
+    amplitude past the level cap, and a dlam with no closed-form temperature;
+    then, if none fails, the position grid at the lambda furthest out."""
+    quenches = _quenches(config)
+    if isinstance(params, LatticeParams):
+        for lam_key, lam, _, dlam in quenches:
+            try:
+                lattice.quench_energy(params, lam, dlam)
+            except DegenerateFermiLevelError as exc:
+                return [f"model: {exc}"]
+            except ValueError as exc:
+                return [f"{lam_key}: {exc}"]
+        return []
+    tail_tol = config.tolerances["tail_tol"]
     violations = []
-    if config.kind == "temperature":
-        quench = _with_defaults("quench", config.quench)
-        amplitudes = {"quench.dlam": quench["dlam"], "quench.eps": quench["dlam"] + quench["eps"]}
-        if oscillator.y_parameter(params, quench["dlam"]) == 0.0:
-            violations.append(f"quench.dlam: {quench['dlam']:g} gives Poisson mean y = 0")
-    else:
-        amplitudes = {"protocol.step": config.protocol["step"]}
-    for key, dlam in amplitudes.items():
+    for key, dlam in {key: dlam for _, _, key, dlam in quenches}.items():
         y = oscillator.y_parameter(params, dlam)
-        kept = oscillator.poisson_probs(y, config.tolerances["tail_tol"]).sum()
-        if kept < oscillator.MIN_GRID_MASS:
-            violations.append(
-                f"{key}: quench amplitude {dlam:g} gives Poisson mean y = {y:.4g}, beyond the "
-                "levels the oscillator keeps"
-            )
+        try:
+            oscillator.poisson_probs(y, tail_tol)
+            if key == "quench.dlam":  # the T_closed_form column
+                oscillator.temperature_closed_form(params, y)
+        except ValueError as exc:
+            violations.append(f"{key}: quench amplitude {dlam:g}: {exc}")
     if violations:
         return violations
-    key, quenches = _quenches(config)
-    lam, dlam = max(quenches, key=lambda quench: abs(quench[0]))
+    key, lam, _, dlam = max(quenches, key=lambda quench: abs(quench[1]))
     y = oscillator.y_parameter(params, dlam)
     try:
-        oscillator.position_distribution(params, lam, y, tail_tol=config.tolerances["tail_tol"])
+        oscillator.position_distribution(params, lam, y, tail_tol=tail_tol)
     except ValueError as exc:
         return [f"{key}: lambda = {lam:g} is too far out for the position grid: {exc}"]
     return []

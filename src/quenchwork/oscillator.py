@@ -31,7 +31,7 @@ from .ensembles import DiagonalEnsemble, finite_real, renormalize
 _MAX_LEVELS = 200
 MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
 MAX_POISSON_MEAN = 1e6  # largest y the entropy sums accept; S stays within ~1e-8
-MIN_GRID_MASS = 1.0 - 1e-4  # least probability mass a position grid must capture
+MIN_GRID_MASS = 1.0 - 1e-4  # least mass a position grid, and the kept Poisson levels, must hold
 
 
 class GridTooNarrowError(ValueError):
@@ -66,7 +66,8 @@ def y_parameter(params: OscillatorParams, dlam: float) -> float:
 
 
 def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson occupations up to the first n with tail mass < tail_tol, at most _MAX_LEVELS."""
+    """Poisson occupations up to the first n with tail mass < tail_tol; raises ValueError
+    past the level cap n = _MAX_LEVELS, where the kept levels hold < MIN_GRID_MASS."""
     if y < 0:
         raise ValueError("y must be non-negative")
     if not 0.0 < tail_tol <= MAX_TAIL_TOL:
@@ -78,6 +79,8 @@ def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
         n += 1
         probs.append(probs[-1] * y / n)
         cum += probs[-1]
+    if not cum >= MIN_GRID_MASS:  # also a NaN sum
+        raise ValueError(f"Poisson mean y = {y:.4g} runs past the level cap n = {_MAX_LEVELS}")
     return np.array(probs)
 
 
@@ -86,8 +89,8 @@ def poisson_ensemble(
 ) -> DiagonalEnsemble:
     """Diagonal ensemble of the quench (lambda - dlambda) -> lambda.
 
-    Occupations are Poisson with mean ``y_parameter(params, dlam)``, truncated
-    by ``poisson_probs`` and renormalized with the tail recorded in
+    Occupations are ``poisson_probs`` of ``y_parameter(params, dlam)``, a
+    ValueError past its level cap, renormalized with the tail recorded in
     ``discarded_mass``; level energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
     """
     y = y_parameter(params, dlam)

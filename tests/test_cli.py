@@ -26,7 +26,14 @@ from quenchwork.lattice import (
     series_samples,
     time_average_distribution,
 )
-from quenchwork.oscillator import OscillatorParams
+from quenchwork.distributions import QuenchProtocol
+from quenchwork.oscillator import (
+    OscillatorParams,
+    poisson_ensemble,
+    position_distribution,
+    temperature_closed_form,
+    y_parameter,
+)
 
 SMALL_LATTICE_JE = {
     "kind": "lattice-je",
@@ -657,6 +664,76 @@ def test_temperature_kind_rejects_amplitudes_past_level_cap(tmp_path, capsys, qu
     assert code == 2
     assert [v.split(":")[0] for v in violations] == fields
     assert not (tmp_path / "o").exists()
+
+
+OSC = OscillatorParams()
+
+
+def builds(*calls):
+    """Whether every call returns without a ValueError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for call in calls:
+                call()
+    except ValueError:
+        return False
+    return True
+
+
+def seeded_oscillator_protocols(count, seed=2201):
+    """lambda_start 0 or +-10^U(-1, 6.5), steps from 0.01 to past the level
+    cap, 2 to 5 stations and tail_tol from 1e-14 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        start = 0.0 if rng.integers(4) == 0 else rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 6.5)
+        protocol = {"lambda_start": float(start), "step": float(10 ** rng.uniform(-2, 2.2)),
+                    "stations": int(rng.integers(2, 6))}
+        yield protocol, float(10 ** rng.uniform(-14, -6))
+
+
+def test_validate_accepts_the_protocols_the_oscillator_accepts():
+    """An oscillator-je config passes cli.validate exactly when the oscillator
+    builds the position distribution of every station lambda_1 to lambda_{s-1}."""
+    accepted = []
+    for protocol, tail_tol in seeded_oscillator_protocols(150):
+        raw = with_changes(SMALL_OSC_JE, protocol=protocol, tolerances={"tail_tol": tail_tol})
+        accepted.append(validate(RunConfig.from_dict(raw)) == [])
+        proto = QuenchProtocol(**protocol)
+        y = y_parameter(OSC, proto.step)
+        model = builds(*(
+            lambda lam=lam: position_distribution(OSC, lam, y, tail_tol=tail_tol)
+            for lam in proto.lambdas[:-1]
+        ))
+        assert accepted[-1] == model, (protocol, tail_tol)
+    assert any(accepted) and not all(accepted)
+
+
+def seeded_oscillator_quenches(count, seed=2202):
+    """dlam = 10^U(-170, 1.7), from where y underflows to 0 to past the level
+    cap, with eps null or +-U(0, 0.5) dlam."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dlam = float(10 ** rng.uniform(-170, 1.7))
+        yield dlam, None if rng.integers(2) else float(rng.uniform(-0.5, 0.5) * dlam)
+
+
+def test_validate_accepts_the_quenches_the_oscillator_accepts():
+    """An oscillator temperature config passes cli.validate exactly when both
+    Poisson ensembles build and the closed-form temperature of dlam exists."""
+    anchors = [(1e-200, None), (38.9, None), (39.0, None), (30.0, 12.0), (30.0, 8.0)]
+    accepted = []
+    for dlam, eps in anchors + list(seeded_oscillator_quenches(150)):
+        raw = oscillator_temperature(dlam=dlam, eps=eps)
+        accepted.append(validate(RunConfig.from_dict(raw)) == [])
+        dl_b = dlam + (0.1 * dlam if eps is None else eps)
+        model = builds(
+            lambda: poisson_ensemble(OSC, 0.0, dlam),
+            lambda: poisson_ensemble(OSC, 0.0, dl_b),
+            lambda: temperature_closed_form(OSC, y_parameter(OSC, dlam)),
+        )
+        assert accepted[-1] == model, (dlam, eps)
+    assert any(accepted) and not all(accepted)
 
 
 def test_sweep_to_large_y_finishes(tmp_path):

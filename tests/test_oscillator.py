@@ -19,6 +19,7 @@ from quenchwork.oscillator import (
     free_energy_low_t,
     hermite_functions,
     poisson_ensemble,
+    poisson_probs,
     position_distribution,
     temperature_closed_form,
     y_parameter,
@@ -202,6 +203,28 @@ def test_position_density_independent_of_grid_partition():
         sel = np.isin(grid, part)
         assert np.array_equal(raw, whole[sel])
     assert abs(np.trapezoid(full.density, full.x) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("dlam", [39.0, 45.0])  # y = 190.1, where the levels hold 0.7757, and 253.1
+def test_amplitudes_past_the_level_cap_are_rejected(dlam):
+    """Past the level cap every oscillator builder raises a ValueError that
+    names the cap, whatever the tail tolerance."""
+    y = y_parameter(PARAMS, dlam)
+    for build in (
+        lambda: poisson_probs(y),
+        lambda: poisson_probs(y, tail_tol=1e-6),
+        lambda: poisson_ensemble(PARAMS, 0.0, dlam),
+        lambda: position_distribution(PARAMS, 0.0, y),
+    ):
+        with pytest.raises(ValueError, match="level cap"):
+            build()
+
+
+def test_amplitudes_below_the_level_cap_build():
+    y = y_parameter(PARAMS, 30.0)  # 112.5
+    assert poisson_probs(y).sum() > 1.0 - 1e-12
+    assert poisson_ensemble(PARAMS, 0.0, 30.0).discarded_mass < 1e-12
+    assert np.isfinite(position_distribution(PARAMS, 0.0, y).density).all()
 
 
 def test_default_grid_centered_and_wide():
