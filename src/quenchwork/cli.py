@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import jarzynski, lattice, oscillator
+from . import distributions, jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol, histogram_span
 from .ensembles import finite_real, mean_energy, temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
@@ -59,7 +59,7 @@ FIELDS: dict[str | None, dict[str, Field]] = {
     "protocol": {
         "lambda_start": Field(REQUIRED, float),
         "step": Field(REQUIRED, float),
-        "stations": Field(REQUIRED, int, 2),
+        "stations": Field(REQUIRED, int, (2, distributions.MAX_STATIONS)),
     },
     "sampler": {
         "n_paths": Field(100000, int, (1, jarzynski.MAX_PATHS)),
@@ -68,13 +68,14 @@ FIELDS: dict[str | None, dict[str, Field]] = {
     "evolution": {
         "tau": Field(None, float),  # None: evolve_center_of_mass's default horizon
         "dt": Field(0.1, float, (0.0, math.inf)),
-        "bins": Field(40, int, MIN_HISTOGRAM_BINS),
+        "bins": Field(40, int, (MIN_HISTOGRAM_BINS, distributions.MAX_HISTOGRAM_BINS)),
         "featured_lambda": Field(None, float),
     },
     "sweep": {
         "y_min": Field(REQUIRED, float, (0.0, oscillator.MAX_POISSON_MEAN)),
         "y_max": Field(REQUIRED, float, (0.0, oscillator.MAX_POISSON_MEAN)),
-        "points": Field(REQUIRED, int, 2),
+        # a point near y = 1e6 takes 10 to 20 ms on a 2-core Xeon: about a minute at most
+        "points": Field(REQUIRED, int, (2, 4096)),
     },
     "quench": {
         "lambda": Field(15.0, float),
@@ -359,74 +360,58 @@ def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
     return violations
 
 
-def _run_oscillator_sweep(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    params = _model_params(config)
+def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> dict:
     ys = np.geomspace(config.sweep["y_min"], config.sweep["y_max"], config.sweep["points"])
     columns = oscillator.equilibrium_comparison(params, ys).T
-    name = config.filenames["sweep"]
-    write_csv(out / name, ["y,T,T_B,S,S_B"], columns)
-    return [name]
+    write_csv(path(config.filenames["sweep"]), ["y,T,T_B,S,S_B"], columns)
+    return {}
 
 
-def _run_lattice_run(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    params = _model_params(config)
+def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
     proto = QuenchProtocol(**config.protocol)
-    files, edges = [], []
+    edges = []
     for i, lam in enumerate(proto.lambdas[:-1], start=1):
         series = lattice.evolve_center_of_mass(
             params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         edges.append(series.edge_occupancy)
-        sname = f"series_station_{i:02d}.csv"
-        write_csv(out / sname, ["t,x"], (series.times, series.values))
+        write_csv(path(f"series_station_{i:02d}.csv"), ["t,x"], (series.times, series.values))
         dist = lattice.time_average_distribution(series, bins=config.evolution["bins"])
-        hname = f"hist_station_{i:02d}.csv"
-        write_csv(out / hname, ["x,f"], (dist.x, dist.density))
-        files.extend([sname, hname])
-    manifest["edge_occupancy"] = edges
-    return files
+        write_csv(path(f"hist_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
+    return {"edge_occupancy": edges}
 
 
-def _run_je(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    evolution = config.evolution
+def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
+    evolution, sampler = config.evolution, config.sampler
     profile = jarzynski.build_profile(
-        _model_params(config), QuenchProtocol(**config.protocol),
-        1.0 / config.temperature, config.sampler["n_paths"], config.sampler["seed"],
+        params, QuenchProtocol(**config.protocol),
+        1.0 / config.temperature, sampler["n_paths"], sampler["seed"],
         tail_tol=config.tolerances["tail_tol"],
         tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
     )
-    name = config.filenames["profile"]
     write_csv(
-        out / name, ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
+        path(config.filenames["profile"]), ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
         (profile.lambdas, profile.delta_f, profile.targets, profile.work_std,
          profile.jackknife, profile.ess),
     )
-    files = [name]
     prefix = "dist" if config.model["type"] == "oscillator" else "hist"
     featured = evolution["featured_lambda"]
     for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
-        fname = f"{prefix}_station_{i:02d}.csv"
-        write_csv(out / fname, ["x,f"], (dist.x, dist.density))
-        files.append(fname)
+        write_csv(path(f"{prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
         if featured is not None and math.isclose(lam, featured):
-            fname = config.filenames["featured_histogram"]
-            write_csv(out / fname, ["x,f"], (dist.x, dist.density))
-            files.append(fname)
+            write_csv(path(config.filenames["featured_histogram"]), ["x,f"], (dist.x, dist.density))
     lo, hi = profile.final_work.min(), profile.final_work.max()
     # np.histogram's own range (lo, hi), opened only where it is too narrow for 60 bins
     span = histogram_span(lo, hi)
     limits = (lo, hi if span == hi - lo else lo + span)
     counts, edges = np.histogram(profile.final_work, bins=60, range=limits)
-    name = config.filenames["work_histogram"]
-    write_csv(out / name, ["W,count"], (0.5 * (edges[:-1] + edges[1:]), counts))
-    files.append(name)
-    manifest["temperature"] = config.temperature
-    manifest["min_ess"] = float(profile.ess.min())
-    return files
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    write_csv(path(config.filenames["work_histogram"]), ["W,count"], (centers, counts))
+    return {"seed": sampler["seed"], "n_paths": sampler["n_paths"],
+            "temperature": config.temperature, "min_ess": float(profile.ess.min())}
 
 
-def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
-    params = _model_params(config)
+def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
     quench = _with_defaults("quench", config.quench)
     lam, dlam, eps = (float(quench[key]) for key in ("lambda", "dlam", "eps"))
     tol = config.tolerances
@@ -439,28 +424,23 @@ def _run_temperature(config: RunConfig, out: Path, manifest: dict) -> list[str]:
         ensemble = lambda dl: oscillator.poisson_ensemble(params, lam, dl, tol["tail_tol"])
         closed = oscillator.temperature_closed_form(params, oscillator.y_parameter(params, dlam))
     ens_a, ens_b = (ensemble(dl) for dl in (dlam, dlam + eps))
-    files = []
     for tag, ens, dl in (("a", ens_a, dlam), ("b", ens_b, dlam + eps)):
-        name = f"ensemble_{tag}.csv"
-        write_ensemble(ens, out / name, lam=lam, dlam=dl)
-        files.append(name)
+        write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dl)
     est = temperature_from_pair(ens_a, ens_b)
-    name = config.filenames["temperature"]
     header = ["lambda", "dlam", "eps", "dS", "dE", "beta", "T"]
     row = [lam, dlam, eps, est.dS, est.dE, est.beta, est.temperature]
     if closed is not None:
         header.append("T_closed_form")
         row.append(closed)
-    write_csv(out / name, [",".join(header)], [[v] for v in row])
-    files.append(name)
-    manifest["temperature_estimate"] = est.temperature
-    manifest["captured_deficit"] = [ens_a.discarded_mass, ens_b.discarded_mass]
+    write_csv(path(config.filenames["temperature"]), [",".join(header)], [[v] for v in row])
+    fields = {"temperature_estimate": est.temperature,
+              "captured_deficit": [ens_a.discarded_mass, ens_b.discarded_mass]}
     if config.model["type"] == "lattice":
-        manifest["energy_gap"] = [
+        fields["energy_gap"] = [
             mean_energy(ens) - lattice.quench_energy(params, lam, dl)
             for ens, dl in ((ens_a, dlam), (ens_b, dlam + eps))
         ]
-    return files
+    return fields
 
 
 _RUNNERS = {
@@ -495,18 +475,20 @@ def _recording_warnings():
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a validated configuration; returns the manifest dict."""
+    """Execute a validated configuration; returns the manifest dict.  Each runner
+    writes its files to ``path(name)``, which lists them, and returns its manifest fields."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "kind": config.kind,
-        "config_hash": config.config_hash(),
-        "seed": config.sampler.get("seed"),
-        "n_paths": config.sampler.get("n_paths"),
-    }
+    manifest: dict = {"kind": config.kind, "config_hash": config.config_hash()}
+    files: list[str] = []
+
+    def path(name: str) -> Path:
+        files.append(name)
+        return out / name
+
     start = time.monotonic()
     with _recording_warnings() as caught:
-        files = _RUNNERS[config.kind](config, out, manifest)
+        manifest.update(_RUNNERS[config.kind](config, _model_params(config), path))
     manifest["files"] = files
     manifest["warnings"] = caught
     manifest["wall_time_s"] = time.monotonic() - start

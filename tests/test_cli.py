@@ -21,12 +21,13 @@ from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, ru
 from quenchwork.jarzynski import MAX_PATHS
 from quenchwork.lattice import (
     MAX_SERIES_SAMPLES,
+    MAX_SITES,
     LatticeParams,
     evolve_center_of_mass,
     series_samples,
     time_average_distribution,
 )
-from quenchwork.distributions import QuenchProtocol
+from quenchwork.distributions import MAX_HISTOGRAM_BINS, MAX_STATIONS, QuenchProtocol
 from quenchwork.oscillator import (
     OscillatorParams,
     poisson_ensemble,
@@ -276,6 +277,26 @@ def test_manifest_records_every_warning(tmp_path):
     first, second = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("w1", "w2"))
     del first["wall_time_s"], second["wall_time_s"]
     assert first == second
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize(
+    "raw",
+    [*PRESETS.values(), {**SMALL_LATTICE_JE, "kind": "lattice-run"},
+     {"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"lambda": 0.5, "dlam": 1.3}}],
+    ids=[*PRESETS, "lattice-run", "oscillator-temperature"],
+)
+def test_manifest_lists_the_files_written(tmp_path, raw):
+    """The manifest lists every file the run wrote, each once, and records
+    the sampler's seed and path count, right after the config hash, only
+    where the run samples."""
+    manifest = run(config_with(raw, tmp_path))
+    assert len(set(manifest["files"])) == len(manifest["files"])
+    assert set(manifest["files"]) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert json.loads((tmp_path / "manifest.json").read_text())["files"] == manifest["files"]
+    sampler = ["seed", "n_paths"] if raw["kind"].endswith("-je") else []
+    assert [key for key in manifest if key in ("seed", "n_paths")] == sampler
+    assert list(manifest)[:2 + len(sampler)] == ["kind", "config_hash", *sampler]
 
 
 def test_oscillator_sweep_outputs(tmp_path):
@@ -581,6 +602,22 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         (with_changes(SMALL_OSC_JE, sampler={"n_paths": 10**300}), ["sampler.n_paths"]),
         (with_changes(SMALL_LATTICE_JE, model={"n_sites": 8.5}), ["model"]),
         (with_changes(SMALL_OSC_JE, protocol={"step": 500}), ["protocol.step"]),
+        # dlam**2 past the float range: y = inf, past the level cap
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1e200}},
+         ["quench.dlam", "quench.eps"]),
+        (with_changes(SMALL_OSC_JE, protocol={"step": 1e200}), ["protocol.step"]),
+        # one past each size cap, and past any array numpy makes
+        *(
+            (with_changes(base, **{section: {key: value}}), [field])
+            for base, section, key, cap, field in [
+                (PRESETS["fig2"], "sweep", "points", 4096, "sweep.points"),
+                (SMALL_OSC_JE, "protocol", "stations", MAX_STATIONS, "protocol.stations"),
+                ({**SMALL_LATTICE_JE, "kind": "lattice-run"}, "evolution", "bins",
+                 MAX_HISTOGRAM_BINS, "evolution.bins"),
+                (LATTICE_TEMPERATURE, "model", "n_sites", MAX_SITES, "model"),
+            ]
+            for value in (cap + 1, 10**15)
+        ),
         (with_changes(SMALL_OSC_JE, tolerances={"tail_tol": 1e-3}), ["tolerances.tail_tol"]),
         (with_changes(SMALL_OSC_JE, sampler={"n_path": 300}, protocol={"stepz": 0.7},
                       evolution={"binz": 30}, tolerances={"tail_toll": 1e-3}),
@@ -599,7 +636,10 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ),
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
-         "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap", "loose-tail-tol", "misspelled-keys",
+         "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap",
+         "dlam-past-float-range", "step-past-float-range", "points-past-cap", "points-past-numpy",
+         "stations-past-cap", "stations-past-numpy", "bins-past-cap", "bins-past-numpy",
+         "sites-past-cap", "sites-past-memory", "loose-tail-tol", "misspelled-keys",
          "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",
          "bool-hopping"],
 )
@@ -753,6 +793,7 @@ FUZZ_RANGES = {
     "protocol.stations": st.integers(2, 4),
     "tolerances.max_states": st.integers(1, 2000),
     "sweep.points": st.integers(2, 20),
+    "evolution.bins": st.integers(23, 123),
     "evolution.tau": st.none(),  # the default horizon
     "evolution.dt": st.floats(0.005, 0.2),
 }

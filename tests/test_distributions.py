@@ -3,7 +3,14 @@ import pytest
 
 from oracles import count_peaks
 from quenchwork import oscillator
-from quenchwork.distributions import _BLOCK, _GUIDE, PositionDistribution, QuenchProtocol
+from quenchwork.distributions import (
+    _BLOCK,
+    _GUIDE,
+    MAX_HISTOGRAM_BINS,
+    MAX_STATIONS,
+    PositionDistribution,
+    QuenchProtocol,
+)
 
 
 def test_protocol_stations():
@@ -13,6 +20,13 @@ def test_protocol_stations():
         QuenchProtocol(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         QuenchProtocol(np.inf, 1.0, 3)
+
+
+def test_protocol_caps_its_stations():
+    assert QuenchProtocol(0.0, 1.0, MAX_STATIONS).lambdas.size == MAX_STATIONS
+    for stations in (MAX_STATIONS + 1, 10**15):
+        with pytest.raises(ValueError, match=f"2 to {MAX_STATIONS} stations"):
+            QuenchProtocol(0.0, 1.0, stations)
 
 
 def test_zero_step_protocol_allowed():
@@ -42,6 +56,15 @@ def test_histogram_rejects_too_few_bins():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="at least 23 bins, got 10"):
         PositionDistribution.from_histogram(rng.random(5000), bins=10)
+
+
+def test_histogram_caps_its_bins():
+    values = np.random.default_rng(0).random(5000)
+    dist = PositionDistribution.from_histogram(values, bins=MAX_HISTOGRAM_BINS)
+    assert dist.x.size == MAX_HISTOGRAM_BINS
+    for bins in (MAX_HISTOGRAM_BINS + 1, 10**15):
+        with pytest.raises(ValueError, match=f"at most {MAX_HISTOGRAM_BINS} bins, got {bins}"):
+            PositionDistribution.from_histogram(values, bins=bins)
 
 
 def test_sampling_reproduces_density():

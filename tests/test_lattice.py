@@ -27,6 +27,7 @@ from quenchwork.lattice import (
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     MAX_SERIES_SAMPLES,
+    MAX_SITES,
     LatticeParams,
     TimeSeries,
     diagonal_ensemble,
@@ -664,6 +665,13 @@ def test_long_time_average_matches_diagonal_ensemble():
     """Dephasing identity: time-averaged x(t) equals the ensemble average."""
     series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=20000.0, dt=0.37)
     assert abs(series.values.mean() - SMALL_ORACLE.de_com_expectation(3.0, 1.0)) < 1e-3
+
+
+def test_params_cap_the_chain_length():
+    assert LatticeParams(n_sites=MAX_SITES).n_sites == MAX_SITES
+    for n_sites in (MAX_SITES + 1, 10**7):
+        with pytest.raises(ValueError, match=f"n_sites <= {MAX_SITES}"):
+            LatticeParams(n_sites=n_sites)
 
 
 def test_params_validation():

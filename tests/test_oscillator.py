@@ -220,6 +220,15 @@ def test_amplitudes_past_the_level_cap_are_rejected(dlam):
             build()
 
 
+def test_amplitudes_past_the_float_range_give_an_infinite_y():
+    """dlam**2 past the float range gives y = inf, which the level cap
+    rejects; a finite dlam**2 keeps its rounding."""
+    assert y_parameter(PARAMS, 1e200) == math.inf
+    with pytest.raises(ValueError, match="level cap"):
+        poisson_ensemble(PARAMS, 0.0, 1e200)
+    assert y_parameter(PARAMS, 1e150) == PARAMS.mass * PARAMS.omega * 1e150**2 / (8.0 * PARAMS.hbar)
+
+
 def test_amplitudes_below_the_level_cap_build():
     y = y_parameter(PARAMS, 30.0)  # 112.5
     assert poisson_probs(y).sum() > 1.0 - 1e-12
