@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -95,6 +96,13 @@ FIELDS: dict[str | None, dict[str, Field]] = {
         "temperature": Field("temperature.csv", str),
     },
 }
+
+# the filenames each kind writes, featured_histogram only with a featured_lambda
+_OUTPUTS = {"oscillator-sweep": ("sweep",), "temperature": ("temperature",), "lattice-run": ()}
+_OUTPUTS["oscillator-je"] = _OUTPUTS["lattice-je"] = (
+    "profile", "work_histogram", "featured_histogram")
+# the names a run gives its other files
+_RUN_NAMES = re.compile(r"manifest\.json|ensemble_[ab]\.csv|(dist|hist|series)_station_\d{2,}\.csv")
 
 _MODELS = {"oscillator": OscillatorParams, "lattice": LatticeParams}
 
@@ -178,13 +186,11 @@ class RunConfig:
             out_dir=d.get("out_dir", "out"), quiet=bool(d.get("quiet", False)),
         )
 
-    def semantic_dict(self) -> dict:
-        """Fields that affect computed results (not where they are written)."""
-        sections = (s for s in FIELDS if s not in (None, "filenames"))
-        return {key: getattr(self, key) for key in ("kind", "model", *FIELDS[None], *sections)}
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the fields that affect computed results, not where they are written."""
+        sections = (s for s in FIELDS if s not in (None, "filenames"))
+        semantic = {key: getattr(self, key) for key in ("kind", "model", *FIELDS[None], *sections)}
+        canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -291,6 +297,12 @@ def validate(config: RunConfig) -> list[str]:
     if config.kind.endswith("-je") and featured is not None:
         if not any(math.isclose(featured, lam) for _, lam, _, _ in _quenches(config)):
             violations.append(f"evolution.featured_lambda: {featured:g} has no station distribution")
+    keys = [k for k in _OUTPUTS[config.kind] if featured is not None or k != "featured_histogram"]
+    names = [config.filenames[key] for key in keys]
+    violations.extend(
+        f"filenames.{key}: '{name}' is the name of another file the run writes"
+        for key, name in zip(keys, names) if names.count(name) > 1 or _RUN_NAMES.fullmatch(name)
+    )
     return violations
 
 
@@ -368,11 +380,10 @@ def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> 
 
 
 def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
-    proto = QuenchProtocol(**config.protocol)
     edges = []
-    for i, lam in enumerate(proto.lambdas[:-1], start=1):
+    for i, (_, lam, _, dlam) in enumerate(_quenches(config), start=1):
         series = lattice.evolve_center_of_mass(
-            params, lam, proto.step, tau=config.evolution["tau"], dt=config.evolution["dt"]
+            params, lam, dlam, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
         edges.append(series.edge_occupancy)
         write_csv(path(f"series_station_{i:02d}.csv"), ["t,x"], (series.times, series.values))
@@ -412,35 +423,27 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
 
 
 def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
-    quench = _with_defaults("quench", config.quench)
-    lam, dlam, eps = (float(quench[key]) for key in ("lambda", "dlam", "eps"))
+    quenches = [(lam, dlam) for _, lam, _, dlam in _quenches(config)]
     tol = config.tolerances
-    if config.model["type"] == "lattice":
-        ensemble = lambda dl: lattice.diagonal_ensemble(
-            params, lam, dl, prob_cutoff=tol["prob_cutoff"], max_states=tol["max_states"]
-        )
-        closed = None
+    if isinstance(params, LatticeParams):
+        ensembles = [lattice.diagonal_ensemble(params, *q, tol["prob_cutoff"], tol["max_states"])
+                     for q in quenches]
+        gaps = [mean_energy(ens) - lattice.quench_energy(params, *q)
+                for ens, q in zip(ensembles, quenches)]
+        fields, closed_form = {"energy_gap": gaps}, {}
     else:
-        ensemble = lambda dl: oscillator.poisson_ensemble(params, lam, dl, tol["tail_tol"])
-        closed = oscillator.temperature_closed_form(params, oscillator.y_parameter(params, dlam))
-    ens_a, ens_b = (ensemble(dl) for dl in (dlam, dlam + eps))
-    for tag, ens, dl in (("a", ens_a, dlam), ("b", ens_b, dlam + eps)):
-        write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dl)
-    est = temperature_from_pair(ens_a, ens_b)
-    header = ["lambda", "dlam", "eps", "dS", "dE", "beta", "T"]
-    row = [lam, dlam, eps, est.dS, est.dE, est.beta, est.temperature]
-    if closed is not None:
-        header.append("T_closed_form")
-        row.append(closed)
-    write_csv(path(config.filenames["temperature"]), [",".join(header)], [[v] for v in row])
-    fields = {"temperature_estimate": est.temperature,
-              "captured_deficit": [ens_a.discarded_mass, ens_b.discarded_mass]}
-    if config.model["type"] == "lattice":
-        fields["energy_gap"] = [
-            mean_energy(ens) - lattice.quench_energy(params, lam, dl)
-            for ens, dl in ((ens_a, dlam), (ens_b, dlam + eps))
-        ]
-    return fields
+        ensembles = [oscillator.poisson_ensemble(params, *q, tol["tail_tol"]) for q in quenches]
+        y = oscillator.y_parameter(params, quenches[0][1])
+        fields, closed_form = {}, {"T_closed_form": oscillator.temperature_closed_form(params, y)}
+    for tag, ens, (lam, dlam) in zip("ab", ensembles, quenches):
+        write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dlam)
+    est = temperature_from_pair(*ensembles)
+    quench = _with_defaults("quench", config.quench)
+    row = {"lambda": quench["lambda"], "dlam": quench["dlam"], "eps": quench["eps"], "dS": est.dS,
+           "dE": est.dE, "beta": est.beta, "T": est.temperature, **closed_form}
+    write_csv(path(config.filenames["temperature"]), [",".join(row)], [[v] for v in row.values()])
+    return {"temperature_estimate": est.temperature,
+            "captured_deficit": [ens.discarded_mass for ens in ensembles], **fields}
 
 
 _RUNNERS = {
@@ -538,10 +541,6 @@ def main(argv=None) -> int:
     if not config.quiet:
         print(json.dumps({"ok": True, "out_dir": config.out_dir, "files": manifest["files"]}))
     return 0
-
-
-def entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

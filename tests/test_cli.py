@@ -550,9 +550,6 @@ def test_validate_caps_the_grid_where_the_lattice_does(tau, dt, over):
             evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
 
 
-LATTICE_TEMPERATURE = {
-    "kind": "temperature", "model": {"type": "lattice"}, "quench": {"lambda": 15.0, "dlam": 1.0}
-}
 # a trap strong enough to pair the levels around its center, which lies
 # between two sites for lambda = 11; the Fermi level falls in the pair
 STRONG_TRAP = {"type": "lattice", "n_sites": 20, "n_particles": 11, "trap": 0.5, "center": 10.0}
@@ -668,6 +665,72 @@ def test_validate_keeps_output_inside_out_dir(tmp_path, capsys, name):
     assert code == 2
     assert violations == ["filenames.sweep: must be a file name without a directory part"]
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    ("raw", "violations"),
+    [
+        (with_changes(SMALL_OSC_JE, protocol={"stations": 3},
+                      filenames={"profile": "work_hist.csv", "work_histogram": "manifest.json"}),
+         ["filenames.work_histogram: 'manifest.json' is the name of another file the run writes"]),
+        (with_changes(SMALL_LATTICE_JE, filenames={"featured_histogram": "hist_station_01.csv"}),
+         ["filenames.featured_histogram: 'hist_station_01.csv' is the name of another file the run writes"]),
+        (with_changes(SMALL_OSC_JE, filenames={"profile": "out.csv", "work_histogram": "out.csv"}),
+         ["filenames.profile: 'out.csv' is the name of another file the run writes",
+          "filenames.work_histogram: 'out.csv' is the name of another file the run writes"]),
+        (with_changes(LATTICE_TEMPERATURE, filenames={"temperature": "ensemble_b.csv"}),
+         ["filenames.temperature: 'ensemble_b.csv' is the name of another file the run writes"]),
+        (with_changes(PRESETS["fig2"], filenames={"sweep": "series_station_12.csv"}),
+         ["filenames.sweep: 'series_station_12.csv' is the name of another file the run writes"]),
+    ],
+    ids=["work-histogram-as-manifest", "featured-as-station", "profile-as-work-histogram",
+         "temperature-as-ensemble", "sweep-as-series"],
+)
+def test_validate_rejects_file_names_that_collide(tmp_path, capsys, raw, violations):
+    """A file name the kind writes must differ from its others and from the
+    names the run gives its own files; the first two used to exit 0 with one
+    output written over another."""
+    code, got = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert got == violations
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [with_changes(SMALL_OSC_JE, filenames={"featured_histogram": "profile.csv"}),
+     with_changes(LATTICE_TEMPERATURE, filenames={"profile": "manifest.json", "sweep": "temperature.csv"}),
+     with_changes(PRESETS["fig2"], filenames={"sweep": "hist_station_1.csv"})],
+    ids=["featured-unwritten", "profile-unwritten", "not-a-station-name"],
+)
+def test_validate_accepts_file_names_the_run_does_not_write(raw):
+    assert validate(RunConfig.from_dict(raw)) == []
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize(
+    "raw",
+    [{"kind": "temperature", "model": {"type": "lattice"}, "quench": {"lambda": 15, "dlam": 2}},
+     {"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"lambda": 0.5, "dlam": 1.3}},
+     {**SMALL_LATTICE_JE, "kind": "lattice-run"}],
+    ids=["lattice-temperature", "oscillator-temperature", "lattice-run"],
+)
+def test_the_run_makes_the_quenches_validation_checks(tmp_path, monkeypatch, raw):
+    """Each ensemble and series the run builds is of a quench that
+    ``cli._quenches`` lists for ``validate``, in that order."""
+    config = config_with(raw, tmp_path)
+    assert validate(config) == []
+    made = []
+    for module, name in [(quenchwork.lattice, "diagonal_ensemble"),
+                         (quenchwork.oscillator, "poisson_ensemble"),
+                         (quenchwork.lattice, "evolve_center_of_mass")]:
+        def record(params, lam, dlam, *args, _call=getattr(module, name), **kwargs):
+            made.append((lam, dlam))
+            return _call(params, lam, dlam, *args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+    run(config)
+    assert made == [(lam, dlam) for _, lam, _, dlam in quenchwork.cli._quenches(config)]
+    assert len(made) == 2
 
 
 def oscillator_temperature(**quench):
