@@ -21,9 +21,7 @@ from .ensembles import (
 from .jarzynski import (
     FreeEnergyProfile,
     build_profile,
-    effective_sample_size,
-    free_energy_estimate,
-    jackknife_error,
+    estimates,
     profile_from_distributions,
     trap_work,
 )

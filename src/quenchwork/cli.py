@@ -290,7 +290,10 @@ def validate(config: RunConfig) -> list[str]:
     if config.kind == "oscillator-sweep" and config.sweep["y_min"] >= config.sweep["y_max"]:
         violations.append("sweep: need y_min < y_max")
     if config.kind in ("lattice-run", "lattice-je"):
-        violations.extend(_horizon_violations(config.evolution, params))
+        try:
+            lattice.series_samples(params, config.evolution["tau"], config.evolution["dt"])
+        except ValueError as exc:
+            violations.append(f"evolution.{exc}")
     if config.kind != "oscillator-sweep":
         violations.extend(_model_violations(config, params))
     featured = config.evolution["featured_lambda"]
@@ -323,21 +326,29 @@ def _model_violations(config: RunConfig, params: LatticeParams | OscillatorParam
     under the field that set the failing value.  Lattice: the first quench
     whose spectra fail (the run reuses the cached ones).  Oscillator: every
     amplitude past the level cap, and a dlam with no closed-form temperature;
-    then, if none fails, the position grid at the lambda furthest out."""
+    then, if none fails, the position grid at the lambda furthest out.  A
+    temperature pair whose second quench has the first's quench energy
+    (lattice) or y (oscillator) fails under quench.eps: it would repeat the
+    first ensemble."""
     quenches = _quenches(config)
+    pair = config.kind == "temperature"
     if isinstance(params, LatticeParams):
+        energies = []
         for lam_key, lam, _, dlam in quenches:
             try:
-                lattice.quench_energy(params, lam, dlam)
+                energies.append(lattice.quench_energy(params, lam, dlam))
             except DegenerateFermiLevelError as exc:
                 return [f"model: {exc}"]
             except ValueError as exc:
                 return [f"{lam_key}: {exc}"]
+        if pair and energies[0] == energies[1]:
+            return [f"quench.eps: dlam + eps repeats the first quench's energy {energies[0]:g}"]
         return []
     tail_tol = config.tolerances["tail_tol"]
-    violations = []
+    violations, ys = [], []
     for key, dlam in {key: dlam for _, _, key, dlam in quenches}.items():
         y = oscillator.y_parameter(params, dlam)
+        ys.append(y)
         try:
             oscillator.poisson_probs(y, tail_tol)
             if key == "quench.dlam":  # the T_closed_form column
@@ -346,6 +357,8 @@ def _model_violations(config: RunConfig, params: LatticeParams | OscillatorParam
             violations.append(f"{key}: quench amplitude {dlam:g}: {exc}")
     if violations:
         return violations
+    if pair and ys[0] == ys[1]:
+        return [f"quench.eps: dlam + eps repeats the first quench's y = {ys[0]:g}"]
     key, lam, _, dlam = max(quenches, key=lambda quench: abs(quench[1]))
     y = oscillator.y_parameter(params, dlam)
     try:
@@ -353,23 +366,6 @@ def _model_violations(config: RunConfig, params: LatticeParams | OscillatorParam
     except ValueError as exc:
         return [f"{key}: lambda = {lam:g} is too far out for the position grid: {exc}"]
     return []
-
-
-def _horizon_violations(evolution: dict, params: LatticeParams) -> list[str]:
-    """The horizon and sample count that evolve_center_of_mass and
-    time_average_distribution accept."""
-    dt, tau = evolution["dt"], evolution["tau"]
-    n2 = params.n_sites**2
-    violations = []
-    samples = lattice.series_samples(params, tau, dt)
-    if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
-        violations.append(f"evolution.tau: the time grid must reach n_sites**2 = {n2}")
-    if not lattice.MIN_SERIES_SAMPLES <= samples <= lattice.MAX_SERIES_SAMPLES:
-        violations.append(
-            f"evolution.dt: tau/dt must give {lattice.MIN_SERIES_SAMPLES} to "
-            f"{lattice.MAX_SERIES_SAMPLES} samples"
-        )
-    return violations
 
 
 def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> dict:

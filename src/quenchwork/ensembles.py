@@ -137,7 +137,9 @@ def temperature_from_pair(
 
     ``ens_a`` belongs to quench amplitude ``dlambda`` and ``ens_b`` to
     ``dlambda + eps``; the forward difference approximates beta = dS/dE at
-    fixed lambda.
+    fixed lambda.  Both mean energies are taken about the lower of the two
+    lowest energies, so that an offset shared by every level (the
+    oscillator's k lambda^2/4) does not cancel away the digits of dE.
 
     Raises
     ------
@@ -145,8 +147,9 @@ def temperature_from_pair(
         If the energy difference is numerically zero while the entropy
         difference is not, so no slope can be formed.
     """
-    dS = entropy(ens_b) - entropy(ens_a)
-    dE = mean_energy(ens_b) - mean_energy(ens_a)
+    dS = entropy(ens_b) - entropy(ens_a)  # also checks that both are normalized
+    ref = min(ens_a.energies.min(), ens_b.energies.min())
+    dE = float((ens_b.energies - ref) @ ens_b.probs - (ens_a.energies - ref) @ ens_a.probs)
     if abs(dE) < 1e-14 and abs(dS) >= 1e-12:
         raise DegenerateEnergyError(f"dE = {dE:.3e} is below resolution while dS = {dS:.3e}")
     if abs(dE) < 1e-14 or abs(dS) < 1e-14:

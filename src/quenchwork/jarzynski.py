@@ -70,7 +70,7 @@ def trap_work(x, lam_i: float, lam_next: float, coupling: float, out: np.ndarray
     return np.multiply(coupling * (lam_next - lam_i), offset, out=out)
 
 
-def _estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, float]:
+def estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, float]:
     """(dF, jackknife error, ESS) of a non-empty work sample from one pass of
     the weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1.
 
@@ -103,21 +103,6 @@ def _estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, 
     np.divide(df_loo, beta, out=df_loo)
     np.square(np.subtract(df_loo, df_loo.mean(), out=df_loo), out=df_loo)
     return df, float(np.sqrt((m - 1) / m * np.sum(df_loo))), ess
-
-
-def free_energy_estimate(works, beta: float) -> float:
-    """dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta."""
-    return _estimates(works, beta)[0]
-
-
-def jackknife_error(works, beta: float) -> float:
-    """Delete-one jackknife standard error of the free-energy estimate."""
-    return _estimates(works, beta)[1]
-
-
-def effective_sample_size(works, beta: float) -> float:
-    """ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W}."""
-    return _estimates(works, beta)[2]
 
 
 def profile_from_distributions(
@@ -161,7 +146,7 @@ def profile_from_distributions(
             work[:] = step
         else:
             work += step
-        delta_f[i + 1], jk[i + 1], ess[i + 1] = _estimates(work, beta, p, scratch)
+        delta_f[i + 1], jk[i + 1], ess[i + 1] = estimates(work, beta, p, scratch)
         # work.std(), numpy's own operations in its order, over the scratch buffer
         np.square(np.subtract(work, work.mean(), out=scratch), out=scratch)
         work_std[i + 1] = math.sqrt(scratch.sum() / n_paths)

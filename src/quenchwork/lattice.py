@@ -43,7 +43,7 @@ from .ensembles import DiagonalEnsemble, finite_real, renormalize
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_SITES = 2048  # longest chain: its spectrum takes 1.4 s and 193 MB on a 2-core Xeon
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
-MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a time-averaged histogram accepts
+MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a grid holds and a time-averaged histogram accepts
 MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up to N = 915
 _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
@@ -351,11 +351,20 @@ def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     return spec.values[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
 
 
-def series_samples(params: LatticeParams, tau: float | None, dt: float) -> float:
+def series_samples(params: LatticeParams, tau: float | None, dt: float) -> int:
     """Length of evolve_center_of_mass's grid np.arange(0, tau + dt/2, dt), tau=None
-    meaning 2 N^2; inf past ``MAX_SERIES_SAMPLES``, where ceil would overflow."""
-    count = ((2.0 * params.n_sites**2 if tau is None else tau) + dt / 2.0) / dt
-    return math.ceil(count) if count <= MAX_SERIES_SAMPLES else math.inf
+    meaning 2 N^2.  The one rule for that grid: it must hold
+    ``MIN_SERIES_SAMPLES`` to ``MAX_SERIES_SAMPLES`` samples, checked first,
+    and reach N^2; otherwise ValueError, its message led by the argument at fault."""
+    n2 = params.n_sites**2
+    count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt
+    # ceil would overflow past the cap
+    samples = math.ceil(count) if count <= MAX_SERIES_SAMPLES else math.inf
+    if not MIN_SERIES_SAMPLES <= samples <= MAX_SERIES_SAMPLES:
+        raise ValueError(f"dt: tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples")
+    if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
+        raise ValueError(f"tau: the time grid must reach n_sites**2 = {n2}")
+    return samples
 
 
 def evolve_center_of_mass(
@@ -398,14 +407,11 @@ def evolve_center_of_mass(
     units) and never stored: its offsets and block starts are integers times
     ``dt``, bit for bit the values of np.arange's grid.
 
-    Horizons below N^2 (poorly converged averages) are rejected, and so are
-    grids of more than ``MAX_SERIES_SAMPLES`` samples.
+    A grid that ``series_samples`` rejects raises its ValueError before any
+    work: a horizon below N^2 (poorly converged averages), or too few or too
+    many samples.
     """
-    n2 = params.n_sites**2
-    if tau is not None and tau < n2:
-        raise ValueError(f"horizon tau={tau:g} is below N^2={n2}")
-    if (samples := series_samples(params, tau, dt)) > MAX_SERIES_SAMPLES:
-        raise ValueError(f"step dt={dt:g} gives more than {MAX_SERIES_SAMPLES} samples")
+    samples = series_samples(params, tau, dt)
     eps, (first, second), weights, constant, edge = _evolved_pairs(params, lam, dlam)
     rows, blocks = _evolution_shape(first.size)
     rows = min(rows, samples)

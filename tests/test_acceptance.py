@@ -26,8 +26,7 @@ from quenchwork.distributions import QuenchProtocol
 from quenchwork.ensembles import DiagonalEnsemble, mean_energy
 from quenchwork.jarzynski import (
     build_profile,
-    free_energy_estimate,
-    jackknife_error,
+    estimates,
     profile_from_distributions,
 )
 from quenchwork.lattice import (
@@ -284,19 +283,18 @@ def test_criterion_10_estimator_property_suite():
     beta = 1.0
 
     constant = np.full(1000, 2.2)
-    constant_ok = abs(free_energy_estimate(constant, beta) - 2.2) < 1e-12
+    constant_ok = abs(estimates(constant, beta)[0] - 2.2) < 1e-12
 
     rng = np.random.default_rng(101)
     w = rng.normal(1.0, 1.0, 1_000_000)
-    jensen_ok = free_energy_estimate(w, beta) <= w.mean() + 1e-12
+    jensen_ok = estimates(w, beta)[0] <= w.mean() + 1e-12
 
     shifted = w + 3.3
     shift_ok = abs(
-        free_energy_estimate(shifted, beta) - free_energy_estimate(w, beta) - 3.3
+        estimates(shifted, beta)[0] - estimates(w, beta)[0] - 3.3
     ) < 1e-12
 
-    df = free_energy_estimate(w, beta)
-    err = jackknife_error(w, beta)
+    df, err, _ = estimates(w, beta)
     gauss_ok = abs(df - 0.5) < 3.0 * err
 
     from quenchwork.oscillator import position_distribution as pdist

@@ -22,6 +22,7 @@ from quenchwork.jarzynski import MAX_PATHS
 from quenchwork.lattice import (
     MAX_SERIES_SAMPLES,
     MAX_SITES,
+    MIN_SERIES_SAMPLES,
     LatticeParams,
     evolve_center_of_mass,
     series_samples,
@@ -415,6 +416,33 @@ LATTICE_TEMPERATURE = {"kind": "temperature", "model": {"type": "lattice"},
                        "quench": {"lambda": 15.0, "dlam": 1.0}}
 
 
+def temperature_row(tmp_path, raw):
+    """The temperature.csv row, by column, of a successful ``main`` run of ``raw``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    lines = (tmp_path / "o" / "temperature.csv").read_text().splitlines()
+    return dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-10])
+def test_oscillator_temperature_far_out_matches_the_closed_form(tmp_path, eps):
+    """At lambda = 1e5 every level carries k lambda^2/4 = 1.25e9; dE is taken
+    about the lowest level, so the offset does not cancel its digits away."""
+    row = temperature_row(tmp_path, {"kind": "temperature", "model": {"type": "oscillator"},
+                                     "quench": {"lambda": 1e5, "dlam": 1.3, "eps": eps}})
+    assert abs(row["T"] - row["T_closed_form"]) < 1e-5
+
+
+@pytest.mark.parametrize("model, dlam", [("lattice", 1e-5), ("oscillator", 1e-8)])
+def test_temperature_of_a_tiny_quench_is_zero(tmp_path, model, dlam):
+    """Quenches too small to leave the ground state keep a single state in
+    both ensembles: dS = dE = 0, which temperature_from_pair reports as T = 0."""
+    row = temperature_row(tmp_path, {"kind": "temperature", "model": {"type": model},
+                                     "quench": {"dlam": dlam}})
+    assert (row["dS"], row["dE"], row["T"]) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.filterwarnings("ignore:max_states=20 left")
 @pytest.mark.parametrize("tolerances", [{}, {"max_states": 20}], ids=["converged", "truncated"])
 def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
@@ -434,16 +462,22 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
     assert (max(manifest["captured_deficit"]) > 1e-8) == bool(tolerances)
 
 
+# grids that lattice.series_samples rejects, and the field each fails under
+HORIZON_CASES = [
+    (with_changes(SMALL_LATTICE_JE, evolution={"tau": 50.0, "dt": 0.04}), "evolution.tau"),
+    (with_changes(SMALL_LATTICE_JE, evolution={"tau": 64.0, "dt": 0.0638}), "evolution.tau"),
+    (with_changes(SMALL_LATTICE_JE, evolution={"dt": 0.5}), "evolution.dt"),
+    # more samples than a series holds, also where tau/dt overflows to inf
+    (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"dt": 5e-324}), "evolution.dt"),
+    (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e308}), "evolution.dt"),
+    (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e9}), "evolution.dt"),
+]
+
+
 @pytest.mark.parametrize(
     "raw,field",
     [
-        (with_changes(SMALL_LATTICE_JE, evolution={"tau": 50.0, "dt": 0.04}), "evolution.tau"),
-        (with_changes(SMALL_LATTICE_JE, evolution={"tau": 64.0, "dt": 0.0638}), "evolution.tau"),
-        (with_changes(SMALL_LATTICE_JE, evolution={"dt": 0.5}), "evolution.dt"),
-        # more samples than a series holds, also where tau/dt overflows to inf
-        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"dt": 5e-324}), "evolution.dt"),
-        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e308}), "evolution.dt"),
-        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", evolution={"tau": 1e9}), "evolution.dt"),
+        *HORIZON_CASES,
         (with_changes(SMALL_LATTICE_JE, evolution={"bins": 22}), "evolution.bins"),
         (with_changes(LATTICE_TEMPERATURE, tolerances={"prob_cutoff": 1e-5}),
          "tolerances.prob_cutoff"),
@@ -469,6 +503,14 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
         (with_changes(LATTICE_TEMPERATURE, quench={"lambda": 1e155}), "quench.lambda"),
         ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
           "protocol": {"lambda_start": 1e160, "step": 1.0, "stations": 2}}, "protocol.lambda_start"),
+        # a second quench that repeats the first, also where dlam + eps == dlam,
+        # and the oscillator's -dlam, since y grows as dlam^2
+        (with_changes(LATTICE_TEMPERATURE, quench={"eps": 0.0}), "quench.eps"),
+        (with_changes(LATTICE_TEMPERATURE, quench={"eps": 1e-300}), "quench.eps"),
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1.0, "eps": 0.0}},
+         "quench.eps"),
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1.0, "eps": -2.0}},
+         "quench.eps"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "dt-overflows-the-count",
          "tau-overflows-the-count", "too-many-samples", "too-few-bins",
@@ -476,7 +518,8 @@ def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
          "beta-overflows", "featured-last-lattice-station", "featured-off-grid",
          "featured-last-oscillator-station", "oscillator-lambda-swamps-levels",
          "oscillator-lambda-overflows", "oscillator-lambda-past-grid", "lattice-lambda-overflows",
-         "lattice-run-lambda-overflows"],
+         "lattice-run-lambda-overflows", "lattice-eps-0", "lattice-eps-tiny", "oscillator-eps-0",
+         "oscillator-minus-dlam"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -534,6 +577,17 @@ def test_validate_accepts_the_grids_the_lattice_accepts():
     assert any(accepted) and not all(accepted)
 
 
+def test_validate_and_the_lattice_state_one_grid_rule():
+    """Each horizon case fails in validate with the message the evolution
+    raises, under ``evolution.``: lattice.series_samples states the rule once."""
+    for raw, field in HORIZON_CASES:
+        config = RunConfig.from_dict(raw)
+        tau, dt = config.evolution["tau"], config.evolution["dt"]
+        with pytest.raises(ValueError, match=f"^{field.split('.')[1]}: ") as caught:
+            evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
+        assert validate(config) == [f"evolution.{caught.value}"]
+
+
 # grids of exactly 2^24 samples and of one more, set by tau and by dt
 @pytest.mark.parametrize("tau, dt, over", [
     (MAX_SERIES_SAMPLES - 0.5, 1.0, False), (float(MAX_SERIES_SAMPLES), 1.0, True),
@@ -541,13 +595,19 @@ def test_validate_accepts_the_grids_the_lattice_accepts():
 ])
 def test_validate_caps_the_grid_where_the_lattice_does(tau, dt, over):
     """At the sample cap only the grid length is compared: a grid of 2^24
-    samples is never evolved, and one past it is rejected before any work."""
-    assert (series_samples(SMALL_LATTICE, tau, dt) > MAX_SERIES_SAMPLES) == over
+    samples passes the rule and is never evolved, and one past it is rejected,
+    in validate as in the lattice, before any work."""
     violations = validate(lattice_run_with_grid(tau, dt))
-    assert [v.split(":")[0] for v in violations] == (["evolution.dt"] if over else [])
-    if over:
-        with pytest.raises(ValueError, match=f"more than {MAX_SERIES_SAMPLES} samples"):
-            evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
+    if not over:
+        assert series_samples(SMALL_LATTICE, tau, dt) <= MAX_SERIES_SAMPLES
+        assert violations == []
+        return
+    message = f"dt: tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples"
+    assert violations == [f"evolution.{message}"]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        series_samples(SMALL_LATTICE, tau, dt)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
 
 
 # a trap strong enough to pair the levels around its center, which lies

@@ -118,6 +118,17 @@ def test_temperature_pair_oscillator_anchor():
     assert est.temperature == 1.0 / est.beta
 
 
+def test_temperature_pair_is_free_of_the_oscillator_offset():
+    """The k lambda^2/4 that every level carries moves no bit of beta."""
+    params = OscillatorParams()
+
+    def beta_at(lam):
+        pair = (poisson_ensemble(params, lam, dlam) for dlam in (1.0, 1.1))
+        return temperature_from_pair(*pair).beta
+
+    assert beta_at(15.0) == beta_at(1e5)
+
+
 def test_temperature_pair_purity_preserved():
     p = [0.6, 0.4]
     a = DiagonalEnsemble(energies=[0.0, 1.0], probs=p)

@@ -8,9 +8,7 @@ from quenchwork.distributions import PositionDistribution, QuenchProtocol
 from quenchwork.jarzynski import (
     MAX_PATHS,
     build_profile,
-    effective_sample_size,
-    free_energy_estimate,
-    jackknife_error,
+    estimates,
     profile_from_distributions,
     trap_work,
 )
@@ -131,70 +129,68 @@ def test_path_work_deterministic():
 
 
 def test_free_energy_constant_work():
-    assert free_energy_estimate(np.zeros(100), 2.0) == pytest.approx(0.0, abs=1e-12)
-    assert free_energy_estimate(np.full(100, 3.7), 2.0) == pytest.approx(3.7, abs=1e-12)
+    assert estimates(np.zeros(100), 2.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert estimates(np.full(100, 3.7), 2.0)[0] == pytest.approx(3.7, abs=1e-12)
 
 
 def test_estimators_reject_an_empty_sample():
-    for estimator in (free_energy_estimate, jackknife_error, effective_sample_size):
-        with pytest.raises(ValueError, match="at least one work sample"):
-            estimator(np.array([]), 1.0)
+    with pytest.raises(ValueError, match="at least one work sample"):
+        estimates(np.array([]), 1.0)
 
 
 def test_free_energy_jensen_bound():
     rng = np.random.default_rng(7)
     for _ in range(5):
         w = rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 2), 4000)
-        assert free_energy_estimate(w, 1.3) <= w.mean() + 1e-12
+        assert estimates(w, 1.3)[0] <= w.mean() + 1e-12
 
 
 def test_free_energy_shift_covariance():
     w = gaussian_works(1.0, 0.7, 20_000, 9)
     shifted = w + 2.5
-    df = free_energy_estimate(w, 1.1)
-    assert free_energy_estimate(shifted, 1.1) - df == pytest.approx(2.5, abs=1e-12)
+    df = estimates(w, 1.1)[0]
+    assert estimates(shifted, 1.1)[0] - df == pytest.approx(2.5, abs=1e-12)
 
 
 def test_free_energy_gaussian_oracle():
     mu, sigma, beta = 1.0, 1.0, 1.0
     w = gaussian_works(mu, sigma, 200_000, 12)
-    df = free_energy_estimate(w, beta)
-    err = jackknife_error(w, beta)
+    df, err, _ = estimates(w, beta)
     assert abs(df - (mu - beta * sigma**2 / 2.0)) < 3.0 * err
 
 
 def test_free_energy_stabilizes_with_sample_size():
     w = gaussian_works(1.0, 1.0, 400_000, 21)
     quarter = w[:100_000]
-    df_m = free_energy_estimate(quarter, 1.0)
-    df_4m = free_energy_estimate(w, 1.0)
-    assert abs(df_m - df_4m) < 2.0 * jackknife_error(quarter, 1.0)
+    df_m = estimates(quarter, 1.0)[0]
+    df_4m = estimates(w, 1.0)[0]
+    assert abs(df_m - df_4m) < 2.0 * estimates(quarter, 1.0)[1]
 
 
 def test_effective_sample_size():
     w = np.full(500, 1.0)
-    assert effective_sample_size(w, 2.0) == pytest.approx(500.0, rel=1e-12)
+    assert estimates(w, 2.0)[2] == pytest.approx(500.0, rel=1e-12)
     spread = gaussian_works(0.0, 2.0, 500, 3)
-    assert effective_sample_size(spread, 2.0) < 500.0
+    assert estimates(spread, 2.0)[2] < 500.0
 
 
 def test_effective_sample_size_survives_an_overflowing_square():
     # beta = 1/6e-309 is finite; 2*beta*W overflows for |W| = 1, beta*W for |W| = 2
     beta = 1.0 / 6e-309
-    assert effective_sample_size(np.full(4, 1.0), beta) == 4.0
-    assert effective_sample_size(np.array([1.0, 1.5]), beta) == 1.0
-    assert effective_sample_size(np.array([-2.0, -1.0]), beta) == 1.0
-    assert free_energy_estimate(np.array([-2.0, -1.0]), beta) == -2.0
-    assert free_energy_estimate(np.full(4, 1.0), beta) == 1.0
-    assert math.isfinite(jackknife_error(np.array([-2.0, -1.0]), beta))
-    assert math.isfinite(jackknife_error(np.array([-3.0, -2.0, -1.0]), beta))
+    assert estimates(np.full(4, 1.0), beta)[2] == 4.0
+    assert estimates(np.array([1.0, 1.5]), beta)[2] == 1.0
+    assert estimates(np.array([-2.0, -1.0]), beta)[2] == 1.0
+    assert estimates(np.array([-2.0, -1.0]), beta)[0] == -2.0
+    assert estimates(np.full(4, 1.0), beta)[0] == 1.0
+    assert math.isfinite(estimates(np.array([-2.0, -1.0]), beta)[1])
+    assert math.isfinite(estimates(np.array([-3.0, -2.0, -1.0]), beta)[1])
 
 
 def test_jackknife_error_scales_with_noise():
     quiet = gaussian_works(1.0, 0.01, 5000, 5)
     loud = gaussian_works(1.0, 1.0, 5000, 5)
-    assert jackknife_error(quiet, 1.0) < jackknife_error(loud, 1.0)
-    assert jackknife_error(np.array([1.0]), 1.0) == 0.0
+    assert estimates(quiet, 1.0)[1] < estimates(loud, 1.0)[1]
+    assert estimates(np.array([1.0]), 1.0)[1] == 0.0
 
 
 def test_profile_starts_at_zero_and_carries_targets():
@@ -230,7 +226,7 @@ def test_oscillator_path_sample_obeys_jensen():
     y = y_parameter(params, proto.step)
     dists = [position_distribution(params, l, y) for l in proto.lambdas[:-1]]
     works = path_work(dists, proto.lambdas, OSC_COUPLING, 20_000, 3)
-    assert free_energy_estimate(works, 1.0 / 0.35) <= works.mean() + 1e-12
+    assert estimates(works, 1.0 / 0.35)[0] <= works.mean() + 1e-12
 
 
 def test_oscillator_profile_tracks_target_within_work_std():
@@ -264,8 +260,7 @@ def test_profile_final_work_is_the_sampled_path_work():
         dists, proto.lambdas, OSC_COUPLING, 0.0, beta, 4000, 21
     )
     assert profile.final_work.shape == (4000,)
-    assert profile.delta_f[-1] == free_energy_estimate(profile.final_work, beta)
-    assert profile.jackknife[-1] == jackknife_error(profile.final_work, beta)
+    assert (profile.delta_f[-1], profile.jackknife[-1]) == estimates(profile.final_work, beta)[:2]
     assert len(profile.distributions) == len(dists)
     assert all(a is b for a, b in zip(profile.distributions, dists))
 
@@ -296,10 +291,8 @@ def test_profile_draws_stations_in_order_and_sums_them_sequentially():
     assert np.array_equal(profile.final_work, partial[:, -1])
     for i in range(1, lambdas.size):
         w = partial[:, i - 1]
-        assert profile.delta_f[i] == free_energy_estimate(w, beta)
+        assert (profile.delta_f[i], profile.jackknife[i], profile.ess[i]) == estimates(w, beta)
         assert profile.work_std[i] == w.std()
-        assert profile.jackknife[i] == jackknife_error(w, beta)
-        assert profile.ess[i] == effective_sample_size(w, beta)
     # the sum starts from the first step, so a -0.0 work stays -0.0: coupling
     # 0.0 times the step 1 times 1 - 2x < 0 of a point mass at x = 0.9 is -0.0
     works = path_work([point_mass(0.9)], [0.0, 1.0], 0.0, 10, 1)

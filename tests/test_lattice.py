@@ -27,6 +27,7 @@ from quenchwork.lattice import (
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     MAX_SERIES_SAMPLES,
+    MIN_SERIES_SAMPLES,
     MAX_SITES,
     LatticeParams,
     TimeSeries,
@@ -388,7 +389,7 @@ def test_overlap_completeness_at_eight_sites():
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_evolution_stationary_state():
-    series = evolve_center_of_mass(SMALL, 3.0, 0.0, tau=50.0, dt=0.1)
+    series = evolve_center_of_mass(SMALL, 3.0, 0.0, tau=100.0, dt=0.1)
     assert np.ptp(series.values) < 1e-10
 
 
@@ -561,13 +562,18 @@ def test_center_of_mass_grid_mean_matches_its_closed_form(params, lam):
 
 
 def test_evolution_rejects_short_horizon():
-    with pytest.raises(ValueError):
+    """A horizon below N^2 = 36, on grids of enough samples and of too few:
+    the sample count is checked first."""
+    with pytest.raises(ValueError, match=r"^tau: the time grid must reach n_sites\*\*2 = 36$"):
+        evolve_center_of_mass(SMALL, 3.0, 1.0, tau=10.0, dt=0.005)
+    with pytest.raises(ValueError, match="^dt: "):
         evolve_center_of_mass(SMALL, 3.0, 1.0, tau=10.0)
 
 
 @pytest.mark.parametrize("tau, dt", [(100.0, 5e-324), (1e308, 0.1), (1e9, 0.1)])
 def test_evolution_rejects_grids_past_the_sample_cap(tau, dt):
-    with pytest.raises(ValueError, match=f"more than {MAX_SERIES_SAMPLES} samples"):
+    message = f"^dt: tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples$"
+    with pytest.raises(ValueError, match=message):
         evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
 
 
@@ -585,8 +591,14 @@ GRID_CASES = [(None, 0.1), (64.0, 0.0638), (50.0, 0.04), (20000.0, 0.37), (128.0
 @pytest.mark.parametrize("tau, dt", GRID_CASES)
 def test_series_times_are_the_arange_grid_bit_for_bit(tau, dt):
     """The series keeps only dt, and its times, and so the evolution's block
-    offsets and starts, are the bits of the grid np.arange gives."""
+    offsets and starts, are the bits of the grid np.arange gives.  A grid
+    of too few samples (the default horizon of N = 6 holds 721) is rejected
+    by the one grid rule before any work."""
     grid = np.arange(0.0, (2.0 * SMALL.n_sites**2 if tau is None else tau) + dt / 2.0, dt)
+    if len(grid) < MIN_SERIES_SAMPLES:
+        with pytest.raises(ValueError, match="^dt: "):
+            series_samples(SMALL, tau, dt)
+        return
     series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
     assert series_samples(SMALL, tau, dt) == len(grid) == series.values.size
     assert np.array_equal(series.times.view(np.int64), grid.view(np.int64))
