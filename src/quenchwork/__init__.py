@@ -41,7 +41,6 @@ from .oscillator import (
     GridTooNarrowError,
     OscillatorParams,
     boson_reference,
-    default_grid,
     entropy_closed_form,
     entropy_derivative,
     equilibrium_comparison,

@@ -291,7 +291,7 @@ def validate(config: RunConfig) -> list[str]:
         violations.append("sweep: need y_min < y_max")
     if config.kind in ("lattice-run", "lattice-je"):
         try:
-            lattice.series_samples(params, config.evolution["tau"], config.evolution["dt"])
+            lattice.series_samples(params.n_sites, config.evolution["tau"], config.evolution["dt"])
         except ValueError as exc:
             violations.append(f"evolution.{exc}")
     if config.kind != "oscillator-sweep":

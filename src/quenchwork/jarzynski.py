@@ -137,15 +137,11 @@ def profile_from_distributions(
     work_std = np.zeros(s)
     jk = np.zeros(s)
     ess = np.full(s, float(n_paths))
-    work, p, scratch = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    # the running work starts at -0.0, which adds to any step bit for bit
+    work, p, scratch = np.full(n_paths, -0.0), np.empty(n_paths), np.empty(n_paths)
     for i, dist in enumerate(dists):
         x = dist.sample(rng, n_paths, out=scratch)
-        step = trap_work(x, lambdas[i], lambdas[i + 1], coupling, out=scratch)
-        # the first step starts the sum, so that a -0.0 step stays -0.0
-        if i == 0:
-            work[:] = step
-        else:
-            work += step
+        work += trap_work(x, lambdas[i], lambdas[i + 1], coupling, out=scratch)
         delta_f[i + 1], jk[i + 1], ess[i + 1] = estimates(work, beta, p, scratch)
         # work.std(), numpy's own operations in its order, over the scratch buffer
         np.square(np.subtract(work, work.mean(), out=scratch), out=scratch)

@@ -351,13 +351,13 @@ def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     return spec.values[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
 
 
-def series_samples(params: LatticeParams, tau: float | None, dt: float) -> int:
+def series_samples(n_sites: int, tau: float | None, dt: float) -> int:
     """Length of evolve_center_of_mass's grid np.arange(0, tau + dt/2, dt), tau=None
     meaning 2 N^2.  The one rule for that grid: it must hold
     ``MIN_SERIES_SAMPLES`` to ``MAX_SERIES_SAMPLES`` samples, checked first,
     and reach N^2; otherwise ValueError, its message led by the argument at fault."""
-    n2 = params.n_sites**2
-    count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt
+    n2 = n_sites**2
+    count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt if dt > 0 else math.inf
     # ceil would overflow past the cap
     samples = math.ceil(count) if count <= MAX_SERIES_SAMPLES else math.inf
     if not MIN_SERIES_SAMPLES <= samples <= MAX_SERIES_SAMPLES:
@@ -411,7 +411,7 @@ def evolve_center_of_mass(
     work: a horizon below N^2 (poorly converged averages), or too few or too
     many samples.
     """
-    samples = series_samples(params, tau, dt)
+    samples = series_samples(params.n_sites, tau, dt)
     eps, (first, second), weights, constant, edge = _evolved_pairs(params, lam, dlam)
     rows, blocks = _evolution_shape(first.size)
     rows = min(rows, samples)
@@ -435,13 +435,9 @@ def evolve_center_of_mass(
 def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:
     """Normalized histogram of x(t) approximating the ensemble distribution.
 
-    Requires at least 10^3 samples and a horizon of N^2 time units; the
-    dephasing argument behind the approximation needs both.
+    The series must pass ``series_samples`` as a grid of horizon
+    ``series.span``: the dephasing argument behind the approximation needs
+    its 10^3 samples and horizon of N^2 time units.
     """
-    if series.values.size < MIN_SERIES_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_SERIES_SAMPLES} samples for a stable histogram"
-        )
-    if series.span < series.n_sites**2:
-        raise ValueError(f"series spans {series.span:g} < N^2 = {series.n_sites**2}")
+    series_samples(series.n_sites, series.span, series.dt)
     return PositionDistribution.from_histogram(series.values, bins=bins)

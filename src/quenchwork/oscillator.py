@@ -144,7 +144,9 @@ def boson_reference(n_bar: float, hbar_omega: float = 1.0) -> tuple[float, float
     """Equilibrium bosonic mode with mean occupation n_bar: returns (T_B, S_B)."""
     if n_bar <= 0:
         raise ValueError("n_bar must be positive")
-    t_b = hbar_omega / math.log(1.0 + 1.0 / n_bar)
+    # ln(1 + 1/n_bar) to full precision, forming 1/n_bar only where it cannot overflow
+    log_ratio = math.log1p(1.0 / n_bar) if n_bar >= 1.0 else math.log1p(n_bar) - math.log(n_bar)
+    t_b = hbar_omega / log_ratio
     s_b = (1.0 + n_bar) * math.log(1.0 + n_bar) - n_bar * math.log(n_bar)
     return t_b, s_b
 
@@ -168,35 +170,20 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_grid(
-    params: OscillatorParams, lam: float, y: float, points: int = 2001
-) -> np.ndarray:
-    """Uniform grid around the post-quench well center lambda/2.
-
-    Wide enough to hold every occupied level's classical turning point plus
-    six ground-state widths of slack.
-    """
-    n_max = poisson_probs(y).size - 1
-    half = (math.sqrt(2.0 * n_max + 1.0) + 6.0) * params.ground_width
-    return np.linspace(lam / 2.0 - half, lam / 2.0 + half, points)
-
-
 def position_distribution(
-    params: OscillatorParams,
-    lam: float,
-    y: float,
-    grid: np.ndarray | None = None,
-    tail_tol: float = 1e-12,
+    params: OscillatorParams, lam: float, y: float, tail_tol: float = 1e-12
 ) -> PositionDistribution:
     """Coordinate density f(x) = sum_n p_n |<x|n>|^2 of the diagonal ensemble.
 
     The |n> are eigenfunctions of the post-quench well: frequency omega,
-    centered at lambda/2.  The result is renormalized on the grid after
-    checking that the grid captures at least 1 - 1e-4 of the mass.
+    centered at lambda/2.  The grid is 2001 uniform points around lambda/2,
+    wide enough to hold the classical turning point of every level that
+    ``poisson_probs(y)`` keeps, plus six ground-state widths of slack.  The
+    result is renormalized on the grid after checking that the grid
+    captures at least 1 - 1e-4 of the mass.
     """
-    if grid is None:
-        grid = default_grid(params, lam, y)
-    grid = np.asarray(grid, dtype=float)
+    half = (math.sqrt(2.0 * poisson_probs(y).size - 1.0) + 6.0) * params.ground_width
+    grid = np.linspace(lam / 2.0 - half, lam / 2.0 + half, 2001)
     probs = poisson_probs(y, tail_tol)
     scale = math.sqrt(params.mass * params.omega / params.hbar)
     xi = scale * (grid - lam / 2.0)

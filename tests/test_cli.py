@@ -316,6 +316,26 @@ def test_oscillator_sweep_outputs(tmp_path):
     assert len(text) == 6
 
 
+def test_oscillator_sweep_from_the_least_positive_y(tmp_path):
+    """At y = 5e-324, where 1/y overflows, T_B = 1/ln(1 + 1/y) = 1/(1074 ln 2)
+    is finite and equals T there, and the run raises no warning."""
+    config = RunConfig.from_dict(
+        {
+            "kind": "oscillator-sweep",
+            "model": {"type": "oscillator"},
+            "sweep": {"y_min": 5e-324, "y_max": 1.0, "points": 5},
+            "out_dir": str(tmp_path / "sw"),
+        }
+    )
+    assert validate(config) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(config)["warnings"] == []
+    _, t, t_b = np.loadtxt(tmp_path / "sw" / "sweep.csv", delimiter=",", skiprows=1)[0, :3]
+    assert t_b == pytest.approx(1.0 / (1074 * math.log(2.0)), rel=1e-11)
+    assert t_b == pytest.approx(t, rel=1e-11)
+
+
 def test_temperature_kind_oscillator(tmp_path):
     config = RunConfig.from_dict(
         {
@@ -599,13 +619,13 @@ def test_validate_caps_the_grid_where_the_lattice_does(tau, dt, over):
     in validate as in the lattice, before any work."""
     violations = validate(lattice_run_with_grid(tau, dt))
     if not over:
-        assert series_samples(SMALL_LATTICE, tau, dt) <= MAX_SERIES_SAMPLES
+        assert series_samples(SMALL_LATTICE.n_sites, tau, dt) <= MAX_SERIES_SAMPLES
         assert violations == []
         return
     message = f"dt: tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples"
     assert violations == [f"evolution.{message}"]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        series_samples(SMALL_LATTICE, tau, dt)
+        series_samples(SMALL_LATTICE.n_sites, tau, dt)
     with pytest.raises(ValueError, match=f"^{message}$"):
         evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
 
@@ -772,25 +792,31 @@ def test_validate_accepts_file_names_the_run_does_not_write(raw):
     "raw",
     [{"kind": "temperature", "model": {"type": "lattice"}, "quench": {"lambda": 15, "dlam": 2}},
      {"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"lambda": 0.5, "dlam": 1.3}},
-     {**SMALL_LATTICE_JE, "kind": "lattice-run"}],
-    ids=["lattice-temperature", "oscillator-temperature", "lattice-run"],
+     {**SMALL_LATTICE_JE, "kind": "lattice-run"}, SMALL_LATTICE_JE, SMALL_OSC_JE],
+    ids=["lattice-temperature", "oscillator-temperature", "lattice-run", "lattice-je",
+         "oscillator-je"],
 )
 def test_the_run_makes_the_quenches_validation_checks(tmp_path, monkeypatch, raw):
-    """Each ensemble and series the run builds is of a quench that
-    ``cli._quenches`` lists for ``validate``, in that order."""
+    """Each ensemble, series and position density the run builds is of a
+    quench that ``cli._quenches`` lists for ``validate``, in that order; a
+    position density names its quench by (lambda, y)."""
     config = config_with(raw, tmp_path)
     assert validate(config) == []
+    quenches = [(lam, dlam) for _, lam, _, dlam in quenchwork.cli._quenches(config)]
+    if raw["kind"] == "oscillator-je":
+        quenches = [(lam, y_parameter(OscillatorParams(), dlam)) for lam, dlam in quenches]
     made = []
     for module, name in [(quenchwork.lattice, "diagonal_ensemble"),
                          (quenchwork.oscillator, "poisson_ensemble"),
-                         (quenchwork.lattice, "evolve_center_of_mass")]:
+                         (quenchwork.lattice, "evolve_center_of_mass"),
+                         (quenchwork.oscillator, "position_distribution")]:
         def record(params, lam, dlam, *args, _call=getattr(module, name), **kwargs):
             made.append((lam, dlam))
             return _call(params, lam, dlam, *args, **kwargs)
         monkeypatch.setattr(module, name, record)
     run(config)
-    assert made == [(lam, dlam) for _, lam, _, dlam in quenchwork.cli._quenches(config)]
-    assert len(made) == 2
+    assert made == quenches
+    assert len(made) >= 2
 
 
 def oscillator_temperature(**quench):

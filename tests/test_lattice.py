@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -597,10 +598,10 @@ def test_series_times_are_the_arange_grid_bit_for_bit(tau, dt):
     grid = np.arange(0.0, (2.0 * SMALL.n_sites**2 if tau is None else tau) + dt / 2.0, dt)
     if len(grid) < MIN_SERIES_SAMPLES:
         with pytest.raises(ValueError, match="^dt: "):
-            series_samples(SMALL, tau, dt)
+            series_samples(SMALL.n_sites, tau, dt)
         return
     series = evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
-    assert series_samples(SMALL, tau, dt) == len(grid) == series.values.size
+    assert series_samples(SMALL.n_sites, tau, dt) == len(grid) == series.values.size
     assert np.array_equal(series.times.view(np.int64), grid.view(np.int64))
     assert series.span == grid[-1]
 
@@ -652,11 +653,24 @@ def test_time_average_distribution_constant_series():
 
 def test_time_average_distribution_needs_samples_and_span():
     short = TimeSeries(dt=40.0 / 499, values=np.full(500, 2.5), n_sites=6)
-    with pytest.raises(ValueError, match="1000 samples"):
+    with pytest.raises(ValueError, match="^dt: "):
         time_average_distribution(short)
     brief = TimeSeries(dt=10.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
-    with pytest.raises(ValueError, match="spans"):
+    with pytest.raises(ValueError, match="^tau: "):
         time_average_distribution(brief)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_a_step_not_above_zero_or_infinite_fails_the_grid_rule(dt):
+    """Every dt that gives no grid raises the rule's dt: ValueError, in
+    series_samples, the evolution and a hand-built series' histogram."""
+    for tau in (None, 64.0):
+        with pytest.raises(ValueError, match="^dt: "):
+            series_samples(SMALL.n_sites, tau, dt)
+        with pytest.raises(ValueError, match="^dt: "):
+            evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
+    with pytest.raises(ValueError, match="^dt: "):
+        time_average_distribution(TimeSeries(dt=dt, values=np.full(2000, 2.5), n_sites=6))
 
 
 def test_time_average_distribution_double_peak_and_tau_stability():

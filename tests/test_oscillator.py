@@ -12,7 +12,6 @@ from quenchwork.oscillator import (
     GridTooNarrowError,
     OscillatorParams,
     boson_reference,
-    default_grid,
     entropy_closed_form,
     entropy_derivative,
     equilibrium_comparison,
@@ -119,6 +118,8 @@ def test_boson_reference_values():
     assert t_b == pytest.approx(0.348, abs=5e-4)
     t_b, s_b = boson_reference(1e-9)
     assert t_b < 0.05 and s_b < 1e-7
+    # where 1 + 1/n_bar rounds, T_B keeps full precision
+    assert boson_reference(1e6)[0] == pytest.approx(1.0 / math.log1p(1e-6), rel=1e-15)
     with pytest.raises(ValueError):
         boson_reference(0.0)
 
@@ -159,8 +160,6 @@ def test_position_distribution_pure_ground_state():
 def test_position_distribution_rejects_negative_y():
     with pytest.raises(ValueError, match="non-negative"):
         position_distribution(PARAMS, 0.0, -1.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        position_distribution(PARAMS, 0.0, -1.0, grid=np.linspace(-5.0, 5.0, 101))
 
 
 def test_position_distribution_mass_and_mean():
@@ -180,16 +179,16 @@ def test_position_distribution_peak_structure():
 
 
 def test_position_distribution_narrow_grid_rejected():
-    grid = np.linspace(-0.5, 0.5, 101)
+    # around lambda/2 = 5e154 the grid's points all round to lambda/2
     with pytest.raises(GridTooNarrowError):
-        position_distribution(PARAMS, lam=0.0, y=2.0, grid=grid)
+        position_distribution(PARAMS, lam=1e155, y=2.0)
 
 
 def test_position_density_independent_of_grid_partition():
     """Pointwise evaluation: splitting the grid cannot change the values."""
-    grid = default_grid(PARAMS, lam=1.0, y=0.5, points=801)
-    full = position_distribution(PARAMS, 1.0, 0.5, grid=grid)
-    left = grid[: 500]
+    full = position_distribution(PARAMS, 1.0, 0.5)
+    grid = full.x
+    left = grid[:500]
     right = grid[300:]
     # raw (un-renormalized) densities must agree bitwise on the overlap
     scale = np.sqrt(PARAMS.mass * PARAMS.omega / PARAMS.hbar)
@@ -236,8 +235,8 @@ def test_amplitudes_below_the_level_cap_build():
     assert np.isfinite(position_distribution(PARAMS, 0.0, y).density).all()
 
 
-def test_default_grid_centered_and_wide():
-    grid = default_grid(PARAMS, lam=3.0, y=0.1)
+def test_position_grid_centered_and_wide():
+    grid = position_distribution(PARAMS, lam=3.0, y=0.1).x
     assert grid[0] <= 1.5 - 6.0 and grid[-1] >= 1.5 + 6.0
     assert abs((grid[0] + grid[-1]) / 2 - 1.5) < 1e-12
 
