@@ -1,9 +1,11 @@
 """Reproducible experiment runner.
 
-Takes a JSON run configuration (or a named preset), orchestrates the model
-and estimator modules, and emits deterministic CSV data files plus a JSON
-manifest.  Exit codes: 0 success, 2 validation failure, 3 convergence
-failure; failures print a machine-readable JSON error to stdout.
+Takes a JSON run configuration (or a named preset), checks the config itself
+(``validate``), orchestrates the model and estimator modules (``run``, which
+rejects what the model cannot build before it writes a file), and emits
+deterministic CSV data files plus a JSON manifest.  Exit codes: 0 success, 2
+validation failure (either check), 3 convergence failure; failures print a
+machine-readable JSON error to stdout.
 """
 from __future__ import annotations
 
@@ -272,9 +274,9 @@ def _shape_violations(raw) -> list[str]:
 
 
 def validate(config: RunConfig) -> list[str]:
-    """Static checks; an empty list means the run would start.  Each field is
-    checked against its row in FIELDS; the checks that join fields run once
-    every field passes."""
+    """The checks that read the config itself; an empty list means the run
+    starts, and the run judges the model's limits (``run``).  Each field is checked
+    against its row in FIELDS; the checks that join fields run once all pass."""
     if config.kind not in KINDS:
         return [f"kind: '{config.kind}' is not one of {tuple(KINDS)}"]
     mtype = config.model["type"]
@@ -294,8 +296,6 @@ def validate(config: RunConfig) -> list[str]:
             lattice.series_samples(params.n_sites, config.evolution["tau"], config.evolution["dt"])
         except ValueError as exc:
             violations.append(f"evolution.{exc}")
-    if config.kind != "oscillator-sweep":
-        violations.extend(_model_violations(config, params))
     featured = config.evolution["featured_lambda"]
     if config.kind.endswith("-je") and featured is not None:
         if not any(math.isclose(featured, lam) for _, lam, _, _ in _quenches(config)):
@@ -321,51 +321,29 @@ def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
     return [("protocol.lambda_start", l, "protocol.step", proto.step) for l in proto.lambdas[:-1]]
 
 
-def _model_violations(config: RunConfig, params: LatticeParams | OscillatorParams) -> list[str]:
-    """Dry runs of the model calls the run makes on its quenches, each failure
-    under the field that set the failing value.  Lattice: the first quench
-    whose spectra fail (the run reuses the cached ones).  Oscillator: every
-    amplitude past the level cap, and a dlam with no closed-form temperature;
-    then, if none fails, the position grid at the lambda furthest out.  A
-    temperature pair whose second quench has the first's quench energy
-    (lattice) or y (oscillator) fails under quench.eps: it would repeat the
-    first ensemble."""
-    quenches = _quenches(config)
-    pair = config.kind == "temperature"
-    if isinstance(params, LatticeParams):
-        energies = []
-        for lam_key, lam, _, dlam in quenches:
-            try:
-                energies.append(lattice.quench_energy(params, lam, dlam))
-            except DegenerateFermiLevelError as exc:
-                return [f"model: {exc}"]
-            except ValueError as exc:
-                return [f"{lam_key}: {exc}"]
-        if pair and energies[0] == energies[1]:
-            return [f"quench.eps: dlam + eps repeats the first quench's energy {energies[0]:g}"]
-        return []
-    tail_tol = config.tolerances["tail_tol"]
-    violations, ys = [], []
-    for key, dlam in {key: dlam for _, _, key, dlam in quenches}.items():
-        y = oscillator.y_parameter(params, dlam)
-        ys.append(y)
+class Rejected(Exception):
+    """A config whose model calls fail; ``args[0]`` lists its violations."""
+
+
+def _build_each(quenches: list, build) -> list:
+    """``build(i, lambda, dlambda)`` of every quench i of ``quenches``, rows of
+    ``_quenches``.  Rejected names each field at fault once, with its first failure:
+    a degenerate Fermi level under ``model``, a ValueError led by ``lam:`` or ``y:``
+    under the quench's lambda or dlambda field.  Anything else is a bug and propagates."""
+    built, violations = [], {}
+    for i, (lam_key, lam, dlam_key, dlam) in enumerate(quenches):
         try:
-            oscillator.poisson_probs(y, tail_tol)
-            if key == "quench.dlam":  # the T_closed_form column
-                oscillator.temperature_closed_form(params, y)
+            built.append(build(i, lam, dlam))
+        except DegenerateFermiLevelError as exc:
+            violations.setdefault("model", str(exc))
         except ValueError as exc:
-            violations.append(f"{key}: quench amplitude {dlam:g}: {exc}")
+            prefix, _, detail = str(exc).partition(": ")
+            if prefix not in ("lam", "y"):
+                raise
+            violations.setdefault(lam_key if prefix == "lam" else dlam_key, detail)
     if violations:
-        return violations
-    if pair and ys[0] == ys[1]:
-        return [f"quench.eps: dlam + eps repeats the first quench's y = {ys[0]:g}"]
-    key, lam, _, dlam = max(quenches, key=lambda quench: abs(quench[1]))
-    y = oscillator.y_parameter(params, dlam)
-    try:
-        oscillator.position_distribution(params, lam, y, tail_tol=tail_tol)
-    except ValueError as exc:
-        return [f"{key}: lambda = {lam:g} is too far out for the position grid: {exc}"]
-    return []
+        raise Rejected([f"{key}: {detail}" for key, detail in violations.items()])
+    return built
 
 
 def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> dict:
@@ -390,12 +368,11 @@ def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
 
 def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
     evolution, sampler = config.evolution, config.sampler
-    profile = jarzynski.build_profile(
-        params, QuenchProtocol(**config.protocol),
-        1.0 / config.temperature, sampler["n_paths"], sampler["seed"],
-        tail_tol=config.tolerances["tail_tol"],
-        tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"],
-    )
+    # one build, under the protocol's fields: it makes every station distribution before it samples
+    profile, = _build_each(_quenches(config)[:1], lambda *_: jarzynski.build_profile(
+        params, QuenchProtocol(**config.protocol), 1.0 / config.temperature,
+        sampler["n_paths"], sampler["seed"], tail_tol=config.tolerances["tail_tol"],
+        tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"]))
     write_csv(
         path(config.filenames["profile"]), ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
         (profile.lambdas, profile.delta_f, profile.targets, profile.work_std,
@@ -421,16 +398,24 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
 def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
     quenches = [(lam, dlam) for _, lam, _, dlam in _quenches(config)]
     tol = config.tolerances
-    if isinstance(params, LatticeParams):
+    if lattice_pair := isinstance(params, LatticeParams):  # run has built these spectra
+        exact, name = [lattice.quench_energy(params, *q) for q in quenches], "energy"
+    else:
+        def build(i, lam, dlam):  # and the T_closed_form column, of the first quench
+            y = oscillator.y_parameter(params, dlam)
+            return (oscillator.poisson_ensemble(params, lam, dlam, tol["tail_tol"]),
+                    None if i else oscillator.temperature_closed_form(params, y))
+        (ens_a, t_closed), (ens_b, _) = _build_each(_quenches(config), build)
+        exact, name = [oscillator.y_parameter(params, dlam) for _, dlam in quenches], "y ="
+    if exact[0] == exact[1]:  # the second ensemble would repeat the first
+        raise Rejected([f"quench.eps: dlam + eps repeats the first quench's {name} {exact[0]:g}"])
+    if lattice_pair:
         ensembles = [lattice.diagonal_ensemble(params, *q, tol["prob_cutoff"], tol["max_states"])
                      for q in quenches]
-        gaps = [mean_energy(ens) - lattice.quench_energy(params, *q)
-                for ens, q in zip(ensembles, quenches)]
+        gaps = [mean_energy(ens) - energy for ens, energy in zip(ensembles, exact)]
         fields, closed_form = {"energy_gap": gaps}, {}
     else:
-        ensembles = [oscillator.poisson_ensemble(params, *q, tol["tail_tol"]) for q in quenches]
-        y = oscillator.y_parameter(params, quenches[0][1])
-        fields, closed_form = {}, {"T_closed_form": oscillator.temperature_closed_form(params, y)}
+        ensembles, fields, closed_form = [ens_a, ens_b], {}, {"T_closed_form": t_closed}
     for tag, ens, (lam, dlam) in zip("ab", ensembles, quenches):
         write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dlam)
     est = temperature_from_pair(*ensembles)
@@ -475,19 +460,25 @@ def _recording_warnings():
 
 def run(config: RunConfig) -> dict:
     """Execute a validated configuration; returns the manifest dict.  Each runner
-    writes its files to ``path(name)``, which lists them, and returns its manifest fields."""
+    writes its files to ``path(name)``, which lists them and makes ``out_dir``, and
+    returns its manifest fields.  The run is the one judge of the model's limits: it
+    builds every quench's model objects (the lattice spectra here, the oscillator's
+    in the runners) before any file, and raises Rejected from ``_build_each``."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"kind": config.kind, "config_hash": config.config_hash()}
     files: list[str] = []
 
     def path(name: str) -> Path:
+        out.mkdir(parents=True, exist_ok=True)
         files.append(name)
         return out / name
 
+    params = _model_params(config)
     start = time.monotonic()
     with _recording_warnings() as caught:
-        manifest.update(_RUNNERS[config.kind](config, _model_params(config), path))
+        if isinstance(params, LatticeParams):
+            _build_each(_quenches(config), lambda _, *q: lattice.quench_energy(params, *q))
+        manifest.update(_RUNNERS[config.kind](config, params, path))
     manifest["files"] = files
     manifest["warnings"] = caught
     manifest["wall_time_s"] = time.monotonic() - start
@@ -526,14 +517,16 @@ def main(argv=None) -> int:
             raw["quiet"] = True
         config = RunConfig.from_dict(raw)
         violations = validate(config)
-    if violations:
-        print(json.dumps({"error": "validation_failed", "violations": violations}))
-        return 2
     try:
-        manifest = run(config)
+        manifest = None if violations else run(config)
+    except Rejected as exc:
+        violations = exc.args[0]
     except EnsembleConvergenceError as exc:
         print(json.dumps({"error": "convergence_failed", "detail": str(exc)}))
         return 3
+    if violations:
+        print(json.dumps({"error": "validation_failed", "violations": violations}))
+        return 2
     if not config.quiet:
         print(json.dumps({"ok": True, "out_dir": config.out_dir, "files": manifest["files"]}))
     return 0

@@ -136,12 +136,12 @@ class TimeSeries:
 def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     """Dense eigen-decomposition of the tridiagonal one-body matrix, cached
     per (params, lambda); nothing downstream depends on eigenvector signs.
-    Raises ValueError when lambda is so far out that the matrix overflows."""
+    Raises ValueError, led by ``lam:``, where lambda overflows the matrix."""
     k = params.sites
     with np.errstate(over="ignore", invalid="ignore"):
         diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
     if not np.isfinite(diag).all():
-        raise ValueError(f"the one-body matrix of H(lambda={lam:g}) is not finite")
+        raise ValueError(f"lam: the one-body matrix of H(lambda={lam:g}) is not finite")
     hop = np.full(params.n_sites - 1, -params.hopping)
     values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
     values.setflags(write=False)

@@ -32,6 +32,7 @@ _MAX_LEVELS = 200
 MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
 MAX_POISSON_MEAN = 1e6  # largest y the entropy sums accept; S stays within ~1e-8
 MIN_GRID_MASS = 1.0 - 1e-4  # least mass a position grid, and the kept Poisson levels, must hold
+MAX_OFFSET_SPACING = 1e-6  # coarsest float spacing of k*lambda^2/4 that poisson_ensemble takes
 
 
 class GridTooNarrowError(ValueError):
@@ -84,7 +85,7 @@ def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
         probs.append(probs[-1] * y / n)
         cum += probs[-1]
     if not cum >= MIN_GRID_MASS:  # also a NaN sum
-        raise ValueError(f"Poisson mean y = {y:.4g} runs past the level cap n = {_MAX_LEVELS}")
+        raise ValueError(f"y: Poisson mean y = {y:.4g} runs past the level cap n = {_MAX_LEVELS}")
     return np.array(probs)
 
 
@@ -96,11 +97,15 @@ def poisson_ensemble(
     Occupations are ``poisson_probs`` of ``y_parameter(params, dlam)``, a
     ValueError past its level cap, renormalized with the tail recorded in
     ``discarded_mass``; level energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
+    A lambda whose offset has a float spacing above ``MAX_OFFSET_SPACING`` hbar*omega
+    (from 2.6e5 in the default units) raises a ValueError led by ``lam:``.
     """
-    y = y_parameter(params, dlam)
-    probs = poisson_probs(y, tail_tol)
-    n = np.arange(probs.size)
-    energies = params.hbar * params.omega * (n + 0.5) + params.stiffness * lam**2 / 4.0
+    offset = params.stiffness * lam**2 / 4.0 if abs(lam) < 1e154 else math.inf  # lam**2 overflows
+    if not math.ulp(offset) <= MAX_OFFSET_SPACING * params.hbar * params.omega:
+        raise ValueError(f"lam: at lambda = {lam:g} the offset k*lambda^2/4 = {offset:.4g} has "
+                         f"a float spacing above {MAX_OFFSET_SPACING:g} hbar*omega")
+    probs = poisson_probs(y_parameter(params, dlam), tail_tol)
+    energies = params.hbar * params.omega * (np.arange(probs.size) + 0.5) + offset
     return renormalize(
         DiagonalEnsemble(energies, probs, label=f"oscillator lambda={lam:g} dlambda={dlam:g}")
     )
@@ -110,7 +115,7 @@ def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:
     """Levels n within 12 standard deviations (plus 40 levels) of the mean
     and their ln P_n = n ln y - y - ln n!, which stay finite for any y."""
     if not 0.0 < y <= MAX_POISSON_MEAN:
-        raise ValueError(f"y must lie in (0, {MAX_POISSON_MEAN:g}]")
+        raise ValueError(f"y: y must lie in (0, {MAX_POISSON_MEAN:g}]")
     half = 12.0 * math.sqrt(y) + 40.0
     n = np.arange(max(0.0, math.floor(y - half)), math.ceil(y + half) + 1.0)
     return n, n * math.log(y) - y - np.array([math.lgamma(k + 1.0) for k in n])
@@ -179,8 +184,8 @@ def position_distribution(
     centered at lambda/2.  The grid is 2001 uniform points around lambda/2,
     wide enough to hold the classical turning point of every level that
     ``poisson_probs(y)`` keeps, plus six ground-state widths of slack.  The
-    result is renormalized on the grid after checking that the grid
-    captures at least 1 - 1e-4 of the mass.
+    result is renormalized once the grid holds 1 - 1e-4 of the mass; a grid
+    too far out to resolve the well raises GridTooNarrowError, led by ``lam:``.
     """
     half = (math.sqrt(2.0 * poisson_probs(y).size - 1.0) + 6.0) * params.ground_width
     grid = np.linspace(lam / 2.0 - half, lam / 2.0 + half, 2001)
@@ -190,11 +195,13 @@ def position_distribution(
     phi = hermite_functions(probs.size - 1, xi)
     density = probs @ (phi**2) * scale
     mass = np.trapezoid(density, grid)
-    if mass < MIN_GRID_MASS:
+    try:
+        if not mass >= MIN_GRID_MASS:
+            raise ValueError(f"grid captures only {mass:.6f} of the probability mass")
+        return PositionDistribution(x=grid, density=density / mass, dx=grid[1] - grid[0])
+    except ValueError as exc:
         raise GridTooNarrowError(
-            f"grid captures only {mass:.6f} of the probability mass"
-        )
-    return PositionDistribution(x=grid, density=density / mass, dx=grid[1] - grid[0])
+            f"lam: lambda = {lam:g} is too far out for the position grid: {exc}") from None
 
 
 class LowTemperatureExpansion(NamedTuple):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -463,6 +464,21 @@ def test_temperature_of_a_tiny_quench_is_zero(tmp_path, model, dlam):
     assert (row["dS"], row["dE"], row["T"]) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("stiffness, lam", [(0.3, 2.39e5), (0.5, 2.62e5), (2.0, 1.85e5)])
+def test_oscillator_temperature_at_the_largest_lambda_the_offset_rule_accepts(
+        tmp_path, stiffness, lam):
+    """Up to where k lambda^2/4 has a float spacing of 1e-6 hbar*omega, T
+    stays that of lambda = 0; a lambda 1% further out is rejected."""
+    params = OscillatorParams(stiffness=stiffness)
+    with pytest.raises(ValueError, match="^lam: "):
+        poisson_ensemble(params, 1.01 * lam, 1.0)
+    raw = {"kind": "temperature", "model": {"type": "oscillator", "stiffness": stiffness},
+           "quench": {"lambda": lam, "dlam": 1.0}}
+    far = temperature_row(tmp_path, raw)["T"]
+    near = temperature_row(tmp_path, with_changes(raw, quench={"lambda": 0.0}))["T"]
+    assert far == pytest.approx(near, rel=1e-6)
+
+
 @pytest.mark.filterwarnings("ignore:max_states=20 left")
 @pytest.mark.parametrize("tolerances", [{}, {"max_states": 20}], ids=["converged", "truncated"])
 def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
@@ -654,6 +670,27 @@ def test_degenerate_fermi_level_exits_2(tmp_path, capsys, raw):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("lattice-run", {}), ("lattice-je", {"temperature": 0.2, "sampler": {"seed": 1}}),
+], ids=["lattice-run", "lattice-je"])
+def test_a_later_degenerate_quench_exits_2_before_any_evolution(tmp_path, capsys, monkeypatch,
+                                                                kind, extra):
+    """From lambda_start 11 the second quench starts from lambda = 11, whose
+    Fermi level is degenerate; the run rejects it before it evolves the first
+    station or writes a file."""
+    evolved = []
+    monkeypatch.setattr(quenchwork.lattice, "evolve_center_of_mass",
+                        lambda *args, **kwargs: evolved.append(args))
+    raw = {"kind": kind, "model": STRONG_TRAP, **extra,
+           "protocol": {"lambda_start": 11.0, "step": 1.0, "stations": 3}}
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert len(violations) == 1
+    assert violations[0].startswith("model: levels 10 and 11 of H(lambda=11) are degenerate")
+    assert not (tmp_path / "o").exists()
+    assert evolved == []
+
+
 def test_validate_rejects_non_numbers(tmp_path, capsys):
     raw = with_changes(
         SMALL_OSC_JE, temperature="hot", tolerances={"tail_tol": "tight"},
@@ -798,7 +835,7 @@ def test_validate_accepts_file_names_the_run_does_not_write(raw):
 )
 def test_the_run_makes_the_quenches_validation_checks(tmp_path, monkeypatch, raw):
     """Each ensemble, series and position density the run builds is of a
-    quench that ``cli._quenches`` lists for ``validate``, in that order; a
+    quench that ``cli._quenches`` lists, in that order; a
     position density names its quench by (lambda, y)."""
     config = config_with(raw, tmp_path)
     assert validate(config) == []
@@ -881,13 +918,28 @@ def seeded_oscillator_protocols(count, seed=2201):
         yield protocol, float(10 ** rng.uniform(-14, -6))
 
 
-def test_validate_accepts_the_protocols_the_oscillator_accepts():
-    """An oscillator-je config passes cli.validate exactly when the oscillator
-    builds the position distribution of every station lambda_1 to lambda_{s-1}."""
+def main_accepts(tmp_path, raw):
+    """Whether ``main`` runs ``raw`` (exit 0) rather than rejecting it (exit 2,
+    leaving no output directory)."""
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(raw))
+    shutil.rmtree(out, ignore_errors=True)
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "effective sample size")
+        code = main(["--config", str(path), "--out", str(out), "--quiet"])
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+    return code == 0
+
+
+def test_main_accepts_the_protocols_the_oscillator_accepts(tmp_path):
+    """An oscillator-je config exits 2 exactly when the oscillator raises
+    building the position distribution of a station lambda_1 to lambda_{s-1}."""
     accepted = []
     for protocol, tail_tol in seeded_oscillator_protocols(150):
-        raw = with_changes(SMALL_OSC_JE, protocol=protocol, tolerances={"tail_tol": tail_tol})
-        accepted.append(validate(RunConfig.from_dict(raw)) == [])
+        raw = with_changes(SMALL_OSC_JE, protocol=protocol, tolerances={"tail_tol": tail_tol},
+                           sampler={"n_paths": 100})
+        accepted.append(main_accepts(tmp_path, raw))
         proto = QuenchProtocol(**protocol)
         y = y_parameter(OSC, proto.step)
         model = builds(*(
@@ -907,14 +959,14 @@ def seeded_oscillator_quenches(count, seed=2202):
         yield dlam, None if rng.integers(2) else float(rng.uniform(-0.5, 0.5) * dlam)
 
 
-def test_validate_accepts_the_quenches_the_oscillator_accepts():
-    """An oscillator temperature config passes cli.validate exactly when both
-    Poisson ensembles build and the closed-form temperature of dlam exists."""
+def test_main_accepts_the_quenches_the_oscillator_accepts(tmp_path):
+    """An oscillator temperature config exits 2 exactly when a Poisson
+    ensemble fails to build or the closed-form temperature of dlam does not
+    exist."""
     anchors = [(1e-200, None), (38.9, None), (39.0, None), (30.0, 12.0), (30.0, 8.0)]
     accepted = []
     for dlam, eps in anchors + list(seeded_oscillator_quenches(150)):
-        raw = oscillator_temperature(dlam=dlam, eps=eps)
-        accepted.append(validate(RunConfig.from_dict(raw)) == [])
+        accepted.append(main_accepts(tmp_path, oscillator_temperature(dlam=dlam, eps=eps)))
         dl_b = dlam + (0.1 * dlam if eps is None else eps)
         model = builds(
             lambda: poisson_ensemble(OSC, 0.0, dlam),

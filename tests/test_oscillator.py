@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,9 +180,21 @@ def test_position_distribution_peak_structure():
 
 
 def test_position_distribution_narrow_grid_rejected():
-    # around lambda/2 = 5e154 the grid's points all round to lambda/2
-    with pytest.raises(GridTooNarrowError):
-        position_distribution(PARAMS, lam=1e155, y=2.0)
+    """By lambda = 1.4e5 the grid's spacing rounds unevenly, and
+    around lambda/2 = 5e154 its points all round to lambda/2: either way the
+    error names lambda."""
+    for lam in (1.4e5, 1e155):
+        message = f"lam: lambda = {lam:g} is too far out for the position grid: "
+        with pytest.raises(GridTooNarrowError, match="^" + re.escape(message)):
+            position_distribution(PARAMS, lam=lam, y=2.0)
+
+
+@pytest.mark.parametrize("lam", [3e5, -3e5, 1e8, 1e155, -1e155, math.inf, math.nan])
+def test_poisson_ensemble_rejects_a_lambda_whose_offset_swamps_the_levels(lam):
+    """Past where k lambda^2/4 has a float spacing of 1e-6 hbar*omega, also
+    where lambda**2 overflows, the error is a ValueError led by ``lam:``."""
+    with pytest.raises(ValueError, match="^lam: "):
+        poisson_ensemble(PARAMS, lam, 1.0)
 
 
 def test_position_density_independent_of_grid_partition():
