@@ -384,11 +384,18 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
         write_csv(path(f"{prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
         if featured is not None and math.isclose(lam, featured):
             write_csv(path(config.filenames["featured_histogram"]), ["x,f"], (dist.x, dist.density))
-    lo, hi = profile.final_work.min(), profile.final_work.max()
+    work = profile.final_work
+    lo, hi = work.min(), work.max()
     # np.histogram's own range (lo, hi), opened only where it is too narrow for 60 bins
     span = histogram_span(lo, hi)
     limits = (lo, hi if span == hi - lo else lo + span)
-    counts, edges = np.histogram(profile.final_work, bins=60, range=limits)
+    # counted in slices of 2^14 paths, so that np.histogram's temporaries stay
+    # small; a value's bin depends only on it and the range, so the summed
+    # counts are those of the whole sample
+    counts, block = 0, 1 << 14
+    for start in range(0, work.size, block):
+        part, edges = np.histogram(work[start:start + block], bins=60, range=limits)
+        counts += part
     centers = 0.5 * (edges[:-1] + edges[1:])
     write_csv(path(config.filenames["work_histogram"]), ["W,count"], (centers, counts))
     return {"seed": sampler["seed"], "n_paths": sampler["n_paths"],

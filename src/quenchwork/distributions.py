@@ -48,7 +48,10 @@ class QuenchProtocol:
 
     @property
     def lambdas(self) -> np.ndarray:
-        return self.lambda_start + self.step * np.arange(self.stations)
+        # silent where a station passes the float range: the model rejects
+        # the inf it gets with its own lam:/y: error
+        with np.errstate(over="ignore"):
+            return self.lambda_start + self.step * np.arange(self.stations)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ The free-energy change then follows from the exponential work average
 evaluated on the weights exp(-beta (W - min W)) so that beta*W never overflows.
 Because rare low-work paths carry exponential weight, every profile reports
 an effective sample size and a delete-one jackknife error next to the plain
-work standard deviation.
+work standard deviation.  A profile samples its paths in two path-long
+buffers, the running work and one scratch buffer, whatever the number of
+stations.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from . import lattice, oscillator
 from .distributions import PositionDistribution, QuenchProtocol
 
 _MIN_ESS = 10.0
-# most paths a profile samples: its three path-long float buffers (running
-# work, weights, draws) then take 384 MiB
+# most paths a profile samples: its two path-long float buffers (running
+# work, and one scratch buffer for the draws, weights and estimator terms)
+# then take 256 MiB
 MAX_PATHS = 1 << 24
 
 
@@ -70,12 +73,13 @@ def trap_work(x, lam_i: float, lam_next: float, coupling: float, out: np.ndarray
     return np.multiply(coupling * (lam_next - lam_i), offset, out=out)
 
 
-def estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, float]:
+def estimates(works, beta: float, p=None) -> tuple[float, float, float]:
     """(dF, jackknife error, ESS) of a non-empty work sample from one pass of
     the weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1.
 
-    ``p`` and ``scratch`` are float arrays of the sample's size that the
-    pass writes over; None allocates them.
+    ``p`` is a float array of the sample's size that the pass writes over,
+    first with the weights and then with the jackknife terms; None
+    allocates it.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -84,21 +88,21 @@ def estimates(works, beta: float, p=None, scratch=None) -> tuple[float, float, f
         raise ValueError("need at least one work sample")
     m = w.size
     p = np.empty(m) if p is None else p
-    scratch = np.empty(m) if scratch is None else scratch
     w_min = float(w.min())
     with np.errstate(over="ignore"):  # a beta*(W - min W) past the float range gives p = 0
         np.exp(np.multiply(-beta, np.subtract(w, w_min, out=p), out=p), out=p)
     total = p.sum()
     # dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta
     df = float(w_min - math.log(total / m) / beta)
-    # ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p)
+    # ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p),
+    # taken before the jackknife terms overwrite p
     ess = float(total**2 / (p @ p))
     if m < 2:
         return df, 0.0, ess
     # delete-one jackknife: of the estimate without path i only
     # -ln(1 - p_i/sum p)/beta varies with i; the clip keeps a single totally
     # dominant sample from giving ln 0
-    df_loo = np.minimum(np.divide(p, total, out=scratch), math.exp(-1e-12), out=scratch)
+    df_loo = np.minimum(np.divide(p, total, out=p), math.exp(-1e-12), out=p)
     np.negative(np.log1p(np.negative(df_loo, out=df_loo), out=df_loo), out=df_loo)
     np.divide(df_loo, beta, out=df_loo)
     np.square(np.subtract(df_loo, df_loo.mean(), out=df_loo), out=df_loo)
@@ -119,12 +123,14 @@ def profile_from_distributions(
     One pass per station: pass i draws x_i from ``dists[i]`` with the one
     generator ``default_rng(seed)``, adds ``trap_work(x_i, lambdas[i],
     lambdas[i+1], coupling)`` to the running work of every path and
-    estimates station i+1 from one pass of its weights.  The running work,
-    the weights and the draws live in three path-long buffers made once, so
-    memory is three arrays of ``n_paths`` (at most ``MAX_PATHS``) whatever
-    the number of stations, and no station allocates another.  The targets
-    are ``coupling * (lambda - anchor)**2 / 2`` less their first entry; they
-    and the estimates are zero at station 1.
+    estimates station i+1 from one pass of its weights.  Two path-long
+    buffers are made once: the running work, and one scratch buffer that
+    holds in turn the draws, their work steps, the weights and jackknife
+    terms, and the terms of ``work.std()``.  So memory is two arrays of
+    ``n_paths`` (at most ``MAX_PATHS``) whatever the number of stations, and
+    no station allocates another.  The targets are ``coupling * (lambda -
+    anchor)**2 / 2`` less their first entry; they and the estimates are zero
+    at station 1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if not 1 <= n_paths <= MAX_PATHS:
@@ -138,11 +144,11 @@ def profile_from_distributions(
     jk = np.zeros(s)
     ess = np.full(s, float(n_paths))
     # the running work starts at -0.0, which adds to any step bit for bit
-    work, p, scratch = np.full(n_paths, -0.0), np.empty(n_paths), np.empty(n_paths)
+    work, scratch = np.full(n_paths, -0.0), np.empty(n_paths)
     for i, dist in enumerate(dists):
         x = dist.sample(rng, n_paths, out=scratch)
         work += trap_work(x, lambdas[i], lambdas[i + 1], coupling, out=scratch)
-        delta_f[i + 1], jk[i + 1], ess[i + 1] = estimates(work, beta, p, scratch)
+        delta_f[i + 1], jk[i + 1], ess[i + 1] = estimates(work, beta, scratch)
         # work.std(), numpy's own operations in its order, over the scratch buffer
         np.square(np.subtract(work, work.mean(), out=scratch), out=scratch)
         work_std[i + 1] = math.sqrt(scratch.sum() / n_paths)

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import quenchwork
 from oracles import one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
-from quenchwork.jarzynski import MAX_PATHS
+from quenchwork.ensembles import write_csv
+from quenchwork.jarzynski import MAX_PATHS, build_profile
 from quenchwork.lattice import (
     MAX_SERIES_SAMPLES,
     MAX_SITES,
@@ -29,7 +31,7 @@ from quenchwork.lattice import (
     series_samples,
     time_average_distribution,
 )
-from quenchwork.distributions import MAX_HISTOGRAM_BINS, MAX_STATIONS, QuenchProtocol
+from quenchwork.distributions import MAX_HISTOGRAM_BINS, MAX_STATIONS, QuenchProtocol, histogram_span
 from quenchwork.oscillator import (
     OscillatorParams,
     poisson_ensemble,
@@ -176,6 +178,45 @@ def test_subnormal_work_range_writes_a_work_histogram(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
     assert len((out / "work_hist.csv").read_text().splitlines()) == 61
     assert not any("nan" in csv.read_text() for csv in out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("step", [0.6935, 0.0], ids=["spread", "constant"])
+def test_work_histogram_counted_in_slices_is_that_of_the_whole_sample(tmp_path, step):
+    """The run counts its work histogram over slices of the final work; with a
+    sample that is no multiple of the slice, its counts and bin centers are
+    np.histogram's of the whole sample, also where a constant sample (step 0)
+    has its range opened by histogram_span."""
+    n_paths = 3 * (1 << 14) + 5
+    raw = {**SMALL_OSC_JE, "protocol": {"lambda_start": 0.0, "step": step, "stations": 3},
+           "sampler": {"n_paths": n_paths, "seed": 3}}
+    run(config_with(raw, tmp_path / "o"))
+    work = build_profile(OscillatorParams(), QuenchProtocol(0.0, step, 3), 1.0 / 0.35,
+                         n_paths, 3).final_work
+    lo, hi = work.min(), work.max()
+    span = histogram_span(lo, hi)
+    assert (span == hi - lo) == (step != 0.0)
+    limits = (lo, hi if span == hi - lo else lo + span)
+    counts, edges = np.histogram(work, bins=60, range=limits)
+    write_csv(tmp_path / "expected.csv", ["W,count"], (0.5 * (edges[:-1] + edges[1:]), counts))
+    assert (tmp_path / "o" / "work_hist.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_je_run_memory_stays_under_three_path_arrays(tmp_path):
+    """A 100 000-path oscillator-je run holds the profile's two path buffers
+    at most, and its work histogram adds no path-length temporary."""
+    n_paths = 100_000
+    config = config_with(
+        {**SMALL_OSC_JE, "protocol": {"lambda_start": 0.0, "step": 0.6935, "stations": 3},
+         "sampler": {"n_paths": n_paths, "seed": 1}}, tmp_path / "o")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n_paths)
+    assert arrays < 3.0, f"peak of {arrays:.2f} path-length arrays"
 
 
 def test_byte_identical_across_processes(tmp_path):
@@ -689,6 +730,27 @@ def test_a_later_degenerate_quench_exits_2_before_any_evolution(tmp_path, capsys
     assert violations[0].startswith("model: levels 10 and 11 of H(lambda=11) are degenerate")
     assert not (tmp_path / "o").exists()
     assert evolved == []
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "oscillator-je", "model": {"type": "oscillator"}, "temperature": 0.35,
+     "sampler": {"seed": 1}},
+    {"kind": "lattice-run", "model": {"type": "lattice"}},
+], ids=["oscillator-je", "lattice-run"])
+def test_a_protocol_past_the_float_range_exits_2_without_a_warning(tmp_path, capsys, raw):
+    """Stations 1e308, inf, inf: the protocol's lambdas overflow silently and
+    the model rejects the station it cannot build, with nothing on stderr."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {**raw, "protocol": {"lambda_start": 1e308, "step": 1e308, "stations": 3}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    violations = json.loads(out)["violations"]
+    assert len(violations) == 1 and violations[0].startswith("protocol.")
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_non_numbers(tmp_path, capsys):

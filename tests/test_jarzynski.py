@@ -300,9 +300,10 @@ def test_profile_draws_stations_in_order_and_sums_them_sequentially():
 
 
 def test_profile_memory_does_not_grow_with_stations():
-    """A 10-step profile holds its three path-length buffers (running work,
-    weights, draws) and no path-length temporary beside them, not one
-    (n_paths, steps) matrix, and its final work is not a view of one."""
+    """A 10-step profile holds its two path-length buffers (running work, and
+    one scratch buffer for the draws, weights and estimator terms) and no
+    path-length temporary beside them, not one (n_paths, steps) matrix, and
+    its final work is not a view of one."""
     dists, lambdas = oscillator_stations(0.6935, 11)
     n_paths = 1 << 18
     tracemalloc.start()
@@ -315,7 +316,7 @@ def test_profile_memory_does_not_grow_with_stations():
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * n_paths)
-    assert arrays < 4.0, f"peak of {arrays:.2f} path-length arrays"
+    assert arrays < 3.0, f"peak of {arrays:.2f} path-length arrays"
     assert profile.final_work.base is None
 
 
