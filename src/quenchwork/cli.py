@@ -45,10 +45,10 @@ REQUIRED = object()  # default of a field the kinds needing its section must set
 
 class Field(NamedTuple):
     """A row of FIELDS.  ``default`` stands in for a value left out or null
-    (a callable one is computed from the section); ``type`` is int, float or
-    str (a file name inside ``out_dir``); ``bound`` is an int's least value or
-    closed range, or a float's (open lower, closed upper) range, None for any
-    float."""
+    (a callable one is computed from the section, None where a field it
+    reads is no number); ``type`` is int, float or str (a file name inside
+    ``out_dir``); ``bound`` is an int's least value or closed range, or a
+    float's (open lower, closed upper) range, None for any float."""
 
     default: object
     type: type
@@ -83,7 +83,7 @@ FIELDS: dict[str | None, dict[str, Field]] = {
     "quench": {
         "lambda": Field(15.0, float),
         "dlam": Field(REQUIRED, float, (0.0, math.inf)),
-        "eps": Field(lambda quench: 0.1 * quench["dlam"], float),
+        "eps": Field(lambda q: 0.1 * q["dlam"] if finite_real(q.get("dlam")) else None, float),
     },
     "tolerances": {
         "tail_tol": Field(1e-12, float, (0.0, oscillator.MAX_TAIL_TOL)),
@@ -154,7 +154,7 @@ class RunConfig:
 
     kind: str
     model: dict
-    protocol: dict | None = None
+    protocol: dict = field(default_factory=dict)
     temperature: float | None = None
     sampler: dict = field(default_factory=dict)
     evolution: dict = field(default_factory=dict)
@@ -177,19 +177,15 @@ class RunConfig:
         merged = {f.name: f.default for f in dataclasses.fields(params_cls)} if params_cls else {}
         merged.update(model)
         merged["type"] = mtype
-        # a left-out protocol stays None and the quench defaults are filled
-        # where they are read, so that no config hash moves
-        sections = {name: dict(d.get(name, {})) for name in FIELDS if name}
-        sections["protocol"] = d.get("protocol")
-        for name in ("sampler", "evolution", "tolerances", "filenames"):
-            sections[name] = _with_defaults(name, sections[name])
+        sections = {name: _with_defaults(name, d.get(name, {})) for name in FIELDS if name}
         return cls(
             kind=kind, model=merged, temperature=d.get("temperature"), **sections,
             out_dir=d.get("out_dir", "out"), quiet=bool(d.get("quiet", False)),
         )
 
     def config_hash(self) -> str:
-        """Hash of the fields that affect computed results, not where they are written."""
+        """Hash of the fields that affect computed results, not where they are
+        written; defaults are filled in, so writing one out changes nothing."""
         sections = (s for s in FIELDS if s not in (None, "filenames"))
         semantic = {key: getattr(self, key) for key in ("kind", "model", *FIELDS[None], *sections)}
         canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -236,7 +232,6 @@ def _field_violations(config: RunConfig) -> list[str]:
     violations = []
     for section, specs in FIELDS.items():
         values = getattr(config, section) if section else {k: getattr(config, k) for k in specs}
-        values = values or {}  # a left-out protocol is None
         for key in {**specs, **values}:
             name = f"{section}.{key}" if section else key
             spec, value = specs.get(key), values.get(key)
@@ -314,7 +309,7 @@ def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
     (lambda - dlambda) -> lambda the run makes; a profile run makes one per
     station with a distribution, lambda_1 to lambda_{s-1}."""
     if config.kind == "temperature":
-        q = _with_defaults("quench", config.quench)
+        q = config.quench
         return [("quench.lambda", q["lambda"], "quench.dlam", q["dlam"]),
                 ("quench.lambda", q["lambda"], "quench.eps", q["dlam"] + q["eps"])]
     proto = QuenchProtocol(**config.protocol)
@@ -384,6 +379,7 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
         write_csv(path(f"{prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
         if featured is not None and math.isclose(lam, featured):
             write_csv(path(config.filenames["featured_histogram"]), ["x,f"], (dist.x, dist.density))
+            featured = None  # the first station that matches, as validate reads it
     work = profile.final_work
     lo, hi = work.min(), work.max()
     # np.histogram's own range (lo, hi), opened only where it is too narrow for 60 bins
@@ -426,8 +422,8 @@ def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams
     for tag, ens, (lam, dlam) in zip("ab", ensembles, quenches):
         write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dlam)
     est = temperature_from_pair(*ensembles)
-    quench = _with_defaults("quench", config.quench)
-    row = {"lambda": quench["lambda"], "dlam": quench["dlam"], "eps": quench["eps"], "dS": est.dS,
+    q = config.quench
+    row = {"lambda": q["lambda"], "dlam": q["dlam"], "eps": q["eps"], "dS": est.dS,
            "dE": est.dE, "beta": est.beta, "T": est.temperature, **closed_form}
     write_csv(path(config.filenames["temperature"]), [",".join(row)], [[v] for v in row.values()])
     return {"temperature_estimate": est.temperature,

@@ -86,6 +86,10 @@ class LatticeParams:
             raise ValueError("hopping must be positive")
         if self.trap < 0:
             raise ValueError("trap stiffness must be non-negative")
+        # squared first, as in spectrum; a float product overflows to inf where ** raises
+        ends = (k - float(self.center) for k in (1, self.n_sites))
+        if not all(math.isfinite(self.trap * (d * d)) for d in ends):
+            raise ValueError("the trap term trap*(k - center)^2 must be finite on the chain")
 
     @property
     def sites(self) -> np.ndarray:
@@ -132,10 +136,13 @@ class TimeSeries:
         return float((self.values.size - 1) * self.dt)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     """Dense eigen-decomposition of the tridiagonal one-body matrix, cached
     per (params, lambda); nothing downstream depends on eigenvector signs.
+    The cache holds the 32 latest spectra, 32 N^2 doubles (1.1 GB at
+    ``MAX_SITES``): a run that needs at most 32 (an s-station protocol needs
+    s to 2(s - 1)) computes each once, a longer one computes them again.
     Raises ValueError, led by ``lam:``, where lambda overflows the matrix."""
     k = params.sites
     with np.errstate(over="ignore", invalid="ignore"):

@@ -183,13 +183,14 @@ def position_distribution(
     The |n> are eigenfunctions of the post-quench well: frequency omega,
     centered at lambda/2.  The grid is 2001 uniform points around lambda/2,
     wide enough to hold the classical turning point of every level that
-    ``poisson_probs(y)`` keeps, plus six ground-state widths of slack.  The
-    result is renormalized once the grid holds 1 - 1e-4 of the mass; a grid
-    too far out to resolve the well raises GridTooNarrowError, led by ``lam:``.
+    ``poisson_probs(y, tail_tol)`` keeps, the levels it sums, plus six
+    ground-state widths of slack.  The result is renormalized once the grid
+    holds 1 - 1e-4 of the mass; a grid too far out to resolve the well raises
+    GridTooNarrowError, led by ``lam:``.
     """
-    half = (math.sqrt(2.0 * poisson_probs(y).size - 1.0) + 6.0) * params.ground_width
-    grid = np.linspace(lam / 2.0 - half, lam / 2.0 + half, 2001)
     probs = poisson_probs(y, tail_tol)
+    half = (math.sqrt(2.0 * probs.size - 1.0) + 6.0) * params.ground_width
+    grid = np.linspace(lam / 2.0 - half, lam / 2.0 + half, 2001)
     scale = math.sqrt(params.mass * params.omega / params.hbar)
     xi = scale * (grid - lam / 2.0)
     phi = hermite_functions(probs.size - 1, xi)

@@ -29,6 +29,7 @@ from quenchwork.lattice import (
     LatticeParams,
     evolve_center_of_mass,
     series_samples,
+    spectrum,
     time_average_distribution,
 )
 from quenchwork.distributions import MAX_HISTOGRAM_BINS, MAX_STATIONS, QuenchProtocol, histogram_span
@@ -131,6 +132,18 @@ def test_manifest_hash_semantics(tmp_path):
     assert RunConfig.from_dict(warmer).config_hash() != base.config_hash()
 
 
+@pytest.mark.parametrize("spellings", [
+    [{"quench": {"dlam": 1.0}}, {"quench": {"dlam": 1.0, "eps": None}},
+     {"quench": {"lambda": 15.0, "dlam": 1.0, "eps": 0.1}}],
+    [{}, {"protocol": {}}],
+], ids=["quench", "protocol"])
+def test_config_hash_fills_in_defaults(spellings):
+    """A config that writes a default out hashes like one that leaves it out."""
+    base = {"kind": "temperature", "model": {"type": "lattice"}}
+    hashes = {RunConfig.from_dict({**base, **spelling}).config_hash() for spelling in spellings}
+    assert len(hashes) == 1
+
+
 def child_python(*args, timeout=None):
     """``python *args`` in a child process that imports the same package as
     this process, installed or not."""
@@ -219,6 +232,18 @@ def test_je_run_memory_stays_under_three_path_arrays(tmp_path):
     assert arrays < 3.0, f"peak of {arrays:.2f} path-length arrays"
 
 
+def test_featured_histogram_is_written_once(tmp_path):
+    """Stations 1e-10 apart all match featured_lambda under math.isclose; the
+    run writes the featured file once, from the first, the one validate reads."""
+    raw = {"kind": "oscillator-je", "model": {"type": "oscillator"}, "temperature": 0.35,
+           "protocol": {"lambda_start": 1.0, "step": 1e-10, "stations": 4},
+           "sampler": {"n_paths": 1000, "seed": 1}, "evolution": {"featured_lambda": 1.0}}
+    files = run(config_with(raw, tmp_path))["files"]
+    assert len(files) == len(set(files))
+    featured = (tmp_path / "featured_hist.csv").read_bytes()
+    assert featured == (tmp_path / "dist_station_01.csv").read_bytes()
+
+
 def test_byte_identical_across_processes(tmp_path):
     for d in ("p1", "p2"):
         run_child(tmp_path, SMALL_OSC_JE, d)
@@ -239,6 +264,28 @@ def test_lattice_je_outputs(tmp_path):
     assert rows.shape == (3, 6)
     assert rows[0, 1] == 0.0  # dF at the first station
     assert manifest["min_ess"] > 0
+
+
+def test_long_lattice_run_keeps_few_spectra(tmp_path):
+    """A 100-station run needs 100 spectra; the spectrum cache keeps a bounded
+    number of them, so the peak stays below 64 arrays of N^2 doubles."""
+    n = 120
+    config = config_with({
+        "kind": "lattice-run",
+        "model": {"type": "lattice", "n_sites": n, "n_particles": 30, "trap": 0.0025, "center": 39.0},
+        "protocol": {"lambda_start": 45.0, "step": 0.25, "stations": 100},
+        "evolution": {"tau": float(n * n), "dt": n * n / 1000},
+    }, tmp_path)
+    spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * n)
+    assert arrays < 64, f"peak of {arrays:.1f} arrays of N^2 doubles"
 
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
@@ -580,6 +627,10 @@ HORIZON_CASES = [
         (with_changes(LATTICE_TEMPERATURE, quench={"lambda": 1e155}), "quench.lambda"),
         ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
           "protocol": {"lambda_start": 1e160, "step": 1.0, "stations": 2}}, "protocol.lambda_start"),
+        # V (k - center)^2 overflows at a chain end, also where V times (k - center) does not
+        (with_changes(LATTICE_TEMPERATURE, model={"center": 1e300}), "model"),
+        (with_changes(SMALL_LATTICE_JE, kind="lattice-run", model={"center": 1e300}), "model"),
+        (with_changes(LATTICE_TEMPERATURE, model={"center": 1e155, "trap": 1e-320}), "model"),
         # a second quench that repeats the first, also where dlam + eps == dlam,
         # and the oscillator's -dlam, since y grows as dlam^2
         (with_changes(LATTICE_TEMPERATURE, quench={"eps": 0.0}), "quench.eps"),
@@ -595,7 +646,8 @@ HORIZON_CASES = [
          "beta-overflows", "featured-last-lattice-station", "featured-off-grid",
          "featured-last-oscillator-station", "oscillator-lambda-swamps-levels",
          "oscillator-lambda-overflows", "oscillator-lambda-past-grid", "lattice-lambda-overflows",
-         "lattice-run-lambda-overflows", "lattice-eps-0", "lattice-eps-tiny", "oscillator-eps-0",
+         "lattice-run-lambda-overflows", "lattice-center-overflows", "lattice-run-center-overflows",
+         "lattice-center-overflows-squared", "lattice-eps-0", "lattice-eps-tiny", "oscillator-eps-0",
          "oscillator-minus-dlam"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
@@ -756,12 +808,12 @@ def test_a_protocol_past_the_float_range_exits_2_without_a_warning(tmp_path, cap
 def test_validate_rejects_non_numbers(tmp_path, capsys):
     raw = with_changes(
         SMALL_OSC_JE, temperature="hot", tolerances={"tail_tol": "tight"},
-        protocol={"stations": "4"},
+        protocol={"stations": "4"}, quench={"dlam": "1"},
     )
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
     assert sorted(v.split(":")[0] for v in violations) == [
-        "protocol.stations", "temperature", "tolerances.tail_tol",
+        "protocol.stations", "quench.dlam", "temperature", "tolerances.tail_tol",
     ]
 
 

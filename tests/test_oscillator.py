@@ -198,22 +198,20 @@ def test_poisson_ensemble_rejects_a_lambda_whose_offset_swamps_the_levels(lam):
 
 
 def test_position_density_independent_of_grid_partition():
-    """Pointwise evaluation: splitting the grid cannot change the values."""
+    """Pointwise evaluation: the Hermite functions on a slice of the grid are
+    those of the whole grid bit for bit.  The raw (un-renormalized) densities
+    agree to 1e-15 relative, not bitwise, since the matrix-vector product
+    rounds differently with the array's length (by up to 1.6e-16 on [:1250])."""
     full = position_distribution(PARAMS, 1.0, 0.5)
     grid = full.x
-    left = grid[:500]
-    right = grid[300:]
-    # raw (un-renormalized) densities must agree bitwise on the overlap
     scale = np.sqrt(PARAMS.mass * PARAMS.omega / PARAMS.hbar)
-    from quenchwork.oscillator import poisson_probs
-
     probs = poisson_probs(0.5)
-    for part in (left, right):
-        phi = hermite_functions(probs.size - 1, scale * (part - 0.5))
-        raw = probs @ (phi**2) * scale
-        whole = probs @ (hermite_functions(probs.size - 1, scale * (grid - 0.5)) ** 2) * scale
-        sel = np.isin(grid, part)
-        assert np.array_equal(raw, whole[sel])
+    phi = hermite_functions(probs.size - 1, scale * (grid - 0.5))
+    whole = probs @ (phi**2) * scale
+    for part in (slice(None, 500), slice(300, None), slice(None, 1250), slice(750, None)):
+        phi_part = hermite_functions(probs.size - 1, scale * (grid[part] - 0.5))
+        assert np.array_equal(phi_part, phi[:, part])
+        np.testing.assert_allclose(probs @ (phi_part**2) * scale, whole[part], rtol=1e-15, atol=0)
     assert abs(np.trapezoid(full.density, full.x) - 1.0) < 1e-6
 
 
@@ -252,6 +250,11 @@ def test_position_grid_centered_and_wide():
     grid = position_distribution(PARAMS, lam=3.0, y=0.1).x
     assert grid[0] <= 1.5 - 6.0 and grid[-1] >= 1.5 + 6.0
     assert abs((grid[0] + grid[-1]) / 2 - 1.5) < 1e-12
+    # the turning point of the last level the run's own tail keeps, plus six widths
+    for tail_tol in (1e-12, 1e-6):
+        grid = position_distribution(PARAMS, lam=3.0, y=2.0, tail_tol=tail_tol).x
+        half = math.sqrt(2.0 * poisson_probs(2.0, tail_tol).size - 1.0) + 6.0
+        assert grid[-1] - 1.5 == pytest.approx(half, rel=1e-12)
 
 
 def test_free_energy_low_t_cancellation():
