@@ -28,7 +28,7 @@ import numpy as np
 
 from . import distributions, jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol, histogram_span
-from .ensembles import finite_real, mean_energy, temperature_from_pair, write_csv, write_ensemble
+from .ensembles import finite_real, temperature_from_pair, write_csv, write_ensemble
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
@@ -323,8 +323,9 @@ class Rejected(Exception):
 def _build_each(quenches: list, build) -> list:
     """``build(i, lambda, dlambda)`` of every quench i of ``quenches``, rows of
     ``_quenches``.  Rejected names each field at fault once, with its first failure:
-    a degenerate Fermi level under ``model``, a ValueError led by ``lam:`` or ``y:``
-    under the quench's lambda or dlambda field.  Anything else is a bug and propagates."""
+    a degenerate Fermi level under ``model``, a ValueError led by ``lam:`` under the
+    quench's lambda field, by ``dlam:`` or ``y:`` under its dlambda field.  Anything
+    else is a bug and propagates."""
     built, violations = [], {}
     for i, (lam_key, lam, dlam_key, dlam) in enumerate(quenches):
         try:
@@ -333,7 +334,7 @@ def _build_each(quenches: list, build) -> list:
             violations.setdefault("model", str(exc))
         except ValueError as exc:
             prefix, _, detail = str(exc).partition(": ")
-            if prefix not in ("lam", "y"):
+            if prefix not in ("lam", "dlam", "y"):
                 raise
             violations.setdefault(lam_key if prefix == "lam" else dlam_key, detail)
     if violations:
@@ -349,6 +350,8 @@ def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> 
 
 
 def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
+    # every quench's spectra and ground state, before the first file
+    _build_each(_quenches(config), lambda _, *q: lattice.quench_energy(params, *q))
     edges = []
     for i, (_, lam, _, dlam) in enumerate(_quenches(config), start=1):
         series = lattice.evolve_center_of_mass(
@@ -362,21 +365,20 @@ def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
 
 
 def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
-    evolution, sampler = config.evolution, config.sampler
-    # one build, under the protocol's fields: it makes every station distribution before it samples
-    profile, = _build_each(_quenches(config)[:1], lambda *_: jarzynski.build_profile(
-        params, QuenchProtocol(**config.protocol), 1.0 / config.temperature,
-        sampler["n_paths"], sampler["seed"], tail_tol=config.tolerances["tail_tol"],
-        tau=evolution["tau"], dt=evolution["dt"], bins=evolution["bins"]))
+    sampler, settings = config.sampler, {**config.tolerances, **config.evolution}
+    # what can fail of every station, then the stations, then the paths
+    stations = _build_each(_quenches(config), lambda _, *q: params.station(*q, **settings))
+    profile = jarzynski.profile_from_distributions(
+        [make() for make in stations], QuenchProtocol(**config.protocol).lambdas, *params.traps,
+        1.0 / config.temperature, sampler["n_paths"], sampler["seed"])
     write_csv(
         path(config.filenames["profile"]), ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
         (profile.lambdas, profile.delta_f, profile.targets, profile.work_std,
          profile.jackknife, profile.ess),
     )
-    prefix = "dist" if config.model["type"] == "oscillator" else "hist"
-    featured = evolution["featured_lambda"]
+    featured = config.evolution["featured_lambda"]
     for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
-        write_csv(path(f"{prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
+        write_csv(path(f"{params.station_prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
         if featured is not None and math.isclose(lam, featured):
             write_csv(path(config.filenames["featured_histogram"]), ["x,f"], (dist.x, dist.density))
             featured = None  # the first station that matches, as validate reads it
@@ -399,35 +401,25 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
 
 
 def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
-    quenches = [(lam, dlam) for _, lam, _, dlam in _quenches(config)]
-    tol = config.tolerances
-    if lattice_pair := isinstance(params, LatticeParams):  # run has built these spectra
-        exact, name = [lattice.quench_energy(params, *q) for q in quenches], "energy"
-    else:
-        def build(i, lam, dlam):  # and the T_closed_form column, of the first quench
-            y = oscillator.y_parameter(params, dlam)
-            return (oscillator.poisson_ensemble(params, lam, dlam, tol["tail_tol"]),
-                    None if i else oscillator.temperature_closed_form(params, y))
-        (ens_a, t_closed), (ens_b, _) = _build_each(_quenches(config), build)
-        exact, name = [oscillator.y_parameter(params, dlam) for _, dlam in quenches], "y ="
-    if exact[0] == exact[1]:  # the second ensemble would repeat the first
-        raise Rejected([f"quench.eps: dlam + eps repeats the first quench's {name} {exact[0]:g}"])
-    if lattice_pair:
-        ensembles = [lattice.diagonal_ensemble(params, *q, tol["prob_cutoff"], tol["max_states"])
-                     for q in quenches]
-        gaps = [mean_energy(ens) - energy for ens, energy in zip(ensembles, exact)]
-        fields, closed_form = {"energy_gap": gaps}, {}
-    else:
-        ensembles, fields, closed_form = [ens_a, ens_b], {}, {"T_closed_form": t_closed}
-    for tag, ens, (lam, dlam) in zip("ab", ensembles, quenches):
+    quenches, settings = _quenches(config), {**config.tolerances, **config.evolution}
+    # what can fail of both quenches, and the first's extra columns, before the repeat check
+    (key_a, ens_a, columns), (key_b, ens_b, _) = _build_each(quenches, lambda i, lam, dlam: (
+        *params.temperature_quench(lam, dlam, **settings),
+        None if i else params.temperature_columns(lam, dlam)))
+    if key_a == key_b:  # the second ensemble would repeat the first
+        raise Rejected([f"quench.eps: dlam + eps repeats the first quench's "
+                        f"{params.quench_key} {key_a:g}"])
+    ensembles = [ens_a(), ens_b()]
+    for tag, ens, (_, lam, _, dlam) in zip("ab", ensembles, quenches):
         write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dlam)
     est = temperature_from_pair(*ensembles)
     q = config.quench
     row = {"lambda": q["lambda"], "dlam": q["dlam"], "eps": q["eps"], "dS": est.dS,
-           "dE": est.dE, "beta": est.beta, "T": est.temperature, **closed_form}
+           "dE": est.dE, "beta": est.beta, "T": est.temperature, **columns}
     write_csv(path(config.filenames["temperature"]), [",".join(row)], [[v] for v in row.values()])
     return {"temperature_estimate": est.temperature,
-            "captured_deficit": [ens.discarded_mass for ens in ensembles], **fields}
+            "captured_deficit": [ens.discarded_mass for ens in ensembles],
+            **params.temperature_fields([key_a, key_b], ensembles)}
 
 
 _RUNNERS = {
@@ -464,9 +456,9 @@ def _recording_warnings():
 def run(config: RunConfig) -> dict:
     """Execute a validated configuration; returns the manifest dict.  Each runner
     writes its files to ``path(name)``, which lists them and makes ``out_dir``, and
-    returns its manifest fields.  The run is the one judge of the model's limits: it
-    builds every quench's model objects (the lattice spectra here, the oscillator's
-    in the runners) before any file, and raises Rejected from ``_build_each``."""
+    returns its manifest fields.  The run is the one judge of the model's limits: each
+    runner builds every quench's model objects that can fail before its first file,
+    and raises Rejected from ``_build_each``."""
     out = Path(config.out_dir)
     manifest: dict = {"kind": config.kind, "config_hash": config.config_hash()}
     files: list[str] = []
@@ -479,8 +471,6 @@ def run(config: RunConfig) -> dict:
     params = _model_params(config)
     start = time.monotonic()
     with _recording_warnings() as caught:
-        if isinstance(params, LatticeParams):
-            _build_each(_quenches(config), lambda _, *q: lattice.quench_energy(params, *q))
         manifest.update(_RUNNERS[config.kind](config, params, path))
     manifest["files"] = files
     manifest["warnings"] = caught

@@ -5,10 +5,11 @@ coordinate at each station, one draw per quench step:
 
     W = sum_i [U(x_i, lambda_{i+1}) - U(x_i, lambda_i)],   x_i ~ f_i.
 
-Both models hold x between a fixed trap at an anchor a and the movable one at
-lambda: U = kappa [(x - a)^2 + (x - lambda)^2] up to terms free of lambda, so
+A model holds x between a fixed trap at an anchor a and the movable one at
+lambda, U = kappa [(x - a)^2 + (x - lambda)^2] up to terms free of lambda, so
 each step costs kappa (lambda_{i+1} - lambda_i)(lambda_i + lambda_{i+1} - 2 x_i)
-and the reference profile is kappa (lambda - a)^2 / 2.
+and the reference profile is kappa (lambda - a)^2 / 2.  (kappa, a) and the f_i
+are the model's, from the members of its params (``build_profile``).
 
 The free-energy change then follows from the exponential work average
 
@@ -17,9 +18,7 @@ The free-energy change then follows from the exponential work average
 evaluated on the weights exp(-beta (W - min W)) so that beta*W never overflows.
 Because rare low-work paths carry exponential weight, every profile reports
 an effective sample size and a delete-one jackknife error next to the plain
-work standard deviation.  A profile samples its paths in two path-long
-buffers, the running work and one scratch buffer, whatever the number of
-stations.
+work standard deviation.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lattice, oscillator
 from .distributions import PositionDistribution, QuenchProtocol
 
 _MIN_ESS = 10.0
@@ -171,46 +169,13 @@ def profile_from_distributions(
     )
 
 
-def build_profile(
-    params: oscillator.OscillatorParams | lattice.LatticeParams,
-    protocol: QuenchProtocol,
-    beta: float,
-    n_paths: int,
-    seed: int,
-    *,
-    tail_tol: float = 1e-12,
-    tau: float | None = None,
-    dt: float = 0.1,
-    bins: int = 40,
-) -> FreeEnergyProfile:
-    """Assemble per-station distributions for a model and run the estimator.
-
-    This is the one place that defines each model: its station distributions
-    and the (coupling, anchor) of its two traps.  The type of ``params`` names
-    the model.  Oscillator stations are analytic densities on the default
-    grid, and k x^2/2 + k (x - lambda)^2/2 gives (k/2, 0).  Lattice stations
-    are histograms of the evolved center of mass x, and V sum_k n_k [(k - a)^2
-    + (k - lambda)^2] is V N_b [(x - a)^2 + (x - lambda)^2] plus terms free of
-    lambda, which gives (V N_b, a).  Station i's ensemble comes from the
-    quench (lambda_i - step) -> lambda_i, and its work from the step
-    lambda_i -> lambda_{i+1}.
-    """
+def build_profile(params, protocol: QuenchProtocol, beta: float, n_paths: int, seed: int,
+                  **settings) -> FreeEnergyProfile:
+    """Profile of ``protocol`` for the model of ``params``: its ``traps`` give
+    (coupling, anchor), and ``station(lambda_i, step, **settings)`` builds
+    what can fail of the quench (lambda_i - step) -> lambda_i and returns a
+    callable giving station i's distribution, called once every station is."""
     lams = protocol.lambdas
-    if isinstance(params, oscillator.OscillatorParams):
-        y = oscillator.y_parameter(params, protocol.step)
-        dists = [
-            oscillator.position_distribution(params, l, y, tail_tol=tail_tol)
-            for l in lams[:-1]
-        ]
-        coupling, anchor = params.stiffness / 2.0, 0.0
-    elif isinstance(params, lattice.LatticeParams):
-        dists = [
-            lattice.time_average_distribution(
-                lattice.evolve_center_of_mass(params, l, protocol.step, tau=tau, dt=dt), bins
-            )
-            for l in lams[:-1]
-        ]
-        coupling, anchor = params.trap * params.n_particles, params.center
-    else:
-        raise TypeError(f"no model takes parameters of type {type(params).__name__}")
-    return profile_from_distributions(dists, lams, coupling, anchor, beta, n_paths, seed)
+    stations = [params.station(lam, protocol.step, **settings) for lam in lams[:-1]]
+    dists = [make() for make in stations]
+    return profile_from_distributions(dists, lams, *params.traps, beta, n_paths, seed)

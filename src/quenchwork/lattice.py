@@ -25,7 +25,7 @@ linear algebra on N x N_b orbital matrices:
   multiply-adds per time sample and the evolved orbitals are never formed;
   the edge occupancies are not evolved but bounded over all times,
 * the center of mass x(t) = sum_k k n_k(t) / N_b is the reaction coordinate
-  coupled to the movable trap.
+  coupled to the movable trap (``LatticeParams`` gives its traps).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import PositionDistribution
-from .ensembles import DiagonalEnsemble, finite_real, renormalize
+from .ensembles import DiagonalEnsemble, finite_real, mean_energy, renormalize
 
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_SITES = 2048  # longest chain: its spectrum takes 1.4 s and 193 MB on a 2-core Xeon
@@ -64,13 +64,22 @@ class EnsembleConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeParams:
     """Chain geometry and couplings; defaults put ten particles in a
-    superfluid-phase trap on forty sites."""
+    superfluid-phase trap on forty sites.
+
+    Its members, the interface ``OscillatorParams`` shares: x is the center
+    of mass, and V sum_k n_k [(k - a)^2 + (k - lambda)^2] is V N_b [(x - a)^2
+    + (x - lambda)^2] plus terms free of lambda, so the traps are (V N_b, a);
+    a station is the histogram of x(t); a temperature quench the enumerated
+    ensemble keyed by its exact ``quench_energy``, its ``energy_gap`` a field.
+    A member builds the spectra; the callable it returns evolves or enumerates."""
 
     n_sites: int = 40
     n_particles: int = 10
     hopping: float = 1.0
     trap: float = 0.0225
     center: float = 13.0
+
+    station_prefix, quench_key = "hist", "energy"
 
     def __post_init__(self):
         if not all(
@@ -94,6 +103,27 @@ class LatticeParams:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(1, self.n_sites + 1, dtype=float)
+
+    @property
+    def traps(self) -> tuple[float, float]:
+        return self.trap * self.n_particles, self.center
+
+    def station(self, lam: float, dlam: float, *, tau: float | None = None, dt: float = 0.1,
+                bins: int = 40, **_):
+        quench_energy(self, lam, dlam)  # the spectra and ground state, where the quench fails
+        return lambda: time_average_distribution(
+            evolve_center_of_mass(self, lam, dlam, tau=tau, dt=dt), bins)
+
+    def temperature_quench(self, lam: float, dlam: float, *, prob_cutoff: float = 1e-8,
+                           max_states: int = 50_000, **_):
+        return quench_energy(self, lam, dlam), lambda: diagonal_ensemble(
+            self, lam, dlam, prob_cutoff, max_states)
+
+    def temperature_columns(self, lam: float, dlam: float) -> dict:
+        return {}
+
+    def temperature_fields(self, keys, ensembles) -> dict:
+        return {"energy_gap": [mean_energy(ens) - energy for ens, energy in zip(ensembles, keys)]}
 
 
 @dataclass(frozen=True)
@@ -176,9 +206,16 @@ def ground_state(params: LatticeParams, lam: float) -> np.ndarray:
 def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
     """Spectrum of H(lambda) and the quench amplitudes b = U^T P0, where P0
     is the ground state of H(lambda - dlambda): row alpha is level alpha's
-    overlap with each pre-quench orbital."""
+    overlap with each pre-quench orbital.  Once H(lambda) is built, a
+    ValueError of H(lambda - dlambda) is the amplitude's and is led by
+    ``dlam:``; a degenerate Fermi level is the model's and passes as it is."""
     spec = spectrum(params, lam)
-    return spec, spec.vectors.T @ ground_state(params, lam - dlam)
+    try:
+        return spec, spec.vectors.T @ ground_state(params, lam - dlam)
+    except DegenerateFermiLevelError:
+        raise
+    except ValueError as exc:
+        raise ValueError("dlam" + str(exc).removeprefix("lam")) from None
 
 
 def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:

@@ -41,11 +41,19 @@ class GridTooNarrowError(ValueError):
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Model constants; defaults give omega = 1 in hbar = m = 1 units."""
+    """Model constants; defaults give omega = 1 in hbar = m = 1 units.
+
+    Its members, the interface ``LatticeParams`` shares: x is the particle's
+    coordinate, so the springs give the traps (k/2, 0); a station is the
+    ``position_distribution`` at y(dlambda); a temperature quench is the
+    Poisson ensemble keyed by y, and the first one's closed-form T a column.
+    A member builds its quench when called; the callable it returns keeps it."""
 
     mass: float = 1.0
     stiffness: float = 0.5
     hbar: float = 1.0
+
+    station_prefix, quench_key = "dist", "y ="
 
     def __post_init__(self):
         if not all(finite_real(v) and v > 0 for v in (self.mass, self.stiffness, self.hbar)):
@@ -59,6 +67,24 @@ class OscillatorParams:
     @property
     def ground_width(self) -> float:
         return math.sqrt(self.hbar / (self.mass * self.omega))
+
+    @property
+    def traps(self) -> tuple[float, float]:
+        return self.stiffness / 2.0, 0.0
+
+    def station(self, lam: float, dlam: float, *, tail_tol: float = 1e-12, **_):
+        dist = position_distribution(self, lam, y_parameter(self, dlam), tail_tol=tail_tol)
+        return lambda: dist
+
+    def temperature_quench(self, lam: float, dlam: float, *, tail_tol: float = 1e-12, **_):
+        ens = poisson_ensemble(self, lam, dlam, tail_tol)
+        return y_parameter(self, dlam), lambda: ens
+
+    def temperature_columns(self, lam: float, dlam: float) -> dict:
+        return {"T_closed_form": temperature_closed_form(self, y_parameter(self, dlam))}
+
+    def temperature_fields(self, keys, ensembles) -> dict:
+        return {}
 
 
 def y_parameter(params: OscillatorParams, dlam: float) -> float:

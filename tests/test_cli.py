@@ -310,18 +310,18 @@ def test_lattice_run_outputs(tmp_path):
 GOLDEN = Path(__file__).parent / "data"
 
 
-def check_golden_outputs(preset, out):
-    """Run ``preset`` into ``out`` and compare its CSVs with the committed
-    ones in tests/data/<preset>: the leading ``#`` lines, or else the column
-    header, as text, except that ``# discarded_mass`` may move by 1e-14, and
-    the numbers to rtol 1e-9, so that a kernel drifting between commits shows
-    while other BLAS builds still pass."""
-    raw = {**copy.deepcopy(PRESETS[preset]), "out_dir": str(out), "quiet": True}
-    run(RunConfig.from_dict(raw))
-    golden = sorted(path.name for path in (GOLDEN / preset).glob("*.csv"))
-    assert sorted(path.name for path in out.glob("*.csv")) == golden
-    for name in golden:
-        want, got = ((d / name).read_text().splitlines() for d in (GOLDEN / preset, out))
+def check_golden_outputs(raw, name, out):
+    """Run the config ``raw`` into ``out`` and compare its CSVs with the
+    committed ones in tests/data/<name>: the leading ``#`` lines, or else
+    the column header, as text, except that ``# discarded_mass`` may move by
+    1e-14, and the numbers to rtol 1e-9, so that a kernel drifting between
+    commits shows while other BLAS builds still pass."""
+    run(RunConfig.from_dict({**copy.deepcopy(raw), "out_dir": str(out), "quiet": True}))
+    golden = GOLDEN / name
+    files = sorted(path.name for path in golden.glob("*.csv"))
+    assert sorted(path.name for path in out.glob("*.csv")) == files
+    for name in files:
+        want, got = ((d / name).read_text().splitlines() for d in (golden, out))
         assert len(got) == len(want), name
         head = sum(line.startswith("#") for line in want) or 1
         for w, g in zip(want[:head], got[:head]):
@@ -339,13 +339,21 @@ def check_golden_outputs(preset, out):
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
 def test_fig4_matches_its_golden_outputs(tmp_path):
-    check_golden_outputs("fig4", tmp_path)
+    check_golden_outputs(PRESETS["fig4"], "fig4", tmp_path)
 
 
 def test_lattice_temperature_matches_its_golden_outputs(tmp_path):
     """The excitation search's two ensembles, state for state, and the
     temperature taken from them."""
-    check_golden_outputs("lattice-temperature", tmp_path)
+    check_golden_outputs(PRESETS["lattice-temperature"], "lattice-temperature", tmp_path)
+
+
+def test_oscillator_temperature_matches_its_golden_outputs(tmp_path):
+    """The two Poisson ensembles, the temperature taken from them and the
+    closed form at the first quench's y."""
+    raw = {"kind": "temperature", "model": {"type": "oscillator"},
+           "quench": {"lambda": 0.5, "dlam": 1.3}}
+    check_golden_outputs(raw, "oscillator-temperature", tmp_path)
 
 
 def test_manifest_records_every_warning(tmp_path):
@@ -442,6 +450,18 @@ def test_temperature_kind_oscillator(tmp_path):
     values = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert abs(float(values["T"]) - 0.36) < 0.02
     assert (out / "ensemble_a.csv").exists()
+
+
+def test_main_prints_one_success_line(tmp_path, capsys):
+    """Without --quiet a run prints one JSON line, which lists the files the
+    manifest lists."""
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(SMALL_OSC_JE))
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert json.loads(lines[0]) == {"ok": True, "out_dir": str(out), "files": manifest["files"]}
 
 
 def test_main_validation_failure(tmp_path, capsys):
@@ -834,6 +854,11 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1e200}},
          ["quench.dlam", "quench.eps"]),
         (with_changes(SMALL_OSC_JE, protocol={"step": 1e200}), ["protocol.step"]),
+        # the same amplitudes on the lattice: H(lambda) is finite, H(lambda - dlam) overflows
+        (with_changes(LATTICE_TEMPERATURE, quench={"dlam": 1e200}), ["quench.dlam", "quench.eps"]),
+        (with_changes(LATTICE_TEMPERATURE, quench={"dlam": 1, "eps": 1e308}), ["quench.eps"]),
+        ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
+          "protocol": {"lambda_start": 2.0, "step": 1e200, "stations": 2}}, ["protocol.step"]),
         # one past each size cap, and past any array numpy makes
         *(
             (with_changes(base, **{section: {key: value}}), [field])
@@ -865,7 +890,8 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
          "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap",
-         "dlam-past-float-range", "step-past-float-range", "points-past-cap", "points-past-numpy",
+         "dlam-past-float-range", "step-past-float-range", "lattice-dlam-past-float-range",
+         "lattice-eps-past-float-range", "lattice-run-step-past-float-range", "points-past-cap", "points-past-numpy",
          "stations-past-cap", "stations-past-numpy", "bins-past-cap", "bins-past-numpy",
          "sites-past-cap", "sites-past-memory", "loose-tail-tol", "misspelled-keys",
          "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",

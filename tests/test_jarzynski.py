@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +339,54 @@ def test_profile_rejects_bad_sampler_inputs(stations, lambdas, n_paths, message)
         )
 
 
-def test_build_profile_rejects_unknown_model():
-    with pytest.raises(TypeError, match="no model takes parameters of type str"):
-        build_profile("ising", QuenchProtocol(0.0, 1.0, 3), 1.0, 10, 1)
+class GaussianModel:
+    """A model with no physics module behind it: x is held by the traps
+    kappa [(x - a)^2 + (x - lambda)^2], and station lambda is the canonical
+    density of x at inverse temperature ``beta``, a Gaussian of mean
+    (a + lambda)/2 and variance 1/(4 kappa beta).  Exponential averages of
+    its independent stations are then exact, so a profile tends to its target."""
+
+    def __init__(self, coupling, anchor, beta):
+        self.traps = (coupling, anchor)
+        self.beta = beta
+        self.built = []
+
+    def station(self, lam, dlam, *, width=8.0):
+        coupling, anchor = self.traps
+        sigma = 1.0 / math.sqrt(4.0 * coupling * self.beta)
+        x = (anchor + lam) / 2.0 + sigma * np.linspace(-width, width, 2001)
+        density = np.exp(-0.5 * ((x - (anchor + lam) / 2.0) / sigma) ** 2)
+        self.built.append((lam, dlam))
+        return lambda: PositionDistribution(x, density / np.trapezoid(density, x), x[1] - x[0])
+
+
+def test_build_profile_runs_any_model_through_its_members():
+    """build_profile knows a model only by ``traps`` and ``station``: a stub
+    model's stations are built once each, in order, with the protocol's step
+    and the keywords given, and the profile reaches its coupling (lambda -
+    a)^2 / 2 targets within four jackknife errors."""
+    model, beta = GaussianModel(0.3, -1.0, 2.0), 2.0
+    proto = QuenchProtocol(0.5, 0.75, 5)
+    profile = build_profile(model, proto, beta, 40_000, 3, width=7.0)
+    assert model.built == [(lam, 0.75) for lam in proto.lambdas[:-1]]
+    t = 0.3 * (proto.lambdas + 1.0) ** 2 / 2.0
+    assert np.array_equal(profile.targets, t - t[0])
+    gap = np.abs(profile.delta_f - profile.targets)
+    assert np.all(gap[1:] <= 4.0 * profile.jackknife[1:])
+
+
+def test_the_estimator_imports_neither_model():
+    """jarzynski.py imports no model module, so what a station is stays with
+    the model."""
+    import ast
+
+    import quenchwork.jarzynski
+
+    tree = ast.parse(Path(quenchwork.jarzynski.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update([node.module or ""] + [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rsplit(".", 1)[-1] for name in imported} & {"lattice", "oscillator"}
