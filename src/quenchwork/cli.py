@@ -183,6 +183,10 @@ class RunConfig:
             out_dir=d.get("out_dir", "out"), quiet=bool(d.get("quiet", False)),
         )
 
+    @property
+    def settings(self) -> dict:  # the keywords of the model's station and temperature_quench
+        return {**self.tolerances, **self.evolution}
+
     def config_hash(self) -> str:
         """Hash of the fields that affect computed results, not where they are
         written; defaults are filled in, so writing one out changes nothing."""
@@ -365,9 +369,9 @@ def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
 
 
 def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
-    sampler, settings = config.sampler, {**config.tolerances, **config.evolution}
+    sampler = config.sampler
     # what can fail of every station, then the stations, then the paths
-    stations = _build_each(_quenches(config), lambda _, *q: params.station(*q, **settings))
+    stations = _build_each(_quenches(config), lambda _, *q: params.station(*q, **config.settings))
     profile = jarzynski.profile_from_distributions(
         [make() for make in stations], QuenchProtocol(**config.protocol).lambdas, *params.traps,
         1.0 / config.temperature, sampler["n_paths"], sampler["seed"])
@@ -401,10 +405,10 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
 
 
 def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams, path) -> dict:
-    quenches, settings = _quenches(config), {**config.tolerances, **config.evolution}
+    quenches = _quenches(config)
     # what can fail of both quenches, and the first's extra columns, before the repeat check
     (key_a, ens_a, columns), (key_b, ens_b, _) = _build_each(quenches, lambda i, lam, dlam: (
-        *params.temperature_quench(lam, dlam, **settings),
+        *params.temperature_quench(lam, dlam, **config.settings),
         None if i else params.temperature_columns(lam, dlam)))
     if key_a == key_b:  # the second ensemble would repeat the first
         raise Rejected([f"quench.eps: dlam + eps repeats the first quench's "

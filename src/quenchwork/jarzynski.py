@@ -169,13 +169,12 @@ def profile_from_distributions(
     )
 
 
-def build_profile(params, protocol: QuenchProtocol, beta: float, n_paths: int, seed: int,
-                  **settings) -> FreeEnergyProfile:
-    """Profile of ``protocol`` for the model of ``params``: its ``traps`` give
-    (coupling, anchor), and ``station(lambda_i, step, **settings)`` builds
-    what can fail of the quench (lambda_i - step) -> lambda_i and returns a
-    callable giving station i's distribution, called once every station is."""
+def build_profile(params, protocol: QuenchProtocol, beta: float, n_paths: int,
+                  seed: int) -> FreeEnergyProfile:
+    """Profile of ``protocol`` for the model of ``params``: its ``traps``, and
+    the ``station`` of each quench (lambda_i - step) -> lambda_i at the model's
+    defaults, every station built before any distribution is made."""
     lams = protocol.lambdas
-    stations = [params.station(lam, protocol.step, **settings) for lam in lams[:-1]]
-    dists = [make() for make in stations]
-    return profile_from_distributions(dists, lams, *params.traps, beta, n_paths, seed)
+    stations = [params.station(lam, protocol.step) for lam in lams[:-1]]
+    return profile_from_distributions([make() for make in stations], lams, *params.traps,
+                                      beta, n_paths, seed)

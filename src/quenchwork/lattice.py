@@ -71,7 +71,8 @@ class LatticeParams:
     + (x - lambda)^2] plus terms free of lambda, so the traps are (V N_b, a);
     a station is the histogram of x(t); a temperature quench the enumerated
     ensemble keyed by its exact ``quench_energy``, its ``energy_gap`` a field.
-    A member builds the spectra; the callable it returns evolves or enumerates."""
+    A member builds the spectra; the callable it returns evolves or enumerates.
+    ``**_`` takes the run's settings that a member does not read."""
 
     n_sites: int = 40
     n_particles: int = 10
@@ -114,8 +115,8 @@ class LatticeParams:
         return lambda: time_average_distribution(
             evolve_center_of_mass(self, lam, dlam, tau=tau, dt=dt), bins)
 
-    def temperature_quench(self, lam: float, dlam: float, *, prob_cutoff: float = 1e-8,
-                           max_states: int = 50_000, **_):
+    def temperature_quench(self, lam: float, dlam: float, *, prob_cutoff: float,
+                           max_states: int, **_):
         return quench_energy(self, lam, dlam), lambda: diagonal_ensemble(
             self, lam, dlam, prob_cutoff, max_states)
 

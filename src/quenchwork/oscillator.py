@@ -47,7 +47,8 @@ class OscillatorParams:
     coordinate, so the springs give the traps (k/2, 0); a station is the
     ``position_distribution`` at y(dlambda); a temperature quench is the
     Poisson ensemble keyed by y, and the first one's closed-form T a column.
-    A member builds its quench when called; the callable it returns keeps it."""
+    A member builds its quench when called; the callable it returns keeps it.
+    ``**_`` takes the run's settings that a member does not read."""
 
     mass: float = 1.0
     stiffness: float = 0.5
@@ -76,7 +77,7 @@ class OscillatorParams:
         dist = position_distribution(self, lam, y_parameter(self, dlam), tail_tol=tail_tol)
         return lambda: dist
 
-    def temperature_quench(self, lam: float, dlam: float, *, tail_tol: float = 1e-12, **_):
+    def temperature_quench(self, lam: float, dlam: float, *, tail_tol: float, **_):
         ens = poisson_ensemble(self, lam, dlam, tail_tol)
         return y_parameter(self, dlam), lambda: ens
 

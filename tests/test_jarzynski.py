@@ -351,10 +351,10 @@ class GaussianModel:
         self.beta = beta
         self.built = []
 
-    def station(self, lam, dlam, *, width=8.0):
+    def station(self, lam, dlam):
         coupling, anchor = self.traps
         sigma = 1.0 / math.sqrt(4.0 * coupling * self.beta)
-        x = (anchor + lam) / 2.0 + sigma * np.linspace(-width, width, 2001)
+        x = (anchor + lam) / 2.0 + sigma * np.linspace(-8.0, 8.0, 2001)
         density = np.exp(-0.5 * ((x - (anchor + lam) / 2.0) / sigma) ** 2)
         self.built.append((lam, dlam))
         return lambda: PositionDistribution(x, density / np.trapezoid(density, x), x[1] - x[0])
@@ -362,17 +362,26 @@ class GaussianModel:
 
 def test_build_profile_runs_any_model_through_its_members():
     """build_profile knows a model only by ``traps`` and ``station``: a stub
-    model's stations are built once each, in order, with the protocol's step
-    and the keywords given, and the profile reaches its coupling (lambda -
-    a)^2 / 2 targets within four jackknife errors."""
+    model's stations are built once each, in order, with the protocol's step,
+    and the profile reaches its coupling (lambda - a)^2 / 2 targets within four
+    jackknife errors."""
     model, beta = GaussianModel(0.3, -1.0, 2.0), 2.0
     proto = QuenchProtocol(0.5, 0.75, 5)
-    profile = build_profile(model, proto, beta, 40_000, 3, width=7.0)
+    profile = build_profile(model, proto, beta, 40_000, 3)
     assert model.built == [(lam, 0.75) for lam in proto.lambdas[:-1]]
     t = 0.3 * (proto.lambdas + 1.0) ** 2 / 2.0
     assert np.array_equal(profile.targets, t - t[0])
     gap = np.abs(profile.delta_f - profile.targets)
     assert np.all(gap[1:] <= 4.0 * profile.jackknife[1:])
+
+
+@pytest.mark.parametrize(
+    "params", [OscillatorParams(), LatticeParams()], ids=["oscillator", "lattice"])
+def test_build_profile_takes_no_settings(params):
+    """A keyword is a TypeError, not a setting the model leaves unread: a
+    profile outside the CLI runs at the model's defaults."""
+    with pytest.raises(TypeError):
+        build_profile(params, QuenchProtocol(13.0, 1.0, 2), 1.0, 10, 1, bins=30)
 
 
 def test_the_estimator_imports_neither_model():
