@@ -22,7 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,14 +32,6 @@ from .ensembles import finite_real, temperature_from_pair, write_csv, write_ense
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
-# the sections whose required fields each kind needs; None holds the top-level ones
-KINDS = {
-    "oscillator-sweep": ("sweep",),
-    "oscillator-je": (None, "protocol", "sampler"),
-    "lattice-run": ("protocol",),
-    "lattice-je": (None, "protocol", "sampler"),
-    "temperature": ("quench",),
-}
 REQUIRED = object()  # default of a field the kinds needing its section must set
 
 
@@ -99,10 +91,6 @@ FIELDS: dict[str | None, dict[str, Field]] = {
     },
 }
 
-# the filenames each kind writes, featured_histogram only with a featured_lambda
-_OUTPUTS = {"oscillator-sweep": ("sweep",), "temperature": ("temperature",), "lattice-run": ()}
-_OUTPUTS["oscillator-je"] = _OUTPUTS["lattice-je"] = (
-    "profile", "work_histogram", "featured_histogram")
 # the names a run gives its other files
 _RUN_NAMES = re.compile(r"manifest\.json|ensemble_[ab]\.csv|(dist|hist|series)_station_\d{2,}\.csv")
 
@@ -170,9 +158,7 @@ class RunConfig:
         d = copy.deepcopy(raw)
         kind = d.get("kind", "")
         model = dict(d.get("model", {}))
-        mtype = model.pop("type", None) or (
-            "lattice" if kind.startswith("lattice") else "oscillator"
-        )
+        mtype = model.pop("type", None) or (kind in KINDS and KINDS[kind].model) or "oscillator"
         params_cls = _MODELS.get(mtype)
         merged = {f.name: f.default for f in dataclasses.fields(params_cls)} if params_cls else {}
         merged.update(model)
@@ -197,8 +183,7 @@ class RunConfig:
 
 
 def _model_params(config: RunConfig):
-    kw = {k: v for k, v in config.model.items() if k != "type"}
-    return _MODELS[config.model["type"]](**kw)
+    return _MODELS[config.model["type"]](**{k: v for k, v in config.model.items() if k != "type"})
 
 
 def _with_defaults(section: str, values: dict) -> dict:
@@ -243,7 +228,7 @@ def _field_violations(config: RunConfig) -> list[str]:
                 violations.append(f"{name}: unknown field")
             elif value is not None and (unmet := _unmet(spec, value)):
                 violations.append(f"{name}: must be {unmet}")
-            elif value is None and spec.default is REQUIRED and section in KINDS[config.kind]:
+            elif value is None and spec.default is REQUIRED and section in KINDS[config.kind].sections:
                 violations.append(f"{name}: required, {_unmet(spec, None)}")
     return violations
 
@@ -278,8 +263,8 @@ def validate(config: RunConfig) -> list[str]:
     against its row in FIELDS; the checks that join fields run once all pass."""
     if config.kind not in KINDS:
         return [f"kind: '{config.kind}' is not one of {tuple(KINDS)}"]
-    mtype = config.model["type"]
-    if mtype not in _MODELS or config.kind.split("-")[0] not in (mtype, "temperature"):
+    kind, mtype = KINDS[config.kind], config.model["type"]
+    if mtype not in _MODELS or kind.model not in (None, mtype):
         return [f"model.type: '{mtype}' cannot run kind '{config.kind}'"]
     violations = _field_violations(config)
     try:
@@ -288,18 +273,18 @@ def validate(config: RunConfig) -> list[str]:
         violations.insert(0, f"model: {exc}")
     if violations:
         return violations
-    if config.kind == "oscillator-sweep" and config.sweep["y_min"] >= config.sweep["y_max"]:
+    if "sweep" in kind.sections and config.sweep["y_min"] >= config.sweep["y_max"]:
         violations.append("sweep: need y_min < y_max")
-    if config.kind in ("lattice-run", "lattice-je"):
+    if kind.model == "lattice":
         try:
             lattice.series_samples(params.n_sites, config.evolution["tau"], config.evolution["dt"])
         except ValueError as exc:
             violations.append(f"evolution.{exc}")
     featured = config.evolution["featured_lambda"]
-    if config.kind.endswith("-je") and featured is not None:
+    if "featured_histogram" in kind.outputs and featured is not None:
         if not any(math.isclose(featured, lam) for _, lam, _, _ in _quenches(config)):
             violations.append(f"evolution.featured_lambda: {featured:g} has no station distribution")
-    keys = [k for k in _OUTPUTS[config.kind] if featured is not None or k != "featured_histogram"]
+    keys = [k for k in kind.outputs if featured is not None or k != "featured_histogram"]
     names = [config.filenames[key] for key in keys]
     violations.extend(
         f"filenames.{key}: '{name}' is the name of another file the run writes"
@@ -309,15 +294,16 @@ def validate(config: RunConfig) -> list[str]:
 
 
 def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
-    """(lambda field, lambda, dlambda field, dlambda) of each quench
-    (lambda - dlambda) -> lambda the run makes; a profile run makes one per
-    station with a distribution, lambda_1 to lambda_{s-1}."""
-    if config.kind == "temperature":
+    """(lambda field, lambda, dlambda field, dlambda) of each quench (lambda -
+    dlambda) -> lambda the run makes; a profile run makes one per station with a
+    distribution, at lambda_start + i step for i < s - 1, a lambda of the step's past i = 0."""
+    if "quench" in KINDS[config.kind].sections:
         q = config.quench
         return [("quench.lambda", q["lambda"], "quench.dlam", q["dlam"]),
                 ("quench.lambda", q["lambda"], "quench.eps", q["dlam"] + q["eps"])]
     proto = QuenchProtocol(**config.protocol)
-    return [("protocol.lambda_start", l, "protocol.step", proto.step) for l in proto.lambdas[:-1]]
+    return [("protocol.step" if i else "protocol.lambda_start", lam, "protocol.step", proto.step)
+            for i, lam in enumerate(proto.lambdas[:-1])]
 
 
 class Rejected(Exception):
@@ -328,8 +314,8 @@ def _build_each(quenches: list, build) -> list:
     """``build(i, lambda, dlambda)`` of every quench i of ``quenches``, rows of
     ``_quenches``.  Rejected names each field at fault once, with its first failure:
     a degenerate Fermi level under ``model``, a ValueError led by ``lam:`` under the
-    quench's lambda field, by ``dlam:`` or ``y:`` under its dlambda field.  Anything
-    else is a bug and propagates."""
+    quench's lambda field (the first quench's, once that has failed), by ``dlam:`` or
+    ``y:`` under its dlambda field.  Anything else is a bug and propagates."""
     built, violations = [], {}
     for i, (lam_key, lam, dlam_key, dlam) in enumerate(quenches):
         try:
@@ -340,6 +326,8 @@ def _build_each(quenches: list, build) -> list:
             prefix, _, detail = str(exc).partition(": ")
             if prefix not in ("lam", "dlam", "y"):
                 raise
+            if prefix == "lam" and quenches[0][0] in violations:
+                lam_key = quenches[0][0]
             violations.setdefault(lam_key if prefix == "lam" else dlam_key, detail)
     if violations:
         raise Rejected([f"{key}: {detail}" for key, detail in violations.items()])
@@ -426,12 +414,25 @@ def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams
             **params.temperature_fields([key_a, key_b], ensembles)}
 
 
-_RUNNERS = {
-    "oscillator-sweep": _run_oscillator_sweep,
-    "oscillator-je": _run_je,
-    "lattice-run": _run_lattice_run,
-    "lattice-je": _run_je,
-    "temperature": _run_temperature,
+class Kind(NamedTuple):
+    """A row of KINDS: the model type the kind runs (None: either), the sections
+    whose required fields it needs (None holds the top-level ones), the
+    ``filenames`` keys it writes (featured_histogram only with a featured_lambda)
+    and its runner, ``run(config, params, path)``."""
+
+    model: str | None
+    sections: tuple[str | None, ...]
+    outputs: tuple[str, ...]
+    run: Callable[..., dict]
+
+
+_JE_OUTPUTS = ("profile", "work_histogram", "featured_histogram")
+KINDS = {
+    "oscillator-sweep": Kind("oscillator", ("sweep",), ("sweep",), _run_oscillator_sweep),
+    "oscillator-je": Kind("oscillator", (None, "protocol", "sampler"), _JE_OUTPUTS, _run_je),
+    "lattice-run": Kind("lattice", ("protocol",), (), _run_lattice_run),
+    "lattice-je": Kind("lattice", (None, "protocol", "sampler"), _JE_OUTPUTS, _run_je),
+    "temperature": Kind(None, ("quench",), ("temperature",), _run_temperature),
 }
 
 
@@ -475,7 +476,7 @@ def run(config: RunConfig) -> dict:
     params = _model_params(config)
     start = time.monotonic()
     with _recording_warnings() as caught:
-        manifest.update(_RUNNERS[config.kind](config, params, path))
+        manifest.update(KINDS[config.kind].run(config, params, path))
     manifest["files"] = files
     manifest["warnings"] = caught
     manifest["wall_time_s"] = time.monotonic() - start
@@ -485,9 +486,7 @@ def run(config: RunConfig) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="quenchwork",
-        description="Quench thermodynamics experiment runner",
-    )
+        prog="quenchwork", description="Quench thermodynamics experiment runner")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", type=Path, help="JSON run configuration")
     group.add_argument("--preset", choices=sorted(PRESETS), help="named preset run")

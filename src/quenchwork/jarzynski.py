@@ -15,7 +15,8 @@ The free-energy change then follows from the exponential work average
 
     exp(-beta dF) = <exp(-beta W)>,
 
-evaluated on the weights exp(-beta (W - min W)) so that beta*W never overflows.
+evaluated as dF = min W - log1p(mean(expm1(-beta (W - min W))))/beta, so that
+beta*W never overflows and dF tends to <W> as beta -> 0 (``estimates``).
 Because rare low-work paths carry exponential weight, every profile reports
 an effective sample size and a delete-one jackknife error next to the plain
 work standard deviation.
@@ -72,39 +73,39 @@ def trap_work(x, lam_i: float, lam_next: float, coupling: float, out: np.ndarray
 
 
 def estimates(works, beta: float, p=None) -> tuple[float, float, float]:
-    """(dF, jackknife error, ESS) of a non-empty work sample from one pass of
-    the weights p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1.
-
-    ``p`` is a float array of the sample's size that the pass writes over,
-    first with the weights and then with the jackknife terms; None
-    allocates it.
+    """(dF, jackknife error, ESS) of a non-empty work sample from the weights
+    p = exp(-beta (W - min W)) in (0, 1], the largest exactly 1.  Where their
+    mean exceeds 1/2, dF and the jackknife take e = expm1(-beta (W - min W)) =
+    p - 1 instead, which keeps the digits p rounds away as beta tends to 0.
+    ``p`` is a float array of the sample's size that the passes write over,
+    first with the weights and then with the jackknife terms; None allocates it.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     w = np.asarray(works, dtype=float)
     if w.size < 1:
         raise ValueError("need at least one work sample")
-    m = w.size
+    m, w_min = w.size, float(w.min())
     p = np.empty(m) if p is None else p
-    w_min = float(w.min())
     with np.errstate(over="ignore"):  # a beta*(W - min W) past the float range gives p = 0
-        np.exp(np.multiply(-beta, np.subtract(w, w_min, out=p), out=p), out=p)
-    total = p.sum()
-    # dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta
-    df = float(w_min - math.log(total / m) / beta)
-    # ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p),
-    # taken before the jackknife terms overwrite p
+        total = np.exp(np.multiply(-beta, np.subtract(w, w_min, out=p), out=p), out=p).sum()
+    # ESS = (sum e^{-beta W})^2 / sum e^{-2 beta W} = (sum p)^2 / (p . p), before p is overwritten
     ess = float(total**2 / (p @ p))
-    if m < 2:
-        return df, 0.0, ess
-    # delete-one jackknife: of the estimate without path i only
-    # -ln(1 - p_i/sum p)/beta varies with i; the clip keeps a single totally
-    # dominant sample from giving ln 0
-    df_loo = np.minimum(np.divide(p, total, out=p), math.exp(-1e-12), out=p)
-    np.negative(np.log1p(np.negative(df_loo, out=df_loo), out=df_loo), out=df_loo)
-    np.divide(df_loo, beta, out=df_loo)
-    np.square(np.subtract(df_loo, df_loo.mean(), out=df_loo), out=df_loo)
-    return df, float(np.sqrt((m - 1) / m * np.sum(df_loo))), ess
+    # dF = -(1/beta) ln[(1/M) sum exp(-beta W_m)] = min W - ln(mean p)/beta, and
+    # path i's delete-one estimate is -log1p(term i)/beta up to a constant
+    if m > 1 and total > m / 2:
+        # ln(mean p) = log1p(mean e); term i, the other paths' mean e, exceeds -1
+        with np.errstate(over="ignore"):
+            e = np.expm1(np.multiply(-beta, np.subtract(w, w_min, out=p), out=p), out=p)
+        s = float(e.sum())
+        df = w_min - math.log1p(s / m) / beta
+        terms = np.divide(np.subtract(s, e, out=e), m - 1, out=e)
+    else:  # -p_i/sum p, clipped so that a single totally dominant sample gives no ln 0
+        df = w_min - math.log(total / m) / beta
+        terms = np.negative(np.minimum(np.divide(p, total, out=p), math.exp(-1e-12), out=p), out=p)
+    np.divide(np.negative(np.log1p(terms, out=terms), out=terms), beta, out=terms)
+    np.square(np.subtract(terms, terms.mean(), out=terms), out=terms)
+    return float(df), float(np.sqrt((m - 1) / m * np.sum(terms))), ess
 
 
 def profile_from_distributions(

@@ -859,6 +859,11 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         (with_changes(LATTICE_TEMPERATURE, quench={"dlam": 1, "eps": 1e308}), ["quench.eps"]),
         ({"kind": "lattice-run", "model": SMALL_LATTICE_JE["model"],
           "protocol": {"lambda_start": 2.0, "step": 1e200, "stations": 2}}, ["protocol.step"]),
+        # H(lambda_start) builds, so a later station's H(lambda) that overflows is the step's
+        ({"kind": "lattice-je", "temperature": 0.2, "sampler": {"seed": 1},
+          "protocol": {"lambda_start": 13, "step": 1e200, "stations": 3}}, ["protocol.step"]),
+        ({"kind": "lattice-run", "protocol": {"lambda_start": 2, "step": 1e200, "stations": 3}},
+         ["protocol.step"]),
         # one past each size cap, and past any array numpy makes
         *(
             (with_changes(base, **{section: {key: value}}), [field])
@@ -891,7 +896,9 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
          "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap",
          "dlam-past-float-range", "step-past-float-range", "lattice-dlam-past-float-range",
-         "lattice-eps-past-float-range", "lattice-run-step-past-float-range", "points-past-cap", "points-past-numpy",
+         "lattice-eps-past-float-range", "lattice-run-step-past-float-range",
+         "lattice-je-later-station-past-float-range", "lattice-run-later-station-past-float-range",
+         "points-past-cap", "points-past-numpy",
          "stations-past-cap", "stations-past-numpy", "bins-past-cap", "bins-past-numpy",
          "sites-past-cap", "sites-past-memory", "loose-tail-tol", "misspelled-keys",
          "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",
@@ -962,6 +969,20 @@ def test_validate_rejects_file_names_that_collide(tmp_path, capsys, raw, violati
 )
 def test_validate_accepts_file_names_the_run_does_not_write(raw):
     assert validate(RunConfig.from_dict(raw)) == []
+
+
+def test_the_kind_table_is_consistent():
+    """Each row of KINDS names a model of _MODELS (or None for either), FIELDS
+    sections and filenames keys; a config without model.type gets the row's
+    model, and a kind with a model rejects the other one."""
+    for kind, row in KINDS.items():
+        assert row.model is None or row.model in quenchwork.cli._MODELS
+        assert set(row.sections) <= set(FIELDS)
+        assert set(row.outputs) <= set(FIELDS["filenames"])
+        assert RunConfig.from_dict({"kind": kind}).model["type"] == (row.model or "oscillator")
+        for other in set(quenchwork.cli._MODELS) - {row.model} if row.model else ():
+            config = RunConfig.from_dict({"kind": kind, "model": {"type": other}})
+            assert validate(config) == [f"model.type: '{other}' cannot run kind '{kind}'"]
 
 
 @pytest.mark.filterwarnings("ignore:edge occupancy")
@@ -1172,9 +1193,7 @@ def any_config(draw, kind):
     the kind's sections always, every other field or not, and now and then
     one unknown key, one value of the wrong type or one model float field
     that is NaN, infinite or a bool."""
-    mtype = kind.split("-")[0]
-    if mtype == "temperature":
-        mtype = draw(st.sampled_from(list(FUZZ_MODELS)))
+    mtype = KINDS[kind].model or draw(st.sampled_from(list(FUZZ_MODELS)))
     raw = {"kind": kind, "model": draw(FUZZ_MODELS[mtype])}
     if draw(st.integers(0, 2)) == 2:  # one model float field that is not a finite number
         key = draw(st.sampled_from(FUZZ_MODEL_FLOATS[mtype]))
@@ -1183,7 +1202,7 @@ def any_config(draw, kind):
         values = {}
         for key, spec in specs.items():
             name = f"{section}.{key}" if section else key
-            if spec.default is REQUIRED and section in KINDS[kind]:
+            if spec.default is REQUIRED and section in KINDS[kind].sections:
                 values[key] = draw(fuzz_values(name, spec))
             elif (value := draw(st.none() | fuzz_values(name, spec))) is not None:
                 values[key] = value

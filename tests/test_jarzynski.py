@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,30 @@ def test_effective_sample_size_survives_an_overflowing_square():
     assert estimates(np.full(4, 1.0), beta)[0] == 1.0
     assert math.isfinite(estimates(np.array([-2.0, -1.0]), beta)[1])
     assert math.isfinite(estimates(np.array([-3.0, -2.0, -1.0]), beta)[1])
+
+
+@pytest.mark.parametrize("temperature", [0.35, 3.0, 1e10, 1e17, 1e300])
+def test_estimates_hold_at_any_temperature(temperature):
+    """On a 2-station oscillator sample, dF tends to the mean work and the
+    jackknife to the mean's s/sqrt(m) as T grows, with no warning; the plain
+    exp(-beta W) weights gave dF = min W from T = 1e17 and an overflowing
+    jackknife at T = 1e300.  The mean weight is 0.06 at T = 0.35 and 0.67 at
+    T = 3, on either side of the switch to expm1 at 1/2."""
+    works = build_profile(OscillatorParams(), QuenchProtocol(0.0, 1.0, 2), 1.0, 1000, 1).final_work
+    beta, m, w_min = 1.0 / temperature, works.size, works.min()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        df, jk, ess = estimates(works, beta)
+    if temperature < 10.0:  # the estimate and the delete-one ones from an exactly rounded sum
+        weights = [math.exp(-beta * (w - w_min)) for w in works]
+        total = math.fsum(weights)
+        loo = np.array([w_min - math.log((total - q) / (m - 1)) / beta for q in weights])
+        assert df == pytest.approx(w_min - math.log(total / m) / beta, rel=1e-14)
+        assert jk == pytest.approx(math.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)), rel=1e-9)
+    else:  # the cumulant series <W> - beta var(W)/2, and the jackknife of the mean
+        assert df == pytest.approx(works.mean() - beta * works.var() / 2.0, rel=1e-14)
+        assert jk == pytest.approx(works.std(ddof=1) / math.sqrt(m), rel=1e-8)
+        assert ess == pytest.approx(m, rel=1e-12)
 
 
 def test_jackknife_error_scales_with_noise():
