@@ -29,7 +29,6 @@ from .lattice import (
     DegenerateFermiLevelError,
     EnsembleConvergenceError,
     LatticeParams,
-    SingleParticleSpectrum,
     TimeSeries,
     diagonal_ensemble,
     evolve_center_of_mass,

@@ -342,10 +342,11 @@ def _run_oscillator_sweep(config: RunConfig, params: OscillatorParams, path) -> 
 
 
 def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
+    quenches = _quenches(config)
     # every quench's spectra and ground state, before the first file
-    _build_each(_quenches(config), lambda _, *q: lattice.quench_energy(params, *q))
+    _build_each(quenches, lambda _, *q: lattice.quench_energy(params, *q))
     edges = []
-    for i, (_, lam, _, dlam) in enumerate(_quenches(config), start=1):
+    for i, (_, lam, _, dlam) in enumerate(quenches, start=1):
         series = lattice.evolve_center_of_mass(
             params, lam, dlam, tau=config.evolution["tau"], dt=config.evolution["dt"]
         )
@@ -491,7 +492,7 @@ def main(argv=None) -> int:
     group.add_argument("--config", type=Path, help="JSON run configuration")
     group.add_argument("--preset", choices=sorted(PRESETS), help="named preset run")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="sampler seed override")
+    parser.add_argument("--seed", type=int, help="sampler seed; kinds that do not sample ignore it")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -507,7 +508,8 @@ def main(argv=None) -> int:
     if not violations:
         if args.out is not None:
             raw["out_dir"] = str(args.out)
-        if args.seed is not None:
+        kind = KINDS.get(raw.get("kind"))
+        if args.seed is not None and kind and "sampler" in kind.sections:
             raw.setdefault("sampler", {})["seed"] = args.seed
         if args.quiet:
             raw["quiet"] = True

@@ -128,14 +128,6 @@ class LatticeParams:
 
 
 @dataclass(frozen=True)
-class SingleParticleSpectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Center-of-mass trajectory x(t) at t = i dt, i = 0, 1, ...; site units, times in hbar/J.
 
@@ -168,9 +160,10 @@ class TimeSeries:
 
 
 @lru_cache(maxsize=32)
-def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
-    """Dense eigen-decomposition of the tridiagonal one-body matrix, cached
-    per (params, lambda); nothing downstream depends on eigenvector signs.
+def spectrum(params: LatticeParams, lam: float):
+    """numpy's ``EighResult`` of the tridiagonal one-body matrix: ascending
+    eigenvalues and orthonormal eigenvector columns, read-only and cached per
+    (params, lambda); nothing downstream depends on eigenvector signs.
     The cache holds the 32 latest spectra, 32 N^2 doubles (1.1 GB at
     ``MAX_SITES``): a run that needs at most 32 (an s-station protocol needs
     s to 2(s - 1)) computes each once, a longer one computes them again.
@@ -181,10 +174,9 @@ def spectrum(params: LatticeParams, lam: float) -> SingleParticleSpectrum:
     if not np.isfinite(diag).all():
         raise ValueError(f"lam: the one-body matrix of H(lambda={lam:g}) is not finite")
     hop = np.full(params.n_sites - 1, -params.hopping)
-    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return SingleParticleSpectrum(values=values, vectors=vectors)
+    result = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
+    result.eigenvalues.flags.writeable = result.eigenvectors.flags.writeable = False
+    return result
 
 
 def ground_state(params: LatticeParams, lam: float) -> np.ndarray:
@@ -193,15 +185,14 @@ def ground_state(params: LatticeParams, lam: float) -> np.ndarray:
     Errors out when the Fermi level falls in a degenerate pair, where the
     filling is ambiguous: a strong trap centered between two sites pairs the
     levels on either side of it."""
-    spec = spectrum(params, lam)
-    values, nb = spec.values, params.n_particles
+    (values, vectors), nb = spectrum(params, lam), params.n_particles
     if nb < values.size and values[nb] - values[nb - 1] <= 1e-12:
         raise DegenerateFermiLevelError(
             f"levels {nb - 1} and {nb} of H(lambda={lam:g}) are degenerate "
             f"(energies {values[nb - 1]:.12g}, {values[nb]:.12g})"
         )
     # a contiguous copy: U^T times a strided view rounds differently
-    return spec.vectors[:, :nb].copy()
+    return vectors[:, :nb].copy()
 
 
 def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
@@ -212,7 +203,7 @@ def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
     ``dlam:``; a degenerate Fermi level is the model's and passes as it is."""
     spec = spectrum(params, lam)
     try:
-        return spec, spec.vectors.T @ ground_state(params, lam - dlam)
+        return spec, spec.eigenvectors.T @ ground_state(params, lam - dlam)
     except DegenerateFermiLevelError:
         raise
     except ValueError as exc:
@@ -223,34 +214,35 @@ def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
     """Exact mean energy after the quench (lambda - dlambda) -> lambda, the
     one-body sum rule E = sum_alpha eps_alpha sum_a b_alpha,a^2."""
     spec, b = _quench_amplitudes(params, lam, dlam)
-    return float(spec.values @ (b**2).sum(axis=1))
+    return float(spec.eigenvalues @ (b**2).sum(axis=1))
 
 
-def _children(amp, holes, parts, rows, last, weights, floor):
+def _children(amp, holes, parts, states, weights, floor):
     """Yield, in blocks, the children of search states that weigh more than
-    ``floor``, as the states' (rows, last, weights).
+    ``floor``, as their (states, weights).
 
-    A state is its N_b occupied levels ``rows``, where row i holds level i or
-    the particle that took hole i's place, and ``last``, the positions of its
-    last hole and last particle in ``holes`` and ``parts``, (-1, -1) for the
-    Fermi sea; ``weights`` are det(b[rows, :])^2.  A child adds one pair past
-    both last positions, so its rows are the parent's with row holes[h] set to
-    parts[p].  With b[q, :] = c b[rows, :], the child that puts level q in
-    the place of hole j weighs the parent's weight times c_j^2: the Loewdin
-    rule with the parent as reference, accurate however light the Fermi sea.
-    Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
+    A state is one int32 row: its N_b occupied levels, column i holding level
+    i or the particle that took hole i's place, then the positions of its last
+    hole and last particle in ``holes`` and ``parts``, (-1, -1) for the Fermi
+    sea; ``weights`` are det(b[levels, :])^2.  A child adds one pair (h, p)
+    past both last positions: it is the parent with column holes[h] set to
+    parts[p] and (h, p) last.  With b[q, :] = c b[levels, :], the child that
+    puts level q in the place of hole j weighs the parent's weight times c_j^2:
+    the Loewdin rule with the parent as reference, accurate however light the
+    Fermi sea.  Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
     step = max(1, _CHILD_BLOCK // max(1, parts.size * holes.size))
     for lo in range(0, weights.size, step):
         live = weights[lo : lo + step] > 0.0  # a singular parent has no children
-        rw, ls, w = (x[lo : lo + step][live] for x in (rows, last, weights))
-        coef = amp[parts] @ np.linalg.inv(amp[rw])[:, :, holes]  # (parent, particle, hole)
+        st, w = states[lo : lo + step][live], weights[lo : lo + step][live]
+        coef = amp[parts] @ np.linalg.inv(amp[st[:, :-2]])[:, :, holes]  # (parent, particle, hole)
         child = w[:, None, None] * coef**2
-        past_h, past_p = np.arange(holes.size) > ls[:, :1], np.arange(parts.size) > ls[:, 1:]
+        past_h, past_p = np.arange(holes.size) > st[:, -2:-1], np.arange(parts.size) > st[:, -1:]
         keep = past_p[:, :, None] & past_h[:, None, :] & (child > floor)
         i, cp, ch = np.nonzero(keep)
-        kids = rw[i]
+        kids = st[i]
         kids[np.arange(i.size), holes[ch]] = parts[cp]
-        yield kids, np.column_stack([ch, cp]), child[i, cp, ch]
+        kids[:, -2], kids[:, -1] = ch, cp
+        yield kids, child[i, cp, ch]
 
 
 def _heaviest(weights: np.ndarray, k: int) -> np.ndarray:
@@ -276,9 +268,9 @@ def diagonal_ensemble(
     and G = b[N_b:] A0^-1, holes and particles are ordered by their largest
     G^2 (the Loewdin rule gives a single excitation det(A0)^2 G^2), and a
     state's children add one pair past its last hole and last particle, so
-    each state has one parent.  A state is its occupied rows, int32 since
-    copying them is most of the search's memory traffic, plus the positions
-    of that last pair.  The search pops the frontier's heaviest states in
+    each state has one parent.  A state is one int32 row, its occupied levels
+    and then the positions of that last pair (copying states is most of the
+    search's memory traffic).  The search pops the frontier's heaviest states in
     batches and pushes the children heavier than ``_PUSH_FLOOR`` times
     det(A0)^2.  The floor is relative, so that however light the Fermi sea,
     the paths from it to the heavy states stay open.  It stops once the
@@ -311,30 +303,29 @@ def diagonal_ensemble(
             f"dlambda={dlam:g}, so the search has no weight to start from"
         )
     # the frontier: the states still to visit, as _children yields them
-    rows, last, weights = np.arange(nb, dtype=np.int32)[None], np.full((1, 2), -1), np.array([root])
+    states, weights = np.array([[*range(nb), -1, -1]], dtype=np.int32), np.array([root])
     energies, probs, floor = [], [], _PUSH_FLOOR * root
     captured, count = 0.0, 0
     while count < max_states and weights.size:
         top = _heaviest(weights, min(max(16, count // 4), weights.size))
-        batch_rows, batch_last = rows[top], last[top]
-        rows, last, weights = rows[~top], last[~top], weights[~top]
-        p_batch = np.linalg.det(amp[batch_rows]) ** 2
+        batch, states, weights = states[top], states[~top], weights[~top]
+        p_batch = np.linalg.det(amp[batch[:, :-2]]) ** 2
         order = np.argsort(-p_batch, kind="stable")
         running = captured + np.cumsum(p_batch[order])
         hit = np.nonzero(running >= 1.0 - prob_cutoff)[0]
         cut = min(int(hit[0]) + 1 if hit.size else order.size, max_states - count)
         order = order[:cut][p_batch[order[:cut]] >= _PUSH_FLOOR]
-        energies.append(spec.values[batch_rows[order]].sum(axis=1))
+        energies.append(spec.eigenvalues[batch[order, :-2]].sum(axis=1))
         probs.append(p_batch[order])
         captured, count = float(running[cut - 1]), count + cut
         if hit.size or count == max_states:
             break
         room = max_states - count  # the most states that can still be visited
-        for block in _children(amp, holes, parts, batch_rows, batch_last, p_batch, floor):
-            rows, last, weights = (np.concatenate(x) for x in zip((rows, last, weights), block))
+        for block in _children(amp, holes, parts, batch, p_batch, floor):
+            states, weights = (np.concatenate(x) for x in zip((states, weights), block))
             if weights.size > room:
                 top = _heaviest(weights, room)
-                rows, last, weights = rows[top], last[top], weights[top]
+                states, weights = states[top], weights[top]
 
     if captured < 1.0 - prob_cutoff:
         stop = f"max_states={max_states}" if count == max_states else "the exhausted search"
@@ -381,8 +372,7 @@ def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     """The energies of the levels in kept pairs, those pairs (first, second),
     x's weights 2 M per pair, twice for (cos, sin), its constant trace M, and
     the edge bound: what evolve_center_of_mass sums."""
-    spec, b = _quench_amplitudes(params, lam, dlam)
-    u = spec.vectors
+    (eps, u), b = _quench_amplitudes(params, lam, dlam)
     # n_e(t) = sum_a |sum_alpha u_e,alpha d_alpha(t) b_alpha,a|^2 with |d_alpha(t)| = 1
     edge = float(((np.abs(u[[0, -1]]) @ np.abs(b)) ** 2).sum(axis=1).max())
     form = (u.T @ (params.sites[:, None] * u)) * (b @ b.T) / params.n_particles
@@ -393,7 +383,7 @@ def _evolved_pairs(params: LatticeParams, lam: float, dlam: float):
     kept = np.sort(order[np.cumsum(np.abs(weights[order])) > _PAIR_TOLERANCE])
     levels, pairs = np.unique(pairs[:, kept], return_inverse=True)  # only these levels evolve
     weights = np.repeat(weights[kept], 2)
-    return spec.values[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
+    return eps[levels], pairs.reshape(2, -1), weights, np.trace(form), edge
 
 
 def series_samples(n_sites: int, tau: float | None, dt: float) -> int:

@@ -126,7 +126,7 @@ def grid_mean_center_of_mass(
 def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:
     """Orbital matrix of the many-body eigenstate of H(lambda) with the given
     single-particle levels occupied."""
-    return spectrum(params, lam).vectors[:, list(levels)]
+    return spectrum(params, lam).eigenvectors[:, list(levels)]
 
 
 def exhaustive_minors(params: LatticeParams, lam: float, dlam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +135,9 @@ def exhaustive_minors(params: LatticeParams, lam: float, dlam: float) -> tuple[n
     C(N, N_b) minors of b = U^T P0, in lexicographic order of the level
     sets, so the Fermi sea comes first."""
     spec = spectrum(params, lam)
-    b = spec.vectors.T @ ground_state(params, lam - dlam)
+    b = spec.eigenvectors.T @ ground_state(params, lam - dlam)
     levels = np.array(list(itertools.combinations(range(params.n_sites), params.n_particles)))
-    return spec.values[levels].sum(axis=1), np.linalg.det(b[levels]) ** 2
+    return spec.eigenvalues[levels].sum(axis=1), np.linalg.det(b[levels]) ** 2
 
 
 def overlap_probability(initial: np.ndarray, eigen: np.ndarray) -> float:
@@ -163,10 +163,10 @@ def energy_series(
     """
     spec = spectrum(params, lam)
     h = one_body_hamiltonian(params, lam)
-    u = spec.vectors
+    u = spec.eigenvectors
     b = u.T @ initial
     out = np.empty(len(times))
     for i, t in enumerate(np.asarray(times, dtype=float)):
-        pt = u @ (np.exp(-1j * t * spec.values)[:, None] * b)
+        pt = u @ (np.exp(-1j * t * spec.eigenvalues)[:, None] * b)
         out[i] = float(np.real(np.einsum("ka,kl,la->", pt.conj(), h, pt)))
     return out

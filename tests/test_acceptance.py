@@ -207,7 +207,7 @@ def test_criterion_07_lattice_temperature_anchor_and_scaling(lattice_temperature
     temps = np.array(
         [lattice_temperature(lam=15.0, dlam=math.sqrt(x), prob_cutoff=1e-10) for x in dl2]
     )
-    e0 = float(spectrum(LAT, 15.0).values[: LAT.n_particles].sum())
+    e0 = float(spectrum(LAT, 15.0).eigenvalues[: LAT.n_particles].sum())
     deposited = np.array(
         [mean_energy(diagonal_ensemble(LAT, 15.0, math.sqrt(x))) - e0 for x in dl2]
     )
@@ -255,7 +255,7 @@ def test_criterion_09_dense_oracle_equivalence():
     spec = spectrum(small, lam)
     pairs = []
     for levels in itertools.combinations(range(6), 2):
-        e = float(spec.values[list(levels)].sum())
+        e = float(spec.eigenvalues[list(levels)].sum())
         p = overlap_probability(initial, eigenstate(small, lam, levels))
         pairs.append((e, p))
     pairs.sort()
@@ -324,10 +324,10 @@ def test_criterion_11_conservation_suite():
 
     spec = spectrum(LAT, 14.0)
     initial = ground_state(LAT, 13.0)
-    b = spec.vectors.T @ initial
+    b = spec.eigenvectors.T @ initial
     number_err = 0.0
     for t in (0.0, 801.1, 3200.0):
-        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
+        pt = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t)[:, None] * b)
         number_err = max(number_err, abs((np.abs(pt) ** 2).sum() - LAT.n_particles))
     number_ok = number_err < 1e-10
 

@@ -521,6 +521,19 @@ def test_main_seed_override_changes_output(tmp_path, capsys):
     assert manifest["seed"] == 77
 
 
+def test_main_seed_leaves_a_kind_that_does_not_sample_alone(tmp_path):
+    """--seed reaches only a kind that samples: on lattice-temperature it
+    changes neither the config hash nor a byte of the CSVs."""
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    for out, extra in ((plain, []), (seeded, ["--seed", "5"])):
+        assert main(["--preset", "lattice-temperature", "--out", str(out), "--quiet", *extra]) == 0
+    hashes = [json.loads((out / "manifest.json").read_text())["config_hash"] for out in (plain, seeded)]
+    assert hashes[0] == hashes[1]
+    names = sorted(path.name for path in plain.glob("*.csv"))
+    assert names == sorted(path.name for path in seeded.glob("*.csv"))
+    assert all((plain / name).read_bytes() == (seeded / name).read_bytes() for name in names)
+
+
 def main_violations(tmp_path, capsys, raw):
     """Exit code and violations of ``main`` on a config file holding ``raw``."""
     path = tmp_path / "cfg.json"

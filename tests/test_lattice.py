@@ -71,9 +71,12 @@ def test_hamiltonian_centered_traps():
 def test_spectrum_matches_dense_and_is_cached():
     spec = spectrum(DEFAULTS, 15.0)
     dense = np.linalg.eigvalsh(one_body_hamiltonian(DEFAULTS, 15.0))
-    assert np.abs(spec.values - dense).max() < 1e-10
-    assert np.all(np.diff(spec.values) >= 0.0)
-    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(DEFAULTS.n_sites)).max() < 1e-10
+    assert np.abs(spec.eigenvalues - dense).max() < 1e-10
+    assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+    assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(DEFAULTS.n_sites)).max() < 1e-10
+    # numpy's own result, read-only since every caller shares the cached one
+    assert isinstance(spec, type(np.linalg.eigh(np.eye(1))))
+    assert not spec.eigenvalues.flags.writeable and not spec.eigenvectors.flags.writeable
     assert spectrum(DEFAULTS, 15.0) is spec
 
 
@@ -133,7 +136,7 @@ def test_overlaps_match_dense_oracle():
     spec = spectrum(SMALL, 3.0)
     order = []
     for levels in itertools.combinations(range(6), 2):
-        e = spec.values[list(levels)].sum()
+        e = spec.eigenvalues[list(levels)].sum()
         p = overlap_probability(initial, eigenstate(SMALL, 3.0, levels))
         order.append((e, p))
     order.sort()
@@ -166,6 +169,19 @@ def test_diagonal_ensemble_defaults_need_few_hundred_states():
     ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-6)
     assert ens.size <= 500
     assert ens.discarded_mass <= 1e-6
+
+
+def test_diagonal_ensemble_state_counts_of_the_temperature_sweep():
+    """States kept by the twelve ensembles of the benchmark's temperature
+    sweep: lambda 15, each dlambda^2 of 0.5 to 4 and then dlambda + eps with
+    eps = 0.1 dlambda, at prob_cutoff 1e-10.  A search that keeps other
+    states changes these counts."""
+    sizes = []
+    for d2 in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        dlam = math.sqrt(d2)
+        sizes += [diagonal_ensemble(DEFAULTS, 15.0, d, prob_cutoff=1e-10).size
+                  for d in (dlam, dlam + 0.1 * dlam)]
+    assert sizes == [102, 106, 104, 115, 145, 187, 214, 269, 339, 416, 476, 609]
 
 
 def test_diagonal_ensemble_convergence_failure():
@@ -404,9 +420,9 @@ def test_evolution_starts_at_combined_trap_minimum():
 def test_evolution_conserves_particle_number():
     spec = spectrum(DEFAULTS, 14.0)
     initial = ground_state(DEFAULTS, 13.0)
-    b = spec.vectors.T @ initial
+    b = spec.eigenvectors.T @ initial
     for t in (0.0, 7.3, 231.7):
-        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
+        pt = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t)[:, None] * b)
         assert abs((np.abs(pt) ** 2).sum() - DEFAULTS.n_particles) < 1e-10
 
 
@@ -428,10 +444,10 @@ def direct_center_and_edges(params, lam, dlam, times):
     """x(t) and the occupancies of sites 1 and N from the explicitly evolved
     orbitals P(t) = U exp(-i eps t) U^T P0, one time at a time."""
     spec = spectrum(params, lam)
-    b = spec.vectors.T @ ground_state(params, lam - dlam)
+    b = spec.eigenvectors.T @ ground_state(params, lam - dlam)
     out = []
     for t in times:
-        pt = spec.vectors @ (np.exp(-1j * spec.values * t)[:, None] * b)
+        pt = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t)[:, None] * b)
         occ = (np.abs(pt) ** 2).sum(axis=1)
         out.append((occ @ params.sites / params.n_particles, occ[0], occ[-1]))
     return np.array(out)
@@ -480,7 +496,7 @@ def test_center_of_mass_of_a_single_evolving_level_is_constant():
     params = LatticeParams(n_sites=6, n_particles=1)
     assert _evolved_pairs(params, 3.0, 0.0)[1].size == 0
     series = evolve_center_of_mass(params, 3.0, 0.0, tau=100.0, dt=0.1)
-    occ = spectrum(params, 3.0).vectors[:, 0] ** 2
+    occ = spectrum(params, 3.0).eigenvectors[:, 0] ** 2
     assert np.abs(series.values - occ @ params.sites).max() < 1e-12
     assert series.edge_occupancy == pytest.approx(max(occ[0], occ[-1]), rel=1e-12)
 
