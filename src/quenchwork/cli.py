@@ -174,10 +174,10 @@ class RunConfig:
         return {**self.tolerances, **self.evolution}
 
     def config_hash(self) -> str:
-        """Hash of the fields that affect computed results, not where they are
-        written; defaults are filled in, so writing one out changes nothing."""
-        sections = (s for s in FIELDS if s not in (None, "filenames"))
-        semantic = {key: getattr(self, key) for key in ("kind", "model", *FIELDS[None], *sections)}
+        """Hash of the kind, the model and the sections the kind reads, defaults
+        filled in: neither a default written out nor an unread section moves it."""
+        keys = (k for s in KINDS[self.kind].sections for k in (FIELDS[None] if s is None else (s,)))
+        semantic = {key: getattr(self, key) for key in ("kind", "model", *keys)}
         canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -217,7 +217,7 @@ def _unmet(spec: Field, value) -> str | None:
 
 def _field_violations(config: RunConfig) -> list[str]:
     """Keys with no row in FIELDS, values that do not fit their row, and
-    required fields left unset in the sections the kind needs."""
+    required fields left unset in the sections the kind reads."""
     violations = []
     for section, specs in FIELDS.items():
         values = getattr(config, section) if section else {k: getattr(config, k) for k in specs}
@@ -417,9 +417,9 @@ def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams
 
 class Kind(NamedTuple):
     """A row of KINDS: the model type the kind runs (None: either), the sections
-    whose required fields it needs (None holds the top-level ones), the
-    ``filenames`` keys it writes (featured_histogram only with a featured_lambda)
-    and its runner, ``run(config, params, path)``."""
+    its run reads (None holds the top-level ones; ``filenames`` is left out),
+    the ``filenames`` keys it writes (featured_histogram only with a
+    featured_lambda) and its runner, ``run(config, params, path)``."""
 
     model: str | None
     sections: tuple[str | None, ...]
@@ -430,10 +430,11 @@ class Kind(NamedTuple):
 _JE_OUTPUTS = ("profile", "work_histogram", "featured_histogram")
 KINDS = {
     "oscillator-sweep": Kind("oscillator", ("sweep",), ("sweep",), _run_oscillator_sweep),
-    "oscillator-je": Kind("oscillator", (None, "protocol", "sampler"), _JE_OUTPUTS, _run_je),
-    "lattice-run": Kind("lattice", ("protocol",), (), _run_lattice_run),
-    "lattice-je": Kind("lattice", (None, "protocol", "sampler"), _JE_OUTPUTS, _run_je),
-    "temperature": Kind(None, ("quench",), ("temperature",), _run_temperature),
+    "oscillator-je": Kind("oscillator", (None, "protocol", "sampler", "tolerances", "evolution"),
+                          _JE_OUTPUTS, _run_je),
+    "lattice-run": Kind("lattice", ("protocol", "evolution"), (), _run_lattice_run),
+    "lattice-je": Kind("lattice", (None, "protocol", "sampler", "evolution"), _JE_OUTPUTS, _run_je),
+    "temperature": Kind(None, ("quench", "tolerances"), ("temperature",), _run_temperature),
 }
 
 

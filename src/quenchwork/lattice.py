@@ -49,7 +49,7 @@ _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase tab
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
 _PAIR_BUFFER_BYTES = 6 << 20  # cap on the pair-phase table and on a product's coefficients
 _PAIR_TOLERANCE = 1e-13  # most that the level pairs left out may move x
-_PUSH_FLOOR = 1e-15  # push floor, times det(A0)^2; also the least p a kept state has
+_PUSH_FLOOR = 1e-15  # push floor, relative to det(A0)^2; also the least p a kept state has
 _CHILD_BLOCK = 1 << 18  # Loewdin coefficients the search evaluates at once
 
 
@@ -217,32 +217,34 @@ def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
     return float(spec.eigenvalues @ (b**2).sum(axis=1))
 
 
-def _children(amp, holes, parts, states, weights, floor):
-    """Yield, in blocks, the children of search states that weigh more than
-    ``floor``, as their (states, weights).
+def _children(amp, holes, parts, states, logw, floor):
+    """Yield, in blocks, the children of search states whose ln det^2 passes
+    ``floor``, as their (states, ln det^2).
 
     A state is one int32 row: its N_b occupied levels, column i holding level
     i or the particle that took hole i's place, then the positions of its last
     hole and last particle in ``holes`` and ``parts``, (-1, -1) for the Fermi
-    sea; ``weights`` are det(b[levels, :])^2.  A child adds one pair (h, p)
+    sea; ``logw`` are ln det(b[levels, :])^2.  A child adds one pair (h, p)
     past both last positions: it is the parent with column holes[h] set to
     parts[p] and (h, p) last.  With b[q, :] = c b[levels, :], the child that
     puts level q in the place of hole j weighs the parent's weight times c_j^2:
-    the Loewdin rule with the parent as reference, accurate however light the
-    Fermi sea.  Each block of parents spans about ``_CHILD_BLOCK`` coefficients."""
+    the Loewdin rule with the parent as reference, which on the log scale holds
+    however light the Fermi sea.  Each block of parents spans about
+    ``_CHILD_BLOCK`` coefficients."""
     step = max(1, _CHILD_BLOCK // max(1, parts.size * holes.size))
-    for lo in range(0, weights.size, step):
-        live = weights[lo : lo + step] > 0.0  # a singular parent has no children
-        st, w = states[lo : lo + step][live], weights[lo : lo + step][live]
+    for lo in range(0, logw.size, step):
+        live = logw[lo : lo + step] > -np.inf  # a singular parent has no children
+        st, w = states[lo : lo + step][live], logw[lo : lo + step][live]
         coef = amp[parts] @ np.linalg.inv(amp[st[:, :-2]])[:, :, holes]  # (parent, particle, hole)
-        child = w[:, None, None] * coef**2
+        coef *= coef
         past_h, past_p = np.arange(holes.size) > st[:, -2:-1], np.arange(parts.size) > st[:, -1:]
-        keep = past_p[:, :, None] & past_h[:, None, :] & (child > floor)
+        # w + ln c^2 > floor, with a log taken only of the c^2 kept
+        keep = past_p[:, :, None] & past_h[:, None, :] & (coef > np.exp(floor - w)[:, None, None])
         i, cp, ch = np.nonzero(keep)
         kids = st[i]
         kids[np.arange(i.size), holes[ch]] = parts[cp]
         kids[:, -2], kids[:, -1] = ch, cp
-        yield kids, child[i, cp, ch]
+        yield kids, w[i] + np.log(coef[i, cp, ch])
 
 
 def _heaviest(weights: np.ndarray, k: int) -> np.ndarray:
@@ -270,10 +272,11 @@ def diagonal_ensemble(
     state's children add one pair past its last hole and last particle, so
     each state has one parent.  A state is one int32 row, its occupied levels
     and then the positions of that last pair (copying states is most of the
-    search's memory traffic).  The search pops the frontier's heaviest states in
-    batches and pushes the children heavier than ``_PUSH_FLOOR`` times
-    det(A0)^2.  The floor is relative, so that however light the Fermi sea,
-    the paths from it to the heavy states stay open.  It stops once the
+    search's memory traffic).  The search weighs each state by its ln det^2,
+    so no weight underflows however light the Fermi sea.  It pops the
+    frontier's heaviest states in batches and pushes the children whose ln
+    det^2 passes ln det(A0)^2 + ln ``_PUSH_FLOOR``: the floor is relative, so
+    the paths from the Fermi sea to the heavy states stay open.  It stops once the
     captured probability reaches 1 - prob_cutoff, after ``max_states``
     states, or when the frontier runs dry; the frontier keeps only as many
     states as may still be visited.  States lighter than ``_PUSH_FLOOR``
@@ -284,8 +287,8 @@ def diagonal_ensemble(
     Raises
     ------
     EnsembleConvergenceError
-        If the search ends with less than 0.99 captured, or cannot start
-        because the Fermi sea's det(A0)^2 underflows to 0.
+        If the search ends with less than 0.99 captured; a singular A0
+        (ln det^2 = -inf) has no children and ends it at once.
     """
     if prob_cutoff > MAX_PROB_CUTOFF:
         raise ValueError(f"prob_cutoff must be <= {MAX_PROB_CUTOFF:g}")
@@ -295,21 +298,16 @@ def diagonal_ensemble(
     g = np.linalg.solve(a0.T, amp[nb:].T).T  # particle x hole
     holes = np.argsort(-(g**2).max(axis=0, initial=0.0), kind="stable")
     parts = np.argsort(-(g**2).max(axis=1, initial=0.0), kind="stable") + nb
-    root = np.linalg.det(a0) ** 2
-    if not root:  # the Loewdin rule scales every child by the root's weight
-        raise EnsembleConvergenceError(
-            f"the Fermi sea's weight det(A0)^2 underflows to 0 (slogdet gives "
-            f"ln|det A0| = {np.linalg.slogdet(a0).logabsdet:.6g}) for lambda={lam:g}, "
-            f"dlambda={dlam:g}, so the search has no weight to start from"
-        )
-    # the frontier: the states still to visit, as _children yields them
+    root = 2.0 * np.linalg.slogdet(a0).logabsdet
+    # the frontier: the states still to visit and their ln det^2, as _children yields them
     states, weights = np.array([[*range(nb), -1, -1]], dtype=np.int32), np.array([root])
-    energies, probs, floor = [], [], _PUSH_FLOOR * root
+    energies, probs, floor = [], [], root + math.log(_PUSH_FLOOR)
     captured, count = 0.0, 0
     while count < max_states and weights.size:
         top = _heaviest(weights, min(max(16, count // 4), weights.size))
         batch, states, weights = states[top], states[~top], weights[~top]
-        p_batch = np.linalg.det(amp[batch[:, :-2]]) ** 2
+        logp = 2.0 * np.linalg.slogdet(amp[batch[:, :-2]]).logabsdet
+        p_batch = np.exp(logp)
         order = np.argsort(-p_batch, kind="stable")
         running = captured + np.cumsum(p_batch[order])
         hit = np.nonzero(running >= 1.0 - prob_cutoff)[0]
@@ -321,7 +319,7 @@ def diagonal_ensemble(
         if hit.size or count == max_states:
             break
         room = max_states - count  # the most states that can still be visited
-        for block in _children(amp, holes, parts, batch, p_batch, floor):
+        for block in _children(amp, holes, parts, batch, logp, floor):
             states, weights = (np.concatenate(x) for x in zip((states, weights), block))
             if weights.size > room:
                 top = _heaviest(weights, room)

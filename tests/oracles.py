@@ -2,8 +2,8 @@
 lattice references built from explicit orbital matrices: the dense one-body
 Hamiltonian, single eigenstates and their overlaps, every minor of a
 quench's amplitudes, energies, the exact mean and variance of a quench's
-energy, the edge occupancies of explicitly evolved orbitals, and the mean
-of x(t) over a time grid in closed form.
+energy and its work generating function, the edge occupancies of explicitly
+evolved orbitals, and the mean of x(t) over a time grid in closed form.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -92,6 +92,18 @@ def quench_moments(params: LatticeParams, lam: float, dlam: float) -> tuple[floa
     rho = b @ b.T
     n = np.diag(rho)
     return float(eps @ n), float(eps**2 @ n - eps @ (rho * rho) @ eps)
+
+
+def log_work_generating_function(params: LatticeParams, lam: float, dlam: float, s: float) -> float:
+    """ln G(s) = ln sum_n p_n exp(-s (E_n - E_0)) over every many-body
+    eigenstate n of H(lambda), E_0 the lowest, in one determinant: by
+    Cauchy-Binet, sum_n det(b[n, :])^2 prod_{a in n} x_a = det(b^T diag(x) b).
+    With x = exp(-s (eps - eps_0)) every x_a <= 1, and the lowest N_b levels
+    give back the shift s sum_{a < N_b} (eps_a - eps_0)."""
+    eps, _, b = _dense_quench(params, lam, dlam)
+    shifted = eps - eps[0]
+    logdet = np.linalg.slogdet(b.T @ (np.exp(-s * shifted)[:, None] * b)).logabsdet
+    return float(logdet + s * shifted[: params.n_particles].sum())
 
 
 def edge_occupancies(params: LatticeParams, lam: float, dlam: float, times) -> np.ndarray:

@@ -144,6 +144,17 @@ def test_config_hash_fills_in_defaults(spellings):
     assert len(hashes) == 1
 
 
+def test_config_hash_reads_only_the_sections_the_kind_reads():
+    """Sections a lattice temperature run never reads leave its hash alone;
+    a changed quench moves it."""
+    preset = PRESETS["lattice-temperature"]
+    hashes = {RunConfig.from_dict({**preset, **stray}).config_hash()
+              for stray in ({}, {"sampler": {"seed": 5}}, {"evolution": {"bins": 30}})}
+    assert len(hashes) == 1
+    wider = RunConfig.from_dict({**preset, "quench": {**preset["quench"], "dlam": 2.0}})
+    assert wider.config_hash() not in hashes
+
+
 def child_python(*args, timeout=None):
     """``python *args`` in a child process that imports the same package as
     this process, installed or not."""
@@ -492,19 +503,16 @@ def test_main_convergence_failure(tmp_path, capsys):
     assert out["error"] == "convergence_failed"
 
 
-def test_main_names_an_underflowing_fermi_sea(tmp_path, capsys):
-    raw = {
+def test_main_converges_on_an_underflowing_fermi_sea(tmp_path):
+    """ln|det A0| = -707.3 on this half-filled chain, so det(A0)^2 is 0 in
+    double precision; the search weighs states by ln det^2 and still
+    reaches the heavy ones."""
+    row = temperature_row(tmp_path, {
         "kind": "temperature",
         "model": {"type": "lattice", "n_sites": 80, "n_particles": 40, "trap": 0.3, "center": 40.3},
         "quench": {"lambda": 40.1, "dlam": 8.0},
-    }
-    path = tmp_path / "underflow.json"
-    path.write_text(json.dumps(raw))
-    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    out = json.loads(capsys.readouterr().out)
-    assert out["error"] == "convergence_failed"
-    assert "det(A0)^2 underflows to 0" in out["detail"]
-    assert "ln|det A0| = -707." in out["detail"]
+    })
+    assert math.isfinite(row["T"]) and row["T"] > 0.0
 
 
 def test_main_seed_override_changes_output(tmp_path, capsys):

@@ -15,6 +15,7 @@ from oracles import (
     energy_series,
     exhaustive_minors,
     grid_mean_center_of_mass,
+    log_work_generating_function,
     one_body_hamiltonian,
     overlap_probability,
     quench_moments,
@@ -189,13 +190,6 @@ def test_diagonal_ensemble_convergence_failure():
         diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=3)
 
 
-def test_diagonal_ensemble_names_an_underflowing_fermi_sea():
-    # log|det A0| = -707.3 here, so det(A0)^2 is 0 in double precision
-    params = LatticeParams(n_sites=80, n_particles=40, trap=0.3, center=40.3)
-    with pytest.raises(EnsembleConvergenceError, match=r"det\(A0\)\^2 underflows to 0 .*ln\|det A0\| = -707\."):
-        diagonal_ensemble(params, lam=40.1, dlam=8.0)
-
-
 def test_diagonal_ensemble_warns_when_max_states_cuts_it_short():
     with pytest.warns(UserWarning, match=r"max_states=20 left .* above prob_cutoff=1e-08"):
         ens = diagonal_ensemble(DEFAULTS, lam=15.0, dlam=1.0, prob_cutoff=1e-8, max_states=20)
@@ -343,16 +337,21 @@ def test_energy_expectation_consistency():
 SERIES_GEOMETRY = LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0)
 
 
-@pytest.mark.filterwarnings("error")  # each case converges within the default max_states
-@pytest.mark.parametrize(
+# ln|det A0| = -707.3 in the last case, so the Fermi sea's det(A0)^2 underflows to 0
+SUM_RULE_CASES = pytest.mark.parametrize(
     "params, lam, dlam",
     [(DEFAULTS, 15.0, 1.0), (DEFAULTS, 15.0, 2.0), (DEFAULTS, 15.0, 4.0),
      (SERIES_GEOMETRY, 27.0, 1.0), (SERIES_GEOMETRY, 30.0, 4.0),
      (LatticeParams(trap=0.3, center=20.3), 20.1, 6.0),
-     (LatticeParams(n_sites=57, n_particles=26, trap=0.146, center=37.1), 37.25, 5.5)],
+     (LatticeParams(n_sites=57, n_particles=26, trap=0.146, center=37.1), 37.25, 5.5),
+     (LatticeParams(n_sites=80, n_particles=40, trap=0.3, center=40.3), 40.1, 8.0)],
     ids=["N40-dlam1", "N40-dlam2", "N40-dlam4", "N80-series", "N80-dlam4", "N40-far-quench",
-         "N57-sea-1e-196"],
+         "N57-sea-1e-196", "N80-half-filled-sea-underflows"],
 )
+
+
+@pytest.mark.filterwarnings("error")  # each case converges within the default max_states
+@SUM_RULE_CASES
 def test_diagonal_ensemble_meets_the_one_body_sum_rules(params, lam, dlam):
     """The enumeration spreads the captured mass 1 - d over the kept states.
     Its mean then misses the exact E by d times the gap between the kept and
@@ -368,6 +367,22 @@ def test_diagonal_ensemble_meets_the_one_body_sum_rules(params, lam, dlam):
     var = float(ens.probs @ (ens.energies - e) ** 2)
     assert abs(e - exact_e) <= ens.discarded_mass * span
     assert abs(var - exact_var) <= 1.25 * ens.discarded_mass * span**2
+
+
+@pytest.mark.filterwarnings("error")
+@SUM_RULE_CASES
+def test_diagonal_ensemble_bounds_the_work_generating_function(params, lam, dlam):
+    """G(s) = sum_n p_n exp(-s (E_n - E_0)) sums terms in [0, p_n], so the
+    states the enumeration drops add 0 to d to what its kept mass 1 - d
+    gives.  The oracle takes G from one Cauchy-Binet determinant, not from
+    the states.  Beyond s = 0.3 the light Fermi seas lose the determinant's
+    precision."""
+    ens = diagonal_ensemble(params, lam, dlam)
+    e0 = np.linalg.eigvalsh(one_body_hamiltonian(params, lam))[: params.n_particles].sum()
+    for s in (0.01, 0.1, 0.3):
+        exact = math.exp(log_work_generating_function(params, lam, dlam, s))
+        kept = (1.0 - ens.discarded_mass) * (ens.probs @ np.exp(-s * (ens.energies - e0)))
+        assert -1e-12 * exact <= exact - kept <= ens.discarded_mass + 1e-12 * exact, s
 
 
 def test_energy_anchor():
