@@ -9,7 +9,6 @@ machine-readable JSON error to stdout.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import copy
 import dataclasses
@@ -80,7 +79,7 @@ FIELDS: dict[str | None, dict[str, Field]] = {
     "tolerances": {
         "tail_tol": Field(1e-12, float, (0.0, oscillator.MAX_TAIL_TOL)),
         "prob_cutoff": Field(1e-8, float, (0.0, lattice.MAX_PROB_CUTOFF)),
-        "max_states": Field(50000, int, 1),
+        "max_states": Field(50000, int, 1),  # states the excitation search visits, kept or not
     },
     "filenames": {
         "sweep": Field("sweep.csv", str),
@@ -487,6 +486,8 @@ def run(config: RunConfig) -> dict:
 
 
 def main(argv=None) -> int:
+    import argparse  # here alone: run, validate and library callers parse no arguments
+
     parser = argparse.ArgumentParser(
         prog="quenchwork", description="Quench thermodynamics experiment runner")
     group = parser.add_mutually_exclusive_group(required=True)

@@ -96,30 +96,42 @@ class PositionDistribution:
         equal cells.  A cell that holds no CDF knot sends every u in it to
         one knot j, the last with cdf[j] <= u; only the few cells that hold
         a knot search for it.  The value is then slope[j] * (u - cdf[j]) +
-        edge[j], np.interp's own operations in its order.  The draws go in
-        blocks of ``_BLOCK``, so the temporaries stay small, and each draw
-        is written over its own uniform: into ``out`` when it is given (a
-        float array of ``size`` entries), else into a new array.
+        edge[j], np.interp's own operations in its order.  The guide table
+        is one int array of ``_GUIDE + 1`` entries, built in place.  The
+        draws go in blocks of ``_BLOCK`` through one int and one float buffer
+        made once per call, so the temporaries stay small, and each draw is
+        written over its own uniform: into ``out`` when it is given (a float
+        array of ``size`` entries), else into a new array.
         """
         edges = self.bin_edges()
         cdf = np.concatenate([[0.0], np.cumsum(self.density * self.dx)])
         cdf /= cdf[-1]
         # G is a power of two, so cdf*G and u*G are exact and the cells never
-        # misplace a knot; first[k] is the last knot with cdf[j] <= k/G
-        knots_per_cell = np.bincount(np.ceil(cdf * _GUIDE).astype(np.intp), minlength=_GUIDE + 1)
-        first = np.cumsum(knots_per_cell) - 1
-        cell = np.where(first[1:] == first[:-1], first[:-1], -1)
+        # misplace a knot; first[k], the running knot count less one, is the
+        # last knot with cdf[j] <= k/G, and cell k keeps it where cell k holds no knot
+        first = np.bincount(np.ceil(cdf * _GUIDE).astype(np.intp), minlength=_GUIDE + 1)
+        np.cumsum(first, out=first)
+        first -= 1
+        cell = first[:-1]
+        cell[first[1:] != cell] = -1
         u = rng.random(size, out=out)
+        j_buf, f_buf = np.empty(min(_BLOCK, u.size), np.intp), np.empty(min(_BLOCK, u.size))
         # silent like np.interp: empty bins are never selected, and a slope may overflow
         with np.errstate(all="ignore"):
             slopes = np.diff(edges) / np.diff(cdf)
             for lo in range(0, u.size, _BLOCK):
                 u_b = u[lo:lo + _BLOCK]
-                j = cell[(u_b * _GUIDE).astype(np.intp)]
+                j, t = j_buf[:u_b.size], f_buf[:u_b.size]
+                np.multiply(u_b, _GUIDE, out=t)
+                j[...] = t  # the cell of u: u*G truncated
+                # take's default mode="raise" copies into a temporary before it
+                # writes out; every index here is in range, so "clip" moves none
+                cell.take(j, out=j, mode="clip")
                 amb = j < 0
                 j[amb] = np.searchsorted(cdf, u_b[amb], side="right") - 1
-                np.multiply(slopes[j], u_b - cdf[j], out=u_b)
-                u_b += edges[j]
+                np.subtract(u_b, cdf.take(j, out=t, mode="clip"), out=t)
+                np.multiply(slopes.take(j, out=u_b, mode="clip"), t, out=u_b)
+                u_b += edges.take(j, out=t, mode="clip")
                 # a draw on a knot whose slope overflows: np.interp returns its edge
                 bad = np.isnan(u_b)
                 u_b[bad] = edges[j[bad]]

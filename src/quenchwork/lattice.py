@@ -278,11 +278,13 @@ def diagonal_ensemble(
     det^2 passes ln det(A0)^2 + ln ``_PUSH_FLOOR``: the floor is relative, so
     the paths from the Fermi sea to the heavy states stay open.  It stops once the
     captured probability reaches 1 - prob_cutoff, after ``max_states``
-    states, or when the frontier runs dry; the frontier keeps only as many
-    states as may still be visited.  States lighter than ``_PUSH_FLOOR``
-    itself are eigen-solver roundoff and are left out; the result is
-    renormalized and sorted by energy.  A deficit left above
-    ``prob_cutoff`` raises a UserWarning.
+    states visited, or when the frontier runs dry; the frontier keeps only as
+    many states as may still be visited.  States lighter than ``_PUSH_FLOOR``
+    itself are eigen-solver roundoff and are left out, but they count
+    against ``max_states``: it bounds the states visited, kept or not, so
+    the ensemble may hold fewer.  The result is renormalized and sorted by
+    energy.  A deficit left above ``prob_cutoff`` raises a UserWarning that
+    gives the states visited and kept.
 
     Raises
     ------
@@ -334,7 +336,8 @@ def diagonal_ensemble(
             )
         warnings.warn(
             f"{stop} left {1.0 - captured:.3e} of the probability uncaptured "
-            f"for lambda={lam:g}, dlambda={dlam:g}, above prob_cutoff={prob_cutoff:g}",
+            f"for lambda={lam:g}, dlambda={dlam:g}, above prob_cutoff={prob_cutoff:g}; "
+            f"{count} states visited, {sum(p.size for p in probs)} kept",
             stacklevel=2,
         )
 

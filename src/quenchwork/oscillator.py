@@ -148,18 +148,22 @@ def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:
     return n, n * math.log(y) - y - np.array([math.lgamma(k + 1.0) for k in n])
 
 
+def _entropy_and_slope(y: float) -> tuple[float, float]:
+    """(S, dS/dy) of the Poisson law of mean y > 0, from one set of ln P_n:
+    S = -sum_n P_n ln P_n and dS/dy = sum_n P_n [ln(n+1) - ln y], summed in log space."""
+    n, log_p = _poisson_log_probs(y)
+    p = np.exp(log_p)
+    return float(-(p * log_p).sum()), float((p * (np.log(n + 1.0) - math.log(y))).sum())
+
+
 def entropy_closed_form(y: float) -> float:
     """Entropy of the Poisson ensemble, S = -sum_n P_n ln P_n, summed in log space."""
-    if y == 0.0:
-        return 0.0
-    _, log_p = _poisson_log_probs(y)
-    return float(-(np.exp(log_p) * log_p).sum())
+    return 0.0 if y == 0.0 else _entropy_and_slope(y)[0]
 
 
 def entropy_derivative(y: float) -> float:
     """dS/dy = sum_n P_n [ln(n+1) - ln y], summed in log space."""
-    n, log_p = _poisson_log_probs(y)
-    return float((np.exp(log_p) * (np.log(n + 1.0) - math.log(y))).sum())
+    return _entropy_and_slope(y)[1]
 
 
 def temperature_closed_form(params: OscillatorParams, y: float) -> float:
@@ -221,7 +225,7 @@ def position_distribution(
     scale = math.sqrt(params.mass * params.omega / params.hbar)
     xi = scale * (grid - lam / 2.0)
     phi = hermite_functions(probs.size - 1, xi)
-    density = probs @ (phi**2) * scale
+    density = probs @ np.square(phi, out=phi) * scale  # |<x|n>|^2, squared in place
     mass = np.trapezoid(density, grid)
     try:
         if not mass >= MIN_GRID_MASS:
@@ -272,5 +276,6 @@ def equilibrium_comparison(params: OscillatorParams, ys) -> np.ndarray:
     rows = []
     for y in np.asarray(ys, dtype=float):
         t_b, s_b = boson_reference(y, hbar_omega=hw)
-        rows.append((y, temperature_closed_form(params, y), t_b, entropy_closed_form(y), s_b))
+        s, slope = _entropy_and_slope(y)  # T = hbar*omega / (dS/dy), as temperature_closed_form
+        rows.append((y, hw / slope, t_b, s, s_b))
     return np.array(rows)

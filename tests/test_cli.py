@@ -182,6 +182,18 @@ def test_cli_imports_no_scipy():
     assert loaded.split() == []
 
 
+def test_cli_imports_argparse_only_in_main(tmp_path):
+    out = tmp_path / "fig2"
+    loaded = child_python("-c", f"""
+import sys, quenchwork, quenchwork.cli
+print('argparse' in sys.modules)
+code = quenchwork.cli.main(['--preset', 'fig2', '--out', {str(out)!r}, '--quiet'])
+print(code, 'argparse' in sys.modules)
+""")
+    assert loaded.split() == ["False", "0", "True"]
+    assert (out / "fig2.csv").is_file()
+
+
 def test_near_zero_temperature_profile_is_finite(tmp_path):
     # beta = 1/6e-309 overflows beta*W for any work below about -1.08
     run_child(tmp_path, {**SMALL_OSC_JE, "temperature": 6e-309}, "cold")

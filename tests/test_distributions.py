@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ def test_sample_fills_a_callers_buffer_like_np_interp(stations, name):
     # a real generator fills the buffer with the same draws as without it
     again = dist.sample(np.random.default_rng(3), u.size, out=buf)
     _assert_same_bits(again, dist.sample(np.random.default_rng(3), u.size))
+
+
+@pytest.mark.parametrize("size", [10**4, 10**6])
+def test_sample_into_a_buffer_keeps_its_temporaries_small(stations, size):
+    """The guide table is one array of 2^14 + 1 ints built in place, and the
+    blocks go through two buffers made once: about 270 KiB whatever the
+    number of draws."""
+    dist, buf = stations["fig3d"], np.empty(size)
+    dist.sample(np.random.default_rng(0), 10, out=buf[:10])  # numpy's one-time set-up
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        dist.sample(rng, size, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 1024
 
 
 def test_count_peaks_prominence_filter():

@@ -305,6 +305,20 @@ def test_diagonal_ensemble_matches_every_minor_of_random_quenches():
     assert light >= 5
 
 
+def test_max_states_bounds_the_states_visited_not_those_kept():
+    """On a chain whose Fermi sea weighs det(A0)^2 = 1.2e-148 the search
+    visits states lighter than 1e-15 on its way to the heavy ones; they
+    count against max_states and are left out, so the ensemble it stops
+    holds fewer states than max_states."""
+    params = LatticeParams(n_sites=57, n_particles=28, trap=0.03213, center=34.56)
+    match = r"max_states=100 left .*; 100 states visited, \d+ kept"
+    with pytest.warns(UserWarning, match=match) as rec:
+        ens = diagonal_ensemble(params, 35.86, 5.56, prob_cutoff=1e-8, max_states=100)
+    assert ens.discarded_mass < 0.01
+    assert ens.size < 100
+    assert f"100 states visited, {ens.size} kept" in str(rec[0].message)
+
+
 def test_diagonal_ensemble_memory_stays_bounded_by_the_frontier_trim():
     """At N=80 the search pushes about 650 000 children on its way to
     max_states; with the frontier trimmed to the states that may still be
