@@ -20,7 +20,6 @@ from .ensembles import (
 )
 from .jarzynski import (
     FreeEnergyProfile,
-    build_profile,
     estimates,
     profile_from_distributions,
     trap_work,

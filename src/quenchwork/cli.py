@@ -360,8 +360,9 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
     sampler = config.sampler
     # what can fail of every station, then the stations, then the paths
     stations = _build_each(_quenches(config), lambda _, *q: params.station(*q, **config.settings))
+    dists = [make() for make in stations]
     profile = jarzynski.profile_from_distributions(
-        [make() for make in stations], QuenchProtocol(**config.protocol).lambdas, *params.traps,
+        dists, QuenchProtocol(**config.protocol).lambdas, *params.traps,
         1.0 / config.temperature, sampler["n_paths"], sampler["seed"])
     write_csv(
         path(config.filenames["profile"]), ["lambda,dF_JE,dF_target,work_std,jackknife,ESS"],
@@ -369,7 +370,7 @@ def _run_je(config: RunConfig, params: LatticeParams | OscillatorParams, path) -
          profile.jackknife, profile.ess),
     )
     featured = config.evolution["featured_lambda"]
-    for i, (lam, dist) in enumerate(zip(profile.lambdas, profile.distributions), start=1):
+    for i, (lam, dist) in enumerate(zip(profile.lambdas, dists), start=1):
         write_csv(path(f"{params.station_prefix}_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
         if featured is not None and math.isclose(lam, featured):
             write_csv(path(config.filenames["featured_histogram"]), ["x,f"], (dist.x, dist.density))

@@ -9,7 +9,7 @@ A model holds x between a fixed trap at an anchor a and the movable one at
 lambda, U = kappa [(x - a)^2 + (x - lambda)^2] up to terms free of lambda, so
 each step costs kappa (lambda_{i+1} - lambda_i)(lambda_i + lambda_{i+1} - 2 x_i)
 and the reference profile is kappa (lambda - a)^2 / 2.  (kappa, a) and the f_i
-are the model's, from the members of its params (``build_profile``).
+are the model's, from the members of its params.
 
 The free-energy change then follows from the exponential work average
 
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import PositionDistribution, QuenchProtocol
+from .distributions import PositionDistribution
 
 _MIN_ESS = 10.0
 # most paths a profile samples: its two path-long float buffers (running
@@ -47,10 +47,8 @@ class FreeEnergyProfile:
     ``work_std`` are the standard deviations of the running work sums (the
     conventional error bar), ``jackknife`` the delete-one errors of the
     exponential estimator, ``ess`` the effective sample sizes.
-    ``distributions`` are the station distributions the coordinates were
-    drawn from (one per step), ``final_work`` the total work of every
-    sampled path and ``targets`` the model's reference profile, zero at the
-    first station.
+    ``final_work`` is the total work of every sampled path and ``targets``
+    the model's reference profile, zero at the first station.
     """
 
     lambdas: np.ndarray
@@ -58,7 +56,6 @@ class FreeEnergyProfile:
     work_std: np.ndarray
     jackknife: np.ndarray
     ess: np.ndarray
-    distributions: tuple[PositionDistribution, ...]
     final_work: np.ndarray
     targets: np.ndarray
 
@@ -164,18 +161,7 @@ def profile_from_distributions(
         work_std=work_std,
         jackknife=jk,
         ess=ess,
-        distributions=tuple(dists),
         final_work=work,
         targets=targets - targets[0],
     )
 
-
-def build_profile(params, protocol: QuenchProtocol, beta: float, n_paths: int,
-                  seed: int) -> FreeEnergyProfile:
-    """Profile of ``protocol`` for the model of ``params``: its ``traps``, and
-    the ``station`` of each quench (lambda_i - step) -> lambda_i at the model's
-    defaults, every station built before any distribution is made."""
-    lams = protocol.lambdas
-    stations = [params.station(lam, protocol.step) for lam in lams[:-1]]
-    return profile_from_distributions([make() for make in stations], lams, *params.traps,
-                                      beta, n_paths, seed)

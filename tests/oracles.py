@@ -1,9 +1,10 @@
-"""Helpers only the tests use: peak counting, reading ensemble CSVs back, and
-lattice references built from explicit orbital matrices: the dense one-body
-Hamiltonian, single eigenstates and their overlaps, every minor of a
-quench's amplitudes, energies, the exact mean and variance of a quench's
-energy and its work generating function, the edge occupancies of explicitly
-evolved orbitals, and the mean of x(t) over a time grid in closed form.
+"""Helpers only the tests use: peak counting, reading ensemble CSVs back, a
+profile at a model's defaults, and lattice references built from explicit
+orbital matrices: the dense one-body Hamiltonian, single eigenstates and
+their overlaps, every minor of a quench's amplitudes, energies, the exact
+mean and variance of a quench's energy and its work generating function,
+the edge occupancies of explicitly evolved orbitals, and the mean and
+variance of x(t) over a time grid in closed form.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -18,6 +19,7 @@ from scipy.signal import find_peaks
 
 from quenchwork.distributions import PositionDistribution
 from quenchwork.ensembles import DiagonalEnsemble
+from quenchwork.jarzynski import profile_from_distributions
 from quenchwork.lattice import LatticeParams, ground_state, spectrum
 
 
@@ -31,6 +33,15 @@ def count_peaks(density, prominence_frac: float = 0.0) -> int:
     prominence = prominence_frac * f.max() if prominence_frac > 0 else None
     peaks, _ = find_peaks(f, prominence=prominence)
     return int(peaks.size)
+
+
+def model_profile(params, protocol, beta: float, n_paths: int, seed: int):
+    """Profile of ``protocol`` from the ``station`` of each quench (lambda_i -
+    step) -> lambda_i at the model's defaults, every station built before any
+    distribution is made, and the model's ``traps``."""
+    stations = [params.station(lam, protocol.step) for lam in protocol.lambdas[:-1]]
+    return profile_from_distributions([make() for make in stations], protocol.lambdas,
+                                      *params.traps, beta, n_paths, seed)
 
 
 def read_ensemble(path: str | Path) -> tuple[DiagonalEnsemble, dict]:
@@ -119,6 +130,23 @@ def edge_occupancies(params: LatticeParams, lam: float, dlam: float, times) -> n
     return np.concatenate(out, axis=1)
 
 
+def _center_of_mass_pairs(params: LatticeParams, lam: float, dlam: float, dt: float):
+    """x(t) = A_0 + sum_p w_p cos(omega_p t) over every level pair p, with
+    A = (X o rho) / N_b, w_p = 2 A_p and omega_p the pair's level gap:
+    A_0 = tr A, the w_p and the half angles omega_p dt / 2."""
+    eps, u, b = _dense_quench(params, lam, dlam)
+    a = (u.T @ (params.sites[:, None] * u)) * (b @ b.T) / params.n_particles
+    first, second = np.triu_indices(eps.size, 1)
+    return float(np.trace(a)), 2.0 * a[first, second], (eps[first] - eps[second]) * dt / 2.0
+
+
+def _dirichlet(half, samples: int):
+    """Grid mean of cos(omega t_k), k < K = ``samples``, at the half angle
+    h = omega dt / 2: the Dirichlet kernel sin(K h) / (K sin h) cos((K - 1) h),
+    as a ratio of sincs that is 1 at h = 0."""
+    return np.sinc(samples * half / np.pi) / np.sinc(half / np.pi) * np.cos((samples - 1) * half)
+
+
 def grid_mean_center_of_mass(
     params: LatticeParams, lam: float, dlam: float, samples: int, dt: float
 ) -> float:
@@ -126,13 +154,32 @@ def grid_mean_center_of_mass(
     form over every level pair: x(t) = A_0 + sum_p 2 A_p cos(w_p t) with
     A = (X o rho) / N_b, and cos(w t) averages over the grid to the Dirichlet
     kernel D_K(w) = sin(K w dt / 2) / (K sin(w dt / 2)) cos((K - 1) w dt / 2)."""
-    eps, u, b = _dense_quench(params, lam, dlam)
-    a = (u.T @ (params.sites[:, None] * u)) * (b @ b.T) / params.n_particles
-    first, second = np.triu_indices(eps.size, 1)
-    half = (eps[first] - eps[second]) * dt / 2.0
-    # sin(K h) / (K sin h) as a ratio of sincs, which is 1 where h is 0
-    dirichlet = np.sinc(samples * half / np.pi) / np.sinc(half / np.pi) * np.cos((samples - 1) * half)
-    return float(np.trace(a) + 2.0 * a[first, second] @ dirichlet)
+    trace, weights, half = _center_of_mass_pairs(params, lam, dlam, dt)
+    return trace + float(weights @ _dirichlet(half, samples))
+
+
+def grid_variance_center_of_mass(
+    params: LatticeParams, lam: float, dlam: float, samples: int, dt: float
+) -> float:
+    """Variance of x(t) over the grid of ``grid_mean_center_of_mass``, in
+    closed form over every pair of level pairs.  cos a cos b averages to
+    [D(a - b) + D(a + b)] / 2, so
+
+        Var = sum_pq w_p w_q ([D(omega_p - omega_q) + D(omega_p + omega_q)] / 2
+                             - D(omega_p) D(omega_q))
+
+    with w = 2A and D the mean's Dirichlet kernel.  The pairs p go in blocks
+    of 128, so that at N = 80 (3160 pairs) each temporary holds 128 x 3160
+    floats, 3.2 MB."""
+    _, weights, half = _center_of_mass_pairs(params, lam, dlam, dt)
+    mean = _dirichlet(half, samples)
+    total = 0.0
+    for lo in range(0, half.size, 128):
+        h = half[lo : lo + 128, None]
+        cross = (_dirichlet(h - half, samples) + _dirichlet(h + half, samples)) / 2.0
+        cross -= mean[lo : lo + 128, None] * mean
+        total += float(weights[lo : lo + 128] @ cross @ weights)
+    return total
 
 
 def eigenstate(params: LatticeParams, lam: float, levels) -> np.ndarray:

@@ -18,17 +18,14 @@ from oracles import (
     eigenstate,
     energy_expectation,
     energy_series,
+    model_profile,
     one_body_hamiltonian,
     overlap_probability,
 )
 from quenchwork import entropy
 from quenchwork.distributions import QuenchProtocol
 from quenchwork.ensembles import DiagonalEnsemble, mean_energy
-from quenchwork.jarzynski import (
-    build_profile,
-    estimates,
-    profile_from_distributions,
-)
+from quenchwork.jarzynski import estimates, profile_from_distributions
 from quenchwork.lattice import (
     LatticeParams,
     diagonal_ensemble,
@@ -147,7 +144,7 @@ def test_criterion_04_oscillator_profile_tracks_target():
     start = time.monotonic()
     proto = QuenchProtocol(0.0, 0.6935, 11)
     beta = 1.0 / 0.35
-    profile = build_profile(OSC, proto, beta, 100_000, 11)
+    profile = model_profile(OSC, proto, beta, 100_000, 11)
     steps = np.arange(profile.lambdas.size)
     b = oscillator_step_offset(OSC, proto.step, beta)
     reference = profile.targets + steps * b
@@ -230,7 +227,7 @@ def test_criterion_08_lattice_profile_and_histogram():
     start = time.monotonic()
     proto = QuenchProtocol(13.0, 1.0, 8)
     beta = 1.0 / 0.1953
-    profile = build_profile(LAT, proto, beta, 100_000, 17)
+    profile = model_profile(LAT, proto, beta, 100_000, 17)
     target = 0.0225 * 10 * (20.0 - 13.0) ** 2 / 2.0
     ratio = profile.delta_f[-1] / target
 

@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quenchwork
-from oracles import one_body_hamiltonian
+from oracles import model_profile, one_body_hamiltonian
 from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
 from quenchwork.ensembles import write_csv
-from quenchwork.jarzynski import MAX_PATHS, build_profile
+from quenchwork.jarzynski import MAX_PATHS
 from quenchwork.lattice import (
     MAX_SERIES_SAMPLES,
     MAX_SITES,
@@ -226,7 +226,7 @@ def test_work_histogram_counted_in_slices_is_that_of_the_whole_sample(tmp_path, 
     raw = {**SMALL_OSC_JE, "protocol": {"lambda_start": 0.0, "step": step, "stations": 3},
            "sampler": {"n_paths": n_paths, "seed": 3}}
     run(config_with(raw, tmp_path / "o"))
-    work = build_profile(OscillatorParams(), QuenchProtocol(0.0, step, 3), 1.0 / 0.35,
+    work = model_profile(OscillatorParams(), QuenchProtocol(0.0, step, 3), 1.0 / 0.35,
                          n_paths, 3).final_work
     lo, hi = work.min(), work.max()
     span = histogram_span(lo, hi)

@@ -6,14 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import model_profile
 from quenchwork.distributions import PositionDistribution, QuenchProtocol
-from quenchwork.jarzynski import (
-    MAX_PATHS,
-    build_profile,
-    estimates,
-    profile_from_distributions,
-    trap_work,
-)
+from quenchwork.jarzynski import MAX_PATHS, estimates, profile_from_distributions, trap_work
 from quenchwork.lattice import LatticeParams
 from quenchwork.oscillator import OscillatorParams
 
@@ -71,18 +66,18 @@ def test_lattice_increment_matches_potential_difference():
         assert trap_work(x, lam_i, lam_j, trap * n_b) == pytest.approx(direct, rel=1e-12)
 
 
-def test_build_profile_targets_are_each_models_trap_profile():
+def test_profile_targets_are_each_models_trap_profile():
     """Bit for bit k lambda^2/4 for the oscillator and V N_b (lambda - a)^2/2
     for the lattice, each less its first entry."""
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 0.6935, 4)
     t = params.stiffness * proto.lambdas**2 / 4.0
-    profile = build_profile(params, proto, 1.0 / 0.35, 50, 1)
+    profile = model_profile(params, proto, 1.0 / 0.35, 50, 1)
     assert np.array_equal(profile.targets, t - t[0])
     params = LatticeParams()
     proto = QuenchProtocol(16.0, 0.7, 3)
     t = params.trap * params.n_particles * (proto.lambdas - params.center) ** 2 / 2.0
-    profile = build_profile(params, proto, 1.0 / 0.1953, 50, 1)
+    profile = model_profile(params, proto, 1.0 / 0.1953, 50, 1)
     assert np.array_equal(profile.targets, t - t[0])
 
 
@@ -195,7 +190,7 @@ def test_estimates_hold_at_any_temperature(temperature):
     exp(-beta W) weights gave dF = min W from T = 1e17 and an overflowing
     jackknife at T = 1e300.  The mean weight is 0.06 at T = 0.35 and 0.67 at
     T = 3, on either side of the switch to expm1 at 1/2."""
-    works = build_profile(OscillatorParams(), QuenchProtocol(0.0, 1.0, 2), 1.0, 1000, 1).final_work
+    works = model_profile(OscillatorParams(), QuenchProtocol(0.0, 1.0, 2), 1.0, 1000, 1).final_work
     beta, m, w_min = 1.0 / temperature, works.size, works.min()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -259,7 +254,7 @@ def test_oscillator_profile_tracks_target_within_work_std():
     """The sampled profile follows k*lambda^2/4 inside the work-std bars."""
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 0.6935, 11)
-    profile = build_profile(params, proto, 1.0 / 0.35, 100_000, 11)
+    profile = model_profile(params, proto, 1.0 / 0.35, 100_000, 11)
     gap = np.abs(profile.delta_f - profile.targets)
     assert np.all(gap[1:] <= profile.work_std[1:])
 
@@ -267,14 +262,13 @@ def test_oscillator_profile_tracks_target_within_work_std():
 def test_high_temperature_profile_sits_above_target():
     params = OscillatorParams()
     proto = QuenchProtocol(0.0, 4.0, 11)
-    profile = build_profile(params, proto, 1.0 / 3.52, 50_000, 13)
+    profile = model_profile(params, proto, 1.0 / 3.52, 50_000, 13)
     assert profile.delta_f[-1] > profile.targets[-1]
 
 
 def test_profile_final_work_is_the_sampled_path_work():
     """The profile keeps its draws: final_work is bit for bit the work sample
-    its last station was estimated from, and the distributions are the ones
-    passed in."""
+    its last station was estimated from."""
     from quenchwork.oscillator import position_distribution, y_parameter
 
     params = OscillatorParams()
@@ -287,8 +281,6 @@ def test_profile_final_work_is_the_sampled_path_work():
     )
     assert profile.final_work.shape == (4000,)
     assert (profile.delta_f[-1], profile.jackknife[-1]) == estimates(profile.final_work, beta)[:2]
-    assert len(profile.distributions) == len(dists)
-    assert all(a is b for a, b in zip(profile.distributions, dists))
 
 
 def oscillator_stations(step, stations):
@@ -374,39 +366,26 @@ class GaussianModel:
     def __init__(self, coupling, anchor, beta):
         self.traps = (coupling, anchor)
         self.beta = beta
-        self.built = []
 
     def station(self, lam, dlam):
         coupling, anchor = self.traps
         sigma = 1.0 / math.sqrt(4.0 * coupling * self.beta)
         x = (anchor + lam) / 2.0 + sigma * np.linspace(-8.0, 8.0, 2001)
         density = np.exp(-0.5 * ((x - (anchor + lam) / 2.0) / sigma) ** 2)
-        self.built.append((lam, dlam))
         return lambda: PositionDistribution(x, density / np.trapezoid(density, x), x[1] - x[0])
 
 
-def test_build_profile_runs_any_model_through_its_members():
-    """build_profile knows a model only by ``traps`` and ``station``: a stub
-    model's stations are built once each, in order, with the protocol's step,
-    and the profile reaches its coupling (lambda - a)^2 / 2 targets within four
-    jackknife errors."""
+def test_profile_runs_any_model_through_its_members():
+    """The sampler knows a model only by its ``traps`` and the distributions
+    its ``station`` members make: a stub model's profile reaches its coupling
+    (lambda - a)^2 / 2 targets within four jackknife errors."""
     model, beta = GaussianModel(0.3, -1.0, 2.0), 2.0
     proto = QuenchProtocol(0.5, 0.75, 5)
-    profile = build_profile(model, proto, beta, 40_000, 3)
-    assert model.built == [(lam, 0.75) for lam in proto.lambdas[:-1]]
+    profile = model_profile(model, proto, beta, 40_000, 3)
     t = 0.3 * (proto.lambdas + 1.0) ** 2 / 2.0
     assert np.array_equal(profile.targets, t - t[0])
     gap = np.abs(profile.delta_f - profile.targets)
     assert np.all(gap[1:] <= 4.0 * profile.jackknife[1:])
-
-
-@pytest.mark.parametrize(
-    "params", [OscillatorParams(), LatticeParams()], ids=["oscillator", "lattice"])
-def test_build_profile_takes_no_settings(params):
-    """A keyword is a TypeError, not a setting the model leaves unread: a
-    profile outside the CLI runs at the model's defaults."""
-    with pytest.raises(TypeError):
-        build_profile(params, QuenchProtocol(13.0, 1.0, 2), 1.0, 10, 1, bins=30)
 
 
 def test_the_estimator_imports_neither_model():

@@ -15,6 +15,7 @@ from oracles import (
     energy_series,
     exhaustive_minors,
     grid_mean_center_of_mass,
+    grid_variance_center_of_mass,
     log_work_generating_function,
     one_body_hamiltonian,
     overlap_probability,
@@ -606,6 +607,25 @@ def test_center_of_mass_grid_mean_matches_its_closed_form(params, lam):
     exact = grid_mean_center_of_mass(params, lam, 1.0, series.values.size, 0.1)
     assert abs(series.values.mean() - exact) <= _PAIR_TOLERANCE + 1e-12
 
+
+
+@pytest.mark.filterwarnings("ignore:edge occupancy")
+@pytest.mark.parametrize("params, lam, tau", [
+    # fig4's seven station quenches, lambda 13...19, and the quench to its last station
+    *(pytest.param(DEFAULTS, float(lam), None, id=f"fig4-{lam}") for lam in range(13, 21)),
+    # the lattice-series bench quench: fig4's geometry at N=80, tau = N^2
+    pytest.param(LatticeParams(n_sites=80, n_particles=20, trap=0.005625, center=26.0), 27.0,
+                 6400.0, id="N80"),
+])
+def test_center_of_mass_grid_variance_matches_its_closed_form(params, lam, tau):
+    """The variance of every sample of the pruned series against the sum over
+    every pair of level pairs.  The pairs left out move each sample by some
+    |d| <= _PAIR_TOLERANCE, which moves the variance by 2 Cov(x, d) + Var(d),
+    at most _PAIR_TOLERANCE (max x - min x) + _PAIR_TOLERANCE^2: inside twice
+    the first term."""
+    x = evolve_center_of_mass(params, lam, 1.0, tau=tau).values
+    exact = grid_variance_center_of_mass(params, lam, 1.0, x.size, 0.1)
+    assert abs(x.var() - exact) <= 2.0 * _PAIR_TOLERANCE * (x.max() - x.min())
 
 def test_evolution_rejects_short_horizon():
     """A horizon below N^2 = 36, on grids of enough samples and of too few:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from oracles import count_peaks
+from oracles import count_peaks, model_profile
 from quenchwork import entropy, temperature_from_pair
 from quenchwork.distributions import QuenchProtocol
-from quenchwork.jarzynski import build_profile
 from quenchwork.oscillator import (
     GridTooNarrowError,
     OscillatorParams,
@@ -285,7 +284,7 @@ def test_free_energy_low_t_against_sampling_pipeline():
     """
     proto = QuenchProtocol(0.0, 0.6935, 11)
     expansion = free_energy_low_t(PARAMS, proto, 0.35)
-    profile = build_profile(PARAMS, proto, 1.0 / 0.35, 100_000, 7)
+    profile = model_profile(PARAMS, proto, 1.0 / 0.35, 100_000, 7)
     monte = profile.delta_f[-1]
     assert abs(expansion.full - monte) / monte < 0.06
 
