@@ -10,11 +10,9 @@ from .distributions import PositionDistribution, QuenchProtocol
 from .ensembles import (
     DegenerateEnergyError,
     DiagonalEnsemble,
-    NormalizationError,
     TemperatureEstimate,
     entropy,
     mean_energy,
-    renormalize,
     temperature_from_pair,
     write_ensemble,
 )

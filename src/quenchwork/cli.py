@@ -165,7 +165,7 @@ class RunConfig:
         sections = {name: _with_defaults(name, d.get(name, {})) for name in FIELDS if name}
         return cls(
             kind=kind, model=merged, temperature=d.get("temperature"), **sections,
-            out_dir=d.get("out_dir", "out"), quiet=bool(d.get("quiet", False)),
+            out_dir=d.get("out_dir", "out"), quiet=d.get("quiet", False),
         )
 
     @property
@@ -199,8 +199,9 @@ def _unmet(spec: Field, value) -> str | None:
     """What ``value`` must be to fit the type and bound of ``spec``, or None
     if it fits."""
     if spec.type is str:
-        fits = isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
-        return None if fits else "a file name without a directory part"
+        fits = (isinstance(value, str) and value not in ("", ".", "..") and "\0" not in value
+                and Path(value).name == value)
+        return None if fits else "a file name without a directory part or NUL character"
     if spec.type is int:
         low, high = spec.bound if isinstance(spec.bound, tuple) else (spec.bound, math.inf)
         fits = finite_real(value) and isinstance(value, int) and low <= value <= high
@@ -266,6 +267,10 @@ def validate(config: RunConfig) -> list[str]:
     if mtype not in _MODELS or kind.model not in (None, mtype):
         return [f"model.type: '{mtype}' cannot run kind '{config.kind}'"]
     violations = _field_violations(config)
+    if "\0" in str(config.out_dir):
+        violations.append("out_dir: must hold no NUL character")
+    if not isinstance(config.quiet, bool):
+        violations.append("quiet: must be true or false")
     try:
         params = _model_params(config)
     except (TypeError, ValueError) as exc:

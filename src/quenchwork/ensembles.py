@@ -20,10 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Ensembles must be normalized to this tolerance before entropy/energy are
-# meaningful; truncated ensembles go through renormalize() first.
-NORMALIZATION_TOL = 1e-8
-
 _PROB_SLACK = 1e-12
 _CSV_BLOCK_ROWS = 1 << 16  # rows write_csv formats at once, which bounds its memory
 
@@ -32,10 +28,6 @@ def finite_real(value) -> bool:
     """Whether ``value`` is a real number, not a bool, that a float holds finitely."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and abs(value) <= sys.float_info.max
-
-
-class NormalizationError(ValueError):
-    """Probabilities do not sum to one within tolerance."""
 
 
 class DegenerateEnergyError(ValueError):
@@ -49,9 +41,9 @@ class DiagonalEnsemble:
     Attributes
     ----------
     energies : array of eigenvalues, model energy units
-    probs : occupation probabilities, same length
+    probs : occupation probabilities, same length, scaled to unit sum
     label : free-form tag, e.g. ``"lattice lambda=15 dlambda=1"``
-    discarded_mass : probability mass dropped by truncation/renormalization
+    discarded_mass : mass dropped by truncation, plus 1 - sum of the probs as given
     """
 
     energies: np.ndarray
@@ -68,8 +60,13 @@ class DiagonalEnsemble:
             raise ValueError("non-finite entry in ensemble")
         if probs.min() < -_PROB_SLACK or probs.max() > 1.0 + _PROB_SLACK:
             raise ValueError("probabilities must lie in [0, 1]")
+        probs = np.clip(probs, 0.0, 1.0)
+        total = float(probs.sum())
+        if not 0.0 < total <= 1.0 + _PROB_SLACK * probs.size:  # each entry's slack, summed
+            raise ValueError(f"probabilities must sum to more than 0 and at most 1, not {total!r}")
         object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, 1.0))
+        object.__setattr__(self, "probs", probs / total)
+        object.__setattr__(self, "discarded_mass", self.discarded_mass + (1.0 - total))
 
     @property
     def size(self) -> int:
@@ -91,43 +88,19 @@ class TemperatureEstimate:
     dE: float
 
 
-def _require_normalized(ens: DiagonalEnsemble) -> None:
-    deficit = abs(float(ens.probs.sum()) - 1.0)
-    if deficit > NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"ensemble '{ens.label}' deviates from unit norm by {deficit:.3e}; "
-            "renormalize() truncated ensembles first"
-        )
-
-
 def entropy(ens: DiagonalEnsemble) -> float:
     """Shannon entropy -sum p ln p of the occupations (k_B = 1).
 
-    Zero-probability entries contribute nothing (the p ln p -> 0 limit),
-    which makes truncated tails harmless after renormalization.
+    Zero-probability entries contribute nothing (the p ln p -> 0 limit), and
+    the probabilities already sum to one, as the ensemble scales them.
     """
-    _require_normalized(ens)
     p = ens.probs[ens.probs > 0.0]
     return float(-(p * np.log(p)).sum())
 
 
 def mean_energy(ens: DiagonalEnsemble) -> float:
     """Ensemble-averaged energy sum E_n p_n."""
-    _require_normalized(ens)
     return float(ens.energies @ ens.probs)
-
-
-def renormalize(ens: DiagonalEnsemble) -> DiagonalEnsemble:
-    """Scale probabilities to unit sum, recording the discarded tail mass."""
-    total = float(ens.probs.sum())
-    if total <= 0.0:
-        raise ValueError("cannot renormalize an ensemble with zero total probability")
-    return DiagonalEnsemble(
-        energies=ens.energies,
-        probs=ens.probs / total,
-        label=ens.label,
-        discarded_mass=ens.discarded_mass + (1.0 - total),
-    )
 
 
 def temperature_from_pair(
@@ -147,7 +120,7 @@ def temperature_from_pair(
         If the energy difference is numerically zero while the entropy
         difference is not, so no slope can be formed.
     """
-    dS = entropy(ens_b) - entropy(ens_a)  # also checks that both are normalized
+    dS = entropy(ens_b) - entropy(ens_a)
     ref = min(ens_a.energies.min(), ens_b.energies.min())
     dE = float((ens_b.energies - ref) @ ens_b.probs - (ens_a.energies - ref) @ ens_a.probs)
     if abs(dE) < 1e-14 and abs(dS) >= 1e-12:

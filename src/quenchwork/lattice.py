@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import PositionDistribution
-from .ensembles import DiagonalEnsemble, finite_real, mean_energy, renormalize
+from .ensembles import DiagonalEnsemble, finite_real, mean_energy
 
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_SITES = 2048  # longest chain: its spectrum takes 1.4 s and 193 MB on a 2-core Xeon
@@ -282,9 +282,9 @@ def diagonal_ensemble(
     many states as may still be visited.  States lighter than ``_PUSH_FLOOR``
     itself are eigen-solver roundoff and are left out, but they count
     against ``max_states``: it bounds the states visited, kept or not, so
-    the ensemble may hold fewer.  The result is renormalized and sorted by
-    energy.  A deficit left above ``prob_cutoff`` raises a UserWarning that
-    gives the states visited and kept.
+    the ensemble may hold fewer.  The result is sorted by energy, and the
+    mass not captured is its ``discarded_mass``.  A deficit left above
+    ``prob_cutoff`` raises a UserWarning that gives the states visited and kept.
 
     Raises
     ------
@@ -343,11 +343,11 @@ def diagonal_ensemble(
 
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
-    return renormalize(DiagonalEnsemble(
+    return DiagonalEnsemble(
         energies=energies[order],
         probs=np.concatenate(probs)[order],
         label=f"lattice lambda={lam:g} dlambda={dlam:g}",
-    ))
+    )
 
 
 def _evolution_shape(n_pairs: int) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import PositionDistribution, QuenchProtocol
-from .ensembles import DiagonalEnsemble, finite_real, renormalize
+from .ensembles import DiagonalEnsemble, finite_real
 
 _MAX_LEVELS = 200
 MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
@@ -122,8 +122,8 @@ def poisson_ensemble(
     """Diagonal ensemble of the quench (lambda - dlambda) -> lambda.
 
     Occupations are ``poisson_probs`` of ``y_parameter(params, dlam)``, a
-    ValueError past its level cap, renormalized with the tail recorded in
-    ``discarded_mass``; level energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
+    ValueError past its level cap, which the ensemble normalizes, recording
+    the tail in ``discarded_mass``; energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
     A lambda whose offset has a float spacing above ``MAX_OFFSET_SPACING`` hbar*omega
     (from 2.6e5 in the default units) raises a ValueError led by ``lam:``.
     """
@@ -133,9 +133,7 @@ def poisson_ensemble(
                          f"a float spacing above {MAX_OFFSET_SPACING:g} hbar*omega")
     probs = poisson_probs(y_parameter(params, dlam), tail_tol)
     energies = params.hbar * params.omega * (np.arange(probs.size) + 0.5) + offset
-    return renormalize(
-        DiagonalEnsemble(energies, probs, label=f"oscillator lambda={lam:g} dlambda={dlam:g}")
-    )
+    return DiagonalEnsemble(energies, probs, label=f"oscillator lambda={lam:g} dlambda={dlam:g}")
 
 
 def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:

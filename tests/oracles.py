@@ -48,6 +48,8 @@ def read_ensemble(path: str | Path) -> tuple[DiagonalEnsemble, dict]:
     """Read an ensemble written by :func:`quenchwork.ensembles.write_ensemble`.
 
     Returns the ensemble and a dict of header metadata (label, lambda, ...).
+    The ensemble scales the 12-digit probabilities it reads to unit sum, so
+    its discarded mass is the header's plus their rounding.
     """
     meta: dict = {}
     energies: list[float] = []

@@ -925,6 +925,9 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
                 (SMALL_LATTICE_JE, {"hopping": True}),
             ]
         ),
+        # "false" used to be read as true: exit 0 with nothing printed
+        ({**SMALL_OSC_JE, "quiet": "false"}, ["quiet"]),
+        ({**SMALL_OSC_JE, "quiet": 0}, ["quiet"]),
     ],
     ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
          "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap",
@@ -935,7 +938,7 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
          "stations-past-cap", "stations-past-numpy", "bins-past-cap", "bins-past-numpy",
          "sites-past-cap", "sites-past-memory", "loose-tail-tol", "misspelled-keys",
          "nan-hopping", "inf-hopping", "nan-mass", "inf-stiffness", "nan-trap", "inf-center",
-         "bool-hopping"],
+         "bool-hopping", "quiet-string", "quiet-number"],
 )
 def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, fields):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -954,14 +957,28 @@ def test_main_rejects_unreadable_config(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "..", "", 3])
+@pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "..", "", 3, "a\0b.csv"])
 def test_validate_keeps_output_inside_out_dir(tmp_path, capsys, name):
     raw = copy.deepcopy(PRESETS["fig2"])
     raw["filenames"] = {"sweep": name}
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
-    assert violations == ["filenames.sweep: must be a file name without a directory part"]
+    assert violations == ["filenames.sweep: must be a file name without a directory part or NUL character"]
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_validate_rejects_a_nul_in_out_dir(tmp_path, capsys, monkeypatch):
+    """An ``out_dir`` that holds a NUL exits 2 with a JSON error and makes
+    no directory; it used to end in a traceback from mkdir.  ``validate``
+    itself rejects it, and a non-boolean ``quiet``, for library callers."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**oscillator_temperature(), "out_dir": "x\0y"}))
+    assert main(["--config", "cfg.json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "validation_failed", "violations": ["out_dir: must hold no NUL character"]}
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    config = RunConfig.from_dict({**oscillator_temperature(), "out_dir": "x\0y", "quiet": "no"})
+    assert validate(config) == ["out_dir: must hold no NUL character", "quiet: must be true or false"]
 
 
 @pytest.mark.parametrize(
@@ -1056,8 +1073,8 @@ def oscillator_temperature(**quench):
 
 
 def test_temperature_kind_renormalizes_a_loose_tail(tmp_path, capsys):
-    """tail_tol 1e-7 leaves more than NORMALIZATION_TOL off the Poisson
-    ensemble; the run renormalizes and records the tail."""
+    """tail_tol 1e-7 leaves up to 1e-7 off the Poisson ensemble's sum; the
+    ensemble is normalized and the manifest records the tail."""
     raw = with_changes(oscillator_temperature(), tolerances={"tail_tol": 1e-7})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))

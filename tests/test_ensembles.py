@@ -8,10 +8,8 @@ from oracles import read_ensemble
 from quenchwork import (
     DegenerateEnergyError,
     DiagonalEnsemble,
-    NormalizationError,
     entropy,
     mean_energy,
-    renormalize,
     temperature_from_pair,
     write_ensemble,
 )
@@ -53,10 +51,14 @@ def test_entropy_zero_probabilities_contribute_nothing():
     assert entropy(ens) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_entropy_rejects_unnormalized():
+def test_ensemble_normalizes_a_short_sum():
+    """Probabilities that sum to 0.9 are scaled to unit sum, and the 0.1
+    they lacked is the discarded mass; entropy reads the scaled ones."""
     ens = DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.5, 0.4])
-    with pytest.raises(NormalizationError):
-        entropy(ens)
+    np.testing.assert_allclose(ens.probs, [5 / 9, 4 / 9], rtol=1e-15)
+    assert ens.discarded_mass == pytest.approx(0.1, abs=1e-15)
+    assert entropy(ens) == pytest.approx(math.log(9) - (5 * math.log(5) + 4 * math.log(4)) / 9,
+                                         abs=1e-15)
 
 
 def test_mean_energy_examples():
@@ -168,20 +170,29 @@ def test_temperature_converges_linearly_in_eps():
 
 
 def test_renormalize_examples():
-    ens = DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.25, 0.25])
-    fixed = renormalize(ens)
+    fixed = DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.25, 0.25])
     assert np.allclose(fixed.probs, [0.5, 0.5])
     assert fixed.discarded_mass == pytest.approx(0.5, abs=1e-15)
 
-    pure = renormalize(DiagonalEnsemble(energies=[1.0], probs=[1.0]))
+    pure = DiagonalEnsemble(energies=[1.0], probs=[1.0])
     assert pure.probs[0] == 1.0
     assert pure.discarded_mass == pytest.approx(0.0, abs=1e-15)
 
 
 def test_renormalize_rejects_zero_mass():
-    ens = DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.0, 0.0])
     with pytest.raises(ValueError):
-        renormalize(ens)
+        DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.0, 0.0])
+
+
+def test_rebuilding_a_normalized_ensemble_keeps_its_discarded_mass():
+    """An ensemble built from a normalized one's fields scales by a sum
+    within roundoff of one, so its discarded mass moves by at most 1e-15."""
+    for ens in (DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.5, 0.4]),
+                *(poisson_ensemble(OscillatorParams(), 0.0, dlam) for dlam in (0.6935, 4.0, 30.0)),
+                poisson_ensemble(OscillatorParams(), 0.0, 0.6935, tail_tol=1e-7)):
+        again = DiagonalEnsemble(ens.energies, ens.probs, ens.label, ens.discarded_mass)
+        assert abs(again.discarded_mass - ens.discarded_mass) <= 1e-15
+        np.testing.assert_allclose(again.probs, ens.probs, rtol=1e-15)
 
 
 def test_truncated_poisson_entropy_stable():
@@ -192,8 +203,8 @@ def test_truncated_poisson_entropy_stable():
     n = np.arange(n_long)
     p_long = np.exp(-y + n * math.log(y) - np.array([math.lgamma(k + 1) for k in n]))
     e = n + 0.5
-    s_short = entropy(renormalize(DiagonalEnsemble(energies=e[: p_short.size], probs=p_short)))
-    s_long = entropy(renormalize(DiagonalEnsemble(energies=e, probs=p_long)))
+    s_short = entropy(DiagonalEnsemble(energies=e[: p_short.size], probs=p_short))
+    s_long = entropy(DiagonalEnsemble(energies=e, probs=p_long))
     assert abs(s_short - s_long) < 1e-10
 
 
@@ -204,6 +215,11 @@ def test_ensemble_validation():
         DiagonalEnsemble(energies=[0.0], probs=[1.5])
     with pytest.raises(ValueError):
         DiagonalEnsemble(energies=[np.inf], probs=[1.0])
+    # a sum above one is no truncated tail; roundoff within 1e-12 an entry is kept
+    with pytest.raises(ValueError, match="at most 1"):
+        DiagonalEnsemble(energies=[0.0, 1.0], probs=[1.0, 1.0])
+    ens = DiagonalEnsemble(energies=[0.0, 1.0], probs=[0.5, 0.5 + 1e-13])
+    assert ens.discarded_mass == pytest.approx(-1e-13, abs=1e-16)
 
 
 def test_serialization_round_trip(tmp_path):

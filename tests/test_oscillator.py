@@ -238,6 +238,15 @@ def test_amplitudes_past_the_float_range_give_an_infinite_y():
     assert y_parameter(PARAMS, 1e150) == PARAMS.mass * PARAMS.omega * 1e150**2 / (8.0 * PARAMS.hbar)
 
 
+@pytest.mark.parametrize("dlam, tail_tol", [(0.6935, 1e-12), (4.0, 1e-12), (30.0, 1e-12),
+                                            (0.6935, 1e-7)])
+def test_poisson_ensemble_records_the_truncated_tail(dlam, tail_tol):
+    """The ensemble's discarded mass is exactly the Poisson tail its
+    truncation leaves out."""
+    ens = poisson_ensemble(PARAMS, 0.0, dlam, tail_tol=tail_tol)
+    assert ens.discarded_mass == 1.0 - poisson_probs(y_parameter(PARAMS, dlam), tail_tol).sum()
+
+
 def test_amplitudes_below_the_level_cap_build():
     y = y_parameter(PARAMS, 30.0)  # 112.5
     assert poisson_probs(y).sum() > 1.0 - 1e-12
