@@ -135,6 +135,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
+class Rejected(Exception):
+    """A config that ``RunConfig.from_dict`` cannot read, or whose model calls
+    fail in ``run``; ``args[0]`` lists its violations."""
+
+
 @dataclass
 class RunConfig:
     """Normalized run configuration; sections keep their JSON shape."""
@@ -154,6 +159,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Raises Rejected with the violations of ``_shape_violations(raw)``."""
+        if violations := _shape_violations(raw):
+            raise Rejected(violations)
         d = copy.deepcopy(raw)
         kind = d.get("kind", "")
         model = dict(d.get("model", {}))
@@ -308,10 +316,6 @@ def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
     proto = QuenchProtocol(**config.protocol)
     return [("protocol.step" if i else "protocol.lambda_start", lam, "protocol.step", proto.step)
             for i, lam in enumerate(proto.lambdas[:-1])]
-
-
-class Rejected(Exception):
-    """A config whose model calls fail; ``args[0]`` lists its violations."""
 
 
 def _build_each(quenches: list, build) -> list:
@@ -506,24 +510,23 @@ def main(argv=None) -> int:
 
     raw, violations = None, []
     if args.preset:
-        raw = copy.deepcopy(PRESETS[args.preset])
+        raw = PRESETS[args.preset]
     else:
         try:
             raw = json.loads(args.config.read_text())
         except (OSError, ValueError) as exc:
             violations = [f"config: cannot read JSON: {exc}"]
-    violations = violations or _shape_violations(raw)
-    if not violations:
-        if args.out is not None:
-            raw["out_dir"] = str(args.out)
-        kind = KINDS.get(raw.get("kind"))
-        if args.seed is not None and kind and "sampler" in kind.sections:
-            raw.setdefault("sampler", {})["seed"] = args.seed
-        if args.quiet:
-            raw["quiet"] = True
-        config = RunConfig.from_dict(raw)
-        violations = validate(config)
     try:
+        if not violations:
+            config = RunConfig.from_dict(raw)
+            if args.out is not None:
+                config.out_dir = str(args.out)
+            kind = KINDS.get(config.kind)
+            if args.seed is not None and kind and "sampler" in kind.sections:
+                config.sampler["seed"] = args.seed
+            if args.quiet:
+                config.quiet = True
+            violations = validate(config)
         manifest = None if violations else run(config)
     except Rejected as exc:
         violations = exc.args[0]

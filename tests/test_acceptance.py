@@ -22,9 +22,8 @@ from oracles import (
     one_body_hamiltonian,
     overlap_probability,
 )
-from quenchwork import entropy
 from quenchwork.distributions import QuenchProtocol
-from quenchwork.ensembles import DiagonalEnsemble, mean_energy
+from quenchwork.ensembles import DiagonalEnsemble, entropy, mean_energy
 from quenchwork.jarzynski import estimates, profile_from_distributions
 from quenchwork.lattice import (
     LatticeParams,

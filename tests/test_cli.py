@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import quenchwork
 from oracles import model_profile, one_body_hamiltonian
-from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, RunConfig, main, run, validate
+from quenchwork.cli import FIELDS, KINDS, PRESETS, REQUIRED, Rejected, RunConfig, main, run, validate
 from quenchwork.ensembles import write_csv
 from quenchwork.jarzynski import MAX_PATHS
 from quenchwork.lattice import (
@@ -564,6 +564,20 @@ def main_violations(tmp_path, capsys, raw):
     return code, out["violations"]
 
 
+def library_violations(raw, out_dir):
+    """Violations of ``raw`` on the library path: ``RunConfig.from_dict``, then
+    ``validate``, then ``run`` with its output under ``out_dir``."""
+    try:
+        config = RunConfig.from_dict(raw)
+        config.out_dir = str(out_dir)
+        violations = validate(config)
+        if not violations:
+            run(config)
+    except Rejected as exc:
+        return exc.args[0]
+    return violations
+
+
 def with_changes(base, **sections):
     raw = copy.deepcopy(base)
     for section, values in sections.items():
@@ -876,6 +890,10 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ({**SMALL_OSC_JE, "sampler": 3}, ["sampler"]),
         ([1, 2], ["config"]),
         (with_changes(SMALL_OSC_JE, model={"type": ["oscillator"]}), ["model.type"]),
+        ({**SMALL_OSC_JE, "kind": ["oscillator-je"]}, ["kind"]),
+        ({**SMALL_OSC_JE, "out_dir": 3}, ["out_dir"]),
+        # a misspelled section, whose tail_tol a run would silently leave at its default
+        ({"kind": "temperature", "quench": {"dlam": 1}, "tolerance": {"tail_tol": 1e-6}}, ["tolerance"]),
         (with_changes(SMALL_OSC_JE, sampler={"seed": -1}), ["sampler.seed"]),
         # more paths than the profile's buffers hold, and past any array numpy makes
         (with_changes(SMALL_OSC_JE, sampler={"n_paths": MAX_PATHS + 1}), ["sampler.n_paths"]),
@@ -929,7 +947,8 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
         ({**SMALL_OSC_JE, "quiet": "false"}, ["quiet"]),
         ({**SMALL_OSC_JE, "quiet": 0}, ["quiet"]),
     ],
-    ids=["section-not-object", "config-not-object", "type-not-string", "negative-seed",
+    ids=["section-not-object", "config-not-object", "type-not-string", "kind-not-string",
+         "out-dir-not-string", "misspelled-section", "negative-seed",
          "paths-past-cap", "paths-past-memory", "paths-past-numpy", "fractional-sites", "step-past-level-cap",
          "dlam-past-float-range", "step-past-float-range", "lattice-dlam-past-float-range",
          "lattice-eps-past-float-range", "lattice-run-step-past-float-range",
@@ -941,9 +960,12 @@ def test_validate_rejects_non_numbers(tmp_path, capsys):
          "bool-hopping", "quiet-string", "quiet-number"],
 )
 def test_validate_rejects_malformed_shapes(tmp_path, capsys, raw, fields):
+    """``main`` and a library caller reject each config alike, and neither
+    writes a file."""
     code, violations = main_violations(tmp_path, capsys, raw)
     assert code == 2
     assert [v.split(":")[0] for v in violations] == fields
+    assert library_violations(raw, tmp_path / "o") == violations
     assert not (tmp_path / "o").exists()
 
 
@@ -1065,6 +1087,17 @@ def test_the_run_makes_the_quenches_validation_checks(tmp_path, monkeypatch, raw
     run(config)
     assert made == quenches
     assert len(made) >= 2
+
+
+def test_an_unprefixed_value_error_of_a_station_propagates(tmp_path, monkeypatch):
+    """A ValueError led by no ``lam:``, ``dlam:`` or ``y:`` is a bug, not a
+    violation: ``run`` raises it as it is and writes no file."""
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+    monkeypatch.setattr(OscillatorParams, "station", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        run(config_with(SMALL_OSC_JE, tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
 
 
 def oscillator_temperature(**quench):

@@ -45,6 +45,10 @@ def test_distribution_validation():
         PositionDistribution(x=x, density=f - 2.0, dx=0.1)
     with pytest.raises(ValueError, match="uniform"):
         PositionDistribution(x=x**2, density=f, dx=0.1)
+    with pytest.raises(ValueError, match="equal-length"):
+        PositionDistribution(x=x, density=f[:-1], dx=0.1)
+    with pytest.raises(ValueError, match="no samples"):
+        PositionDistribution.from_histogram([])
 
 
 def test_histogram_padding_keeps_edges_empty():

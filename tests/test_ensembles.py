@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import read_ensemble
-from quenchwork import (
+from quenchwork.ensembles import (
+    _CSV_BLOCK_ROWS,
     DegenerateEnergyError,
     DiagonalEnsemble,
     entropy,
     mean_energy,
     temperature_from_pair,
+    write_csv,
     write_ensemble,
 )
-from quenchwork.ensembles import _CSV_BLOCK_ROWS, write_csv
 from quenchwork.oscillator import (
     OscillatorParams,
     entropy_closed_form,

@@ -135,6 +135,11 @@ def test_estimators_reject_an_empty_sample():
         estimates(np.array([]), 1.0)
 
 
+def test_estimators_reject_a_zero_beta():
+    with pytest.raises(ValueError, match="beta must be positive"):
+        estimates(np.zeros(3), 0.0)
+
+
 def test_free_energy_jensen_bound():
     rng = np.random.default_rng(7)
     for _ in range(5):

@@ -21,7 +21,7 @@ from oracles import (
     overlap_probability,
     quench_moments,
 )
-from quenchwork import mean_energy
+from quenchwork.ensembles import mean_energy
 from quenchwork.lattice import (
     _PAIR_TOLERANCE,
     _PUSH_FLOOR,

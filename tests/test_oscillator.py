@@ -6,8 +6,8 @@ import pytest
 from scipy.special import eval_hermite
 
 from oracles import count_peaks, model_profile
-from quenchwork import entropy, temperature_from_pair
 from quenchwork.distributions import QuenchProtocol
+from quenchwork.ensembles import entropy, temperature_from_pair
 from quenchwork.oscillator import (
     GridTooNarrowError,
     OscillatorParams,
@@ -247,6 +247,12 @@ def test_poisson_ensemble_records_the_truncated_tail(dlam, tail_tol):
     assert ens.discarded_mass == 1.0 - poisson_probs(y_parameter(PARAMS, dlam), tail_tol).sum()
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, 2e-6])
+def test_poisson_probs_rejects_a_tail_tol_outside_its_range(tail_tol):
+    with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1e-06\]"):
+        poisson_probs(1.0, tail_tol)
+
+
 def test_amplitudes_below_the_level_cap_build():
     y = y_parameter(PARAMS, 30.0)  # 112.5
     assert poisson_probs(y).sum() > 1.0 - 1e-12
@@ -277,6 +283,11 @@ def test_free_energy_low_t_zero_step():
     proto = QuenchProtocol(0.0, 0.0, 2)
     full, target, canonical = free_energy_low_t(PARAMS, proto, 0.35)
     assert full == target == canonical == 0.0
+
+
+def test_free_energy_low_t_rejects_a_zero_temperature():
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        free_energy_low_t(PARAMS, QuenchProtocol(0.0, 1.0, 2), 0.0)
 
 
 def test_free_energy_low_t_against_sampling_pipeline():
