@@ -1,10 +1,10 @@
 """Reproducible experiment runner.
 
-Takes a JSON run configuration (or a named preset), checks the config itself
-(``validate``), orchestrates the model and estimator modules (``run``, which
-rejects what the model cannot build before it writes a file), and emits
-deterministic CSV data files plus a JSON manifest.  Exit codes: 0 success, 2
-validation failure (either check), 3 convergence failure; failures print a
+Takes a JSON run configuration (or a named preset), orchestrates the model
+and estimator modules (``run``, which refuses what ``validate`` refuses and what
+the model cannot build before it writes a file), and emits deterministic CSV
+data files plus a JSON manifest.  Exit codes: 0 success, 2 validation failure
+(any refusal of ``run``), 3 convergence failure; failures print a
 machine-readable JSON error to stdout.
 """
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import distributions, jarzynski, lattice, oscillator
 from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol, histogram_span
-from .ensembles import finite_real, temperature_from_pair, write_csv, write_ensemble
+from .ensembles import (
+    DegenerateEnergyError, finite_real, temperature_from_pair, write_csv, write_ensemble)
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
 from .oscillator import OscillatorParams
 
@@ -136,8 +137,8 @@ PRESETS: dict[str, dict] = {
 
 
 class Rejected(Exception):
-    """A config that ``RunConfig.from_dict`` cannot read, or whose model calls
-    fail in ``run``; ``args[0]`` lists its violations."""
+    """A config that ``RunConfig.from_dict`` cannot read or that ``run`` refuses;
+    ``args[0]`` lists its violations."""
 
 
 @dataclass
@@ -266,9 +267,9 @@ def _shape_violations(raw) -> list[str]:
 
 
 def validate(config: RunConfig) -> list[str]:
-    """The checks that read the config itself; an empty list means the run
-    starts, and the run judges the model's limits (``run``).  Each field is checked
-    against its row in FIELDS; the checks that join fields run once all pass."""
+    """The checks of the config itself, which ``run`` makes first; the run then
+    judges the model's limits, the temperature pair and ``out_dir``.  Each field is
+    checked against its row in FIELDS; the checks that join fields run once all pass."""
     if config.kind not in KINDS:
         return [f"kind: '{config.kind}' is not one of {tuple(KINDS)}"]
     kind, mtype = KINDS[config.kind], config.model["type"]
@@ -412,9 +413,12 @@ def _run_temperature(config: RunConfig, params: LatticeParams | OscillatorParams
         raise Rejected([f"quench.eps: dlam + eps repeats the first quench's "
                         f"{params.quench_key} {key_a:g}"])
     ensembles = [ens_a(), ens_b()]
+    try:
+        est = temperature_from_pair(*ensembles)
+    except DegenerateEnergyError as exc:
+        raise Rejected([f"quench.eps: {exc}"]) from None
     for tag, ens, (_, lam, _, dlam) in zip("ab", ensembles, quenches):
         write_ensemble(ens, path(f"ensemble_{tag}.csv"), lam=lam, dlam=dlam)
-    est = temperature_from_pair(*ensembles)
     q = config.quench
     row = {"lambda": q["lambda"], "dlam": q["dlam"], "eps": q["eps"], "dS": est.dS,
            "dE": est.dE, "beta": est.beta, "T": est.temperature, **columns}
@@ -470,17 +474,23 @@ def _recording_warnings():
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a validated configuration; returns the manifest dict.  Each runner
-    writes its files to ``path(name)``, which lists them and makes ``out_dir``, and
-    returns its manifest fields.  The run is the one judge of the model's limits: each
-    runner builds every quench's model objects that can fail before its first file,
-    and raises Rejected from ``_build_each``."""
+    """Execute a configuration; returns the manifest dict.  Raises Rejected with
+    ``validate(config)``, if that is not empty, before anything is made.  Each runner
+    writes its files to ``path(name)``, which lists them and makes ``out_dir``
+    (Rejected if it cannot), and returns its manifest fields.  The run is the one judge
+    of the model's limits: each runner builds every quench's model objects that can
+    fail before its first file, and raises Rejected from ``_build_each``."""
+    if violations := validate(config):
+        raise Rejected(violations)
     out = Path(config.out_dir)
     manifest: dict = {"kind": config.kind, "config_hash": config.config_hash()}
     files: list[str] = []
 
     def path(name: str) -> Path:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise Rejected([f"out_dir: cannot make the directory: {exc.strerror}"]) from None
         files.append(name)
         return out / name
 
@@ -508,34 +518,26 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    raw, violations = None, []
-    if args.preset:
-        raw = PRESETS[args.preset]
-    else:
-        try:
-            raw = json.loads(args.config.read_text())
-        except (OSError, ValueError) as exc:
-            violations = [f"config: cannot read JSON: {exc}"]
     try:
-        if not violations:
-            config = RunConfig.from_dict(raw)
-            if args.out is not None:
-                config.out_dir = str(args.out)
-            kind = KINDS.get(config.kind)
-            if args.seed is not None and kind and "sampler" in kind.sections:
-                config.sampler["seed"] = args.seed
-            if args.quiet:
-                config.quiet = True
-            violations = validate(config)
-        manifest = None if violations else run(config)
+        try:
+            raw = PRESETS[args.preset] if args.preset else json.loads(args.config.read_text())
+        except (OSError, ValueError) as exc:
+            raise Rejected([f"config: cannot read JSON: {exc}"])
+        config = RunConfig.from_dict(raw)
+        if args.out is not None:
+            config.out_dir = str(args.out)
+        kind = KINDS.get(config.kind)
+        if args.seed is not None and kind and "sampler" in kind.sections:
+            config.sampler["seed"] = args.seed
+        if args.quiet:
+            config.quiet = True
+        manifest = run(config)
     except Rejected as exc:
-        violations = exc.args[0]
+        print(json.dumps({"error": "validation_failed", "violations": exc.args[0]}))
+        return 2
     except EnsembleConvergenceError as exc:
         print(json.dumps({"error": "convergence_failed", "detail": str(exc)}))
         return 3
-    if violations:
-        print(json.dumps({"error": "validation_failed", "violations": violations}))
-        return 2
     if not config.quiet:
         print(json.dumps({"ok": True, "out_dir": config.out_dir, "files": manifest["files"]}))
     return 0

@@ -566,16 +566,14 @@ def main_violations(tmp_path, capsys, raw):
 
 def library_violations(raw, out_dir):
     """Violations of ``raw`` on the library path: ``RunConfig.from_dict``, then
-    ``validate``, then ``run`` with its output under ``out_dir``."""
+    ``run`` with its output under ``out_dir``."""
     try:
         config = RunConfig.from_dict(raw)
         config.out_dir = str(out_dir)
-        violations = validate(config)
-        if not violations:
-            run(config)
+        run(config)
     except Rejected as exc:
         return exc.args[0]
-    return violations
+    return []
 
 
 def with_changes(base, **sections):
@@ -706,6 +704,11 @@ HORIZON_CASES = [
          "quench.eps"),
         ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1.0, "eps": -2.0}},
          "quench.eps"),
+        # a pair whose mean energies differ below resolution while their entropies do not
+        ({"kind": "temperature", "model": {"type": "oscillator", "stiffness": 5e-13},
+          "quench": {"lambda": 0, "dlam": 2828, "eps": 1e-6}}, "quench.eps"),
+        ({"kind": "temperature", "model": {"type": "lattice", "hopping": 1e-6, "trap": 1e-8},
+          "quench": {"dlam": 1, "eps": 1e-9}}, "quench.eps"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "dt-overflows-the-count",
          "tau-overflows-the-count", "too-many-samples", "too-few-bins",
@@ -715,7 +718,7 @@ HORIZON_CASES = [
          "oscillator-lambda-overflows", "oscillator-lambda-past-grid", "lattice-lambda-overflows",
          "lattice-run-lambda-overflows", "lattice-center-overflows", "lattice-run-center-overflows",
          "lattice-center-overflows-squared", "lattice-eps-0", "lattice-eps-tiny", "oscillator-eps-0",
-         "oscillator-minus-dlam"],
+         "oscillator-minus-dlam", "oscillator-pair-below-resolution", "lattice-pair-below-resolution"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -1003,25 +1006,29 @@ def test_validate_rejects_a_nul_in_out_dir(tmp_path, capsys, monkeypatch):
     assert validate(config) == ["out_dir: must hold no NUL character", "quiet: must be true or false"]
 
 
-@pytest.mark.parametrize(
-    ("raw", "violations"),
-    [
-        (with_changes(SMALL_OSC_JE, protocol={"stations": 3},
-                      filenames={"profile": "work_hist.csv", "work_histogram": "manifest.json"}),
-         ["filenames.work_histogram: 'manifest.json' is the name of another file the run writes"]),
-        (with_changes(SMALL_LATTICE_JE, filenames={"featured_histogram": "hist_station_01.csv"}),
-         ["filenames.featured_histogram: 'hist_station_01.csv' is the name of another file the run writes"]),
-        (with_changes(SMALL_OSC_JE, filenames={"profile": "out.csv", "work_histogram": "out.csv"}),
-         ["filenames.profile: 'out.csv' is the name of another file the run writes",
-          "filenames.work_histogram: 'out.csv' is the name of another file the run writes"]),
-        (with_changes(LATTICE_TEMPERATURE, filenames={"temperature": "ensemble_b.csv"}),
-         ["filenames.temperature: 'ensemble_b.csv' is the name of another file the run writes"]),
-        (with_changes(PRESETS["fig2"], filenames={"sweep": "series_station_12.csv"}),
-         ["filenames.sweep: 'series_station_12.csv' is the name of another file the run writes"]),
-    ],
-    ids=["work-histogram-as-manifest", "featured-as-station", "profile-as-work-histogram",
-         "temperature-as-ensemble", "sweep-as-series"],
-)
+# file names that collide with another output of the run, and their violations
+COLLIDING_NAMES = {
+    "work-histogram-as-manifest": (
+        with_changes(SMALL_OSC_JE, protocol={"stations": 3},
+                     filenames={"profile": "work_hist.csv", "work_histogram": "manifest.json"}),
+        ["filenames.work_histogram: 'manifest.json' is the name of another file the run writes"]),
+    "featured-as-station": (
+        with_changes(SMALL_LATTICE_JE, filenames={"featured_histogram": "hist_station_01.csv"}),
+        ["filenames.featured_histogram: 'hist_station_01.csv' is the name of another file the run writes"]),
+    "profile-as-work-histogram": (
+        with_changes(SMALL_OSC_JE, filenames={"profile": "out.csv", "work_histogram": "out.csv"}),
+        ["filenames.profile: 'out.csv' is the name of another file the run writes",
+         "filenames.work_histogram: 'out.csv' is the name of another file the run writes"]),
+    "temperature-as-ensemble": (
+        with_changes(LATTICE_TEMPERATURE, filenames={"temperature": "ensemble_b.csv"}),
+        ["filenames.temperature: 'ensemble_b.csv' is the name of another file the run writes"]),
+    "sweep-as-series": (
+        with_changes(PRESETS["fig2"], filenames={"sweep": "series_station_12.csv"}),
+        ["filenames.sweep: 'series_station_12.csv' is the name of another file the run writes"]),
+}
+
+
+@pytest.mark.parametrize(("raw", "violations"), COLLIDING_NAMES.values(), ids=list(COLLIDING_NAMES))
 def test_validate_rejects_file_names_that_collide(tmp_path, capsys, raw, violations):
     """A file name the kind writes must differ from its others and from the
     names the run gives its own files; the first two used to exit 0 with one
@@ -1030,6 +1037,45 @@ def test_validate_rejects_file_names_that_collide(tmp_path, capsys, raw, violati
     assert code == 2
     assert got == violations
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+REFUSED_BY_VALIDATE = {
+    "missing-seed": {**SMALL_LATTICE_JE, "sampler": {"n_paths": 2000}},
+    "negative-temperature": with_changes(SMALL_OSC_JE, temperature=-1),
+    **{name: raw for name, (raw, _) in COLLIDING_NAMES.items()},
+}
+
+
+@pytest.mark.parametrize("raw", REFUSED_BY_VALIDATE.values(), ids=list(REFUSED_BY_VALIDATE))
+def test_run_refuses_what_validate_refuses(tmp_path, raw):
+    """A library caller that calls ``run`` without ``validate`` gets
+    ``validate``'s violations as Rejected, and no directory is made; ``run``
+    used to write one output over another, or end in a KeyError or a bare
+    ValueError."""
+    config = config_with(raw, tmp_path / "o")
+    violations = validate(config)
+    assert violations
+    with pytest.raises(Rejected) as caught:
+        run(config)
+    assert caught.value.args[0] == violations
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_an_out_dir_that_is_a_file_exits_2(tmp_path, capsys, under):
+    """An ``out_dir`` that is an existing file, or a path under one, exits 2
+    with one ``out_dir`` violation before the first file; it used to end in a
+    FileExistsError or NotADirectoryError."""
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    assert main(["--preset", "lattice-temperature", "--out", str(blocker / under)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    out = json.loads(printed.out)
+    assert out["error"] == "validation_failed"
+    assert [v.split(":")[0] for v in out["violations"]] == ["out_dir"]
+    assert blocker.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize(
