@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distributions, jarzynski, lattice, oscillator
-from .distributions import MIN_HISTOGRAM_BINS, QuenchProtocol, histogram_span
+from .distributions import MIN_HISTOGRAM_BINS, PositionDistribution, QuenchProtocol, histogram_span
 from .ensembles import (
     DegenerateEnergyError, finite_real, temperature_from_pair, write_csv, write_ensemble)
 from .lattice import DegenerateFermiLevelError, EnsembleConvergenceError, LatticeParams
@@ -361,7 +361,7 @@ def _run_lattice_run(config: RunConfig, params: LatticeParams, path) -> dict:
         )
         edges.append(series.edge_occupancy)
         write_csv(path(f"series_station_{i:02d}.csv"), ["t,x"], (series.times, series.values))
-        dist = lattice.time_average_distribution(series, bins=config.evolution["bins"])
+        dist = PositionDistribution.from_histogram(series.values, config.evolution["bins"])
         write_csv(path(f"hist_station_{i:02d}.csv"), ["x,f"], (dist.x, dist.density))
     return {"edge_occupancy": edges}
 
@@ -474,12 +474,13 @@ def _recording_warnings():
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a configuration; returns the manifest dict.  Raises Rejected with
-    ``validate(config)``, if that is not empty, before anything is made.  Each runner
-    writes its files to ``path(name)``, which lists them and makes ``out_dir``
-    (Rejected if it cannot), and returns its manifest fields.  The run is the one judge
-    of the model's limits: each runner builds every quench's model objects that can
-    fail before its first file, and raises Rejected from ``_build_each``."""
+    """Execute a configuration; returns the manifest dict.  Raises Rejected before
+    anything is made: with ``validate(config)`` if that is not empty, and where ``out_dir``
+    holds a directory by a name the run writes.  Each runner writes its files to
+    ``path(name)``, which lists them and makes ``out_dir`` (Rejected if it cannot), and
+    returns its manifest fields.  The run is the one judge of the model's limits: each
+    runner builds every quench's model objects that can fail before its first file, and
+    raises Rejected from ``_build_each``."""
     if violations := validate(config):
         raise Rejected(violations)
     out = Path(config.out_dir)
@@ -494,6 +495,10 @@ def run(config: RunConfig) -> dict:
         files.append(name)
         return out / name
 
+    written = {config.filenames[key] for key in KINDS[config.kind].outputs}
+    for entry in sorted(out.iterdir()) if out.is_dir() else ():
+        if entry.is_dir() and (entry.name in written or _RUN_NAMES.fullmatch(entry.name)):
+            raise Rejected([f"out_dir: '{entry.name}' is a directory where the run writes a file"])
     params = _model_params(config)
     start = time.monotonic()
     with _recording_warnings() as caught:

@@ -9,6 +9,7 @@ bit-identical to linear interpolation of the CDF with ``np.interp``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,10 @@ class QuenchProtocol:
     def __post_init__(self):
         if not 2 <= self.stations <= MAX_STATIONS:
             raise ValueError(f"a protocol needs 2 to {MAX_STATIONS} stations")
-        if not (np.isfinite(self.lambda_start) and np.isfinite(self.step)):
+        if not (math.isfinite(self.lambda_start) and math.isfinite(self.step)):
             raise ValueError("lambda_start and step must be finite")
+        for name in ("lambda_start", "step"):  # a JSON int past int64 makes object arrays
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def lambdas(self) -> np.ndarray:

@@ -77,9 +77,9 @@ class DiagonalEnsemble:
 class TemperatureEstimate:
     """Finite-difference temperature between two quenches at fixed lambda.
 
-    ``beta`` is ``dS/dE``; ``temperature`` is its reciprocal.  A vanishing
-    entropy difference signals a purity-preserving pair and is reported as
-    zero temperature (``beta`` infinite).
+    ``beta`` is ``dS/dE``; ``temperature`` is its reciprocal.  An entropy
+    difference of exactly zero signals a purity-preserving pair and is
+    reported as zero temperature (``beta`` infinite).
     """
 
     beta: float
@@ -109,25 +109,27 @@ def temperature_from_pair(
     """Finite-difference temperature from two ensembles at the same lambda.
 
     ``ens_a`` belongs to quench amplitude ``dlambda`` and ``ens_b`` to
-    ``dlambda + eps``; the forward difference approximates beta = dS/dE at
-    fixed lambda.  Both mean energies are taken about the lower of the two
-    lowest energies, so that an offset shared by every level (the
-    oscillator's k lambda^2/4) does not cancel away the digits of dE.
+    ``dlambda + eps``; the forward difference approximates beta = dS/dE at fixed lambda.
+    Both mean energies are taken about the lower of the two lowest energies, so that an
+    offset shared by every level (the oscillator's k lambda^2/4) does not cancel away
+    the digits of dE.  A difference d = b - a is resolved where |d| > n u max(|a|, |b|),
+    n the larger ensemble's size and u the float epsilon: a rule free of the energy unit.
 
     Raises
     ------
     DegenerateEnergyError
-        If the energy difference is numerically zero while the entropy
-        difference is not, so no slope can be formed.
+        If dS is not zero but it or dE is unresolved, so no slope can be formed.
     """
-    dS = entropy(ens_b) - entropy(ens_a)
     ref = min(ens_a.energies.min(), ens_b.energies.min())
-    dE = float((ens_b.energies - ref) @ ens_b.probs - (ens_a.energies - ref) @ ens_a.probs)
-    if abs(dE) < 1e-14 and abs(dS) >= 1e-12:
-        raise DegenerateEnergyError(f"dE = {dE:.3e} is below resolution while dS = {dS:.3e}")
-    if abs(dE) < 1e-14 or abs(dS) < 1e-14:
-        # purity-preserving pair: zero temperature by convention
+    s_a, s_b = entropy(ens_a), entropy(ens_b)
+    e_a, e_b = ((ens.energies - ref) @ ens.probs for ens in (ens_a, ens_b))
+    dS, dE = s_b - s_a, float(e_b - e_a)
+    if dS == 0.0:  # purity-preserving pair: zero temperature by convention
         return TemperatureEstimate(beta=math.inf, temperature=0.0, dS=dS, dE=dE)
+    rounding = max(ens_a.size, ens_b.size) * np.finfo(float).eps
+    for name, d, a, b in (("dS", dS, s_a, s_b), ("dE", dE, e_a, e_b)):
+        if abs(d) <= rounding * max(abs(a), abs(b)):
+            raise DegenerateEnergyError(f"{name} = {d:.3e} is below the rounding of the pair")
     beta = dS / dE
     return TemperatureEstimate(beta=beta, temperature=1.0 / beta, dS=dS, dE=dE)
 

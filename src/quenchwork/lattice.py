@@ -43,7 +43,7 @@ from .ensembles import DiagonalEnsemble, finite_real, mean_energy
 _EDGE_OCCUPANCY_WARN = 1e-6
 MAX_SITES = 2048  # longest chain: its spectrum takes 1.4 s and 193 MB on a 2-core Xeon
 MAX_PROB_CUTOFF = 1e-6  # loosest enumeration cutoff diagonal_ensemble accepts
-MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a grid holds and a time-averaged histogram accepts
+MIN_SERIES_SAMPLES = 1000  # fewest x(t) samples a grid, and so a TimeSeries, holds
 MAX_SERIES_SAMPLES = 1 << 24  # most x(t) samples a series holds: 2 N^2 / 0.1 up to N = 915
 _BLOCK_ROWS = 192  # most time samples per block: the rows of the pair-phase table
 _GROUP_BLOCKS = 64  # most blocks of samples that one matrix product evaluates
@@ -90,6 +90,8 @@ class LatticeParams:
             raise TypeError("n_sites and n_particles must be integers")
         if not all(map(finite_real, (self.hopping, self.trap, self.center))):
             raise ValueError("hopping, trap and center must be finite real numbers")
+        for name in ("hopping", "trap", "center"):  # a JSON int past int64 makes object arrays
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 1 <= self.n_particles <= self.n_sites <= MAX_SITES:
             raise ValueError(f"need 1 <= n_particles <= n_sites <= {MAX_SITES}")
         if self.hopping <= 0:
@@ -97,7 +99,7 @@ class LatticeParams:
         if self.trap < 0:
             raise ValueError("trap stiffness must be non-negative")
         # squared first, as in spectrum; a float product overflows to inf where ** raises
-        ends = (k - float(self.center) for k in (1, self.n_sites))
+        ends = (k - self.center for k in (1, self.n_sites))
         if not all(math.isfinite(self.trap * (d * d)) for d in ends):
             raise ValueError("the trap term trap*(k - center)^2 must be finite on the chain")
 
@@ -112,8 +114,8 @@ class LatticeParams:
     def station(self, lam: float, dlam: float, *, tau: float | None = None, dt: float = 0.1,
                 bins: int = 40, **_):
         quench_energy(self, lam, dlam)  # the spectra and ground state, where the quench fails
-        return lambda: time_average_distribution(
-            evolve_center_of_mass(self, lam, dlam, tau=tau, dt=dt), bins)
+        return lambda: PositionDistribution.from_histogram(
+            evolve_center_of_mass(self, lam, dlam, tau=tau, dt=dt).values, bins)
 
     def temperature_quench(self, lam: float, dlam: float, *, prob_cutoff: float,
                            max_states: int, **_):
@@ -131,8 +133,9 @@ class LatticeParams:
 class TimeSeries:
     """Center-of-mass trajectory x(t) at t = i dt, i = 0, 1, ...; site units, times in hbar/J.
 
-    ``edge_occupancy`` bounds the occupancy of site 1 and of site N over all
-    times; above 1e-6 it raises a UserWarning, since open-boundary
+    Its grid passes ``series_samples``: the dephasing a histogram of x(t) needs to stand
+    in for the diagonal ensemble.  ``edge_occupancy`` bounds the occupancy of site 1 and
+    of site N over all times; above 1e-6 it raises a UserWarning, since open-boundary
     reflections may then distort the trajectory."""
 
     dt: float
@@ -141,6 +144,7 @@ class TimeSeries:
     edge_occupancy: float = 0.0
 
     def __post_init__(self):
+        series_samples(self.n_sites, self.span, self.dt)
         if self.values.min() < 1.0 - 1e-9 or self.values.max() > self.n_sites + 1e-9:
             raise ValueError("center of mass left the chain, sites run 1..N")
         if self.edge_occupancy > _EDGE_OCCUPANCY_WARN:
@@ -466,14 +470,3 @@ def evolve_center_of_mass(
         values = (group @ table.T).ravel()[: samples - lo * rows] + constant
         xs[lo * rows : lo * rows + values.size] = values
     return TimeSeries(dt=dt, values=xs, n_sites=params.n_sites, edge_occupancy=edge)
-
-
-def time_average_distribution(series: TimeSeries, bins: int = 40) -> PositionDistribution:
-    """Normalized histogram of x(t) approximating the ensemble distribution.
-
-    The series must pass ``series_samples`` as a grid of horizon
-    ``series.span``: the dephasing argument behind the approximation needs
-    its 10^3 samples and horizon of N^2 time units.
-    """
-    series_samples(series.n_sites, series.span, series.dt)
-    return PositionDistribution.from_histogram(series.values, bins=bins)

@@ -22,7 +22,7 @@ from oracles import (
     one_body_hamiltonian,
     overlap_probability,
 )
-from quenchwork.distributions import QuenchProtocol
+from quenchwork.distributions import PositionDistribution, QuenchProtocol
 from quenchwork.ensembles import DiagonalEnsemble, entropy, mean_energy
 from quenchwork.jarzynski import estimates, profile_from_distributions
 from quenchwork.lattice import (
@@ -31,7 +31,6 @@ from quenchwork.lattice import (
     evolve_center_of_mass,
     ground_state,
     spectrum,
-    time_average_distribution,
 )
 from quenchwork.oscillator import (
     OscillatorParams,
@@ -231,7 +230,7 @@ def test_criterion_08_lattice_profile_and_histogram():
     ratio = profile.delta_f[-1] / target
 
     series = evolve_center_of_mass(LAT, 14.0, 1.0)
-    hist = time_average_distribution(series, bins=40)
+    hist = PositionDistribution.from_histogram(series.values, bins=40)
     peaks = count_peaks(hist, prominence_frac=0.10)
     elapsed = time.monotonic() - start
     ok = 1.0 <= ratio <= 1.2 and peaks == 2 and elapsed < 600.0

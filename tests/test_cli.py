@@ -30,9 +30,9 @@ from quenchwork.lattice import (
     evolve_center_of_mass,
     series_samples,
     spectrum,
-    time_average_distribution,
 )
-from quenchwork.distributions import MAX_HISTOGRAM_BINS, MAX_STATIONS, QuenchProtocol, histogram_span
+from quenchwork.distributions import (
+    MAX_HISTOGRAM_BINS, MAX_STATIONS, PositionDistribution, QuenchProtocol, histogram_span)
 from quenchwork.oscillator import (
     OscillatorParams,
     poisson_ensemble,
@@ -632,6 +632,38 @@ def test_oscillator_temperature_at_the_largest_lambda_the_offset_rule_accepts(
     assert far == pytest.approx(near, rel=1e-6)
 
 
+# pairs whose dS and dE are tiny in absolute terms but resolved against the
+# rounding of their own entropies and energies
+SMALL_SCALE_PAIRS = {
+    "oscillator-stiffness-5e-13": {"kind": "temperature",
+                                   "model": {"type": "oscillator", "stiffness": 5e-13},
+                                   "quench": {"lambda": 0, "dlam": 2828, "eps": 1e-6}},
+    "lattice-hopping-1e-6": {"kind": "temperature",
+                             "model": {"type": "lattice", "hopping": 1e-6, "trap": 1e-8},
+                             "quench": {"dlam": 1, "eps": 1e-9}},
+}
+
+
+@pytest.mark.parametrize("raw", SMALL_SCALE_PAIRS.values(), ids=list(SMALL_SCALE_PAIRS))
+def test_a_pair_on_a_small_energy_scale_has_a_temperature(tmp_path, raw):
+    row = temperature_row(tmp_path, raw)
+    assert 0.0 < row["T"] < math.inf
+    if "T_closed_form" in row:
+        assert row["T"] == pytest.approx(row["T_closed_form"], rel=1e-6)
+
+
+def test_lattice_temperature_is_free_of_the_energy_unit(tmp_path):
+    """Hopping and trap scaled by c scale T by c: dS and dE are judged against
+    their own rounding, not an absolute threshold, which refused the scaled
+    pair.  A near-repeat eps of 1e-14 is resolved too: it used to give T = 0."""
+    base, c = with_changes(LATTICE_TEMPERATURE, quench={"eps": 1e-9}), 1e-6
+    unscaled = temperature_row(tmp_path, base)["T"]
+    scaled = temperature_row(tmp_path, with_changes(base, model={"hopping": c, "trap": 0.0225 * c}))
+    assert scaled["T"] / c == pytest.approx(unscaled, rel=1e-5)
+    near = temperature_row(tmp_path, with_changes(LATTICE_TEMPERATURE, quench={"eps": 1e-14}))
+    assert near["T"] == pytest.approx(unscaled, rel=0.05)
+
+
 @pytest.mark.filterwarnings("ignore:max_states=20 left")
 @pytest.mark.parametrize("tolerances", [{}, {"max_states": 20}], ids=["converged", "truncated"])
 def test_lattice_temperature_records_its_energy_gap(tmp_path, tolerances):
@@ -704,11 +736,14 @@ HORIZON_CASES = [
          "quench.eps"),
         ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1.0, "eps": -2.0}},
          "quench.eps"),
-        # a pair whose mean energies differ below resolution while their entropies do not
-        ({"kind": "temperature", "model": {"type": "oscillator", "stiffness": 5e-13},
-          "quench": {"lambda": 0, "dlam": 2828, "eps": 1e-6}}, "quench.eps"),
-        ({"kind": "temperature", "model": {"type": "lattice", "hopping": 1e-6, "trap": 1e-8},
-          "quench": {"dlam": 1, "eps": 1e-9}}, "quench.eps"),
+        # a pair whose dS is not zero but within the rounding of its entropies
+        ({"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1.0, "eps": 1e-15}},
+         "quench.eps"),
+        # JSON integers past int64 in float fields, which numpy would take as objects
+        ({"kind": "lattice-run", "model": {"type": "lattice"},
+          "protocol": {"lambda_start": 10**30, "step": 1, "stations": 2}}, "model"),
+        (with_changes(SMALL_OSC_JE, protocol={"step": 10**30}), "protocol.step"),
+        (with_changes(LATTICE_TEMPERATURE, model={"hopping": 10**30}), "quench.eps"),
     ],
     ids=["tau-below-n2", "grid-ends-before-n2", "too-few-samples", "dt-overflows-the-count",
          "tau-overflows-the-count", "too-many-samples", "too-few-bins",
@@ -718,7 +753,8 @@ HORIZON_CASES = [
          "oscillator-lambda-overflows", "oscillator-lambda-past-grid", "lattice-lambda-overflows",
          "lattice-run-lambda-overflows", "lattice-center-overflows", "lattice-run-center-overflows",
          "lattice-center-overflows-squared", "lattice-eps-0", "lattice-eps-tiny", "oscillator-eps-0",
-         "oscillator-minus-dlam", "oscillator-pair-below-resolution", "lattice-pair-below-resolution"],
+         "oscillator-minus-dlam", "oscillator-dS-below-rounding", "lattice-run-int-lambda-start",
+         "oscillator-int-step", "lattice-int-hopping"],
 )
 def test_validate_rejects_model_limits(tmp_path, capsys, raw, field):
     code, violations = main_violations(tmp_path, capsys, raw)
@@ -748,7 +784,7 @@ def lattice_accepts_grid(tau, dt):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             series = evolve_center_of_mass(SMALL_LATTICE, 2.0, 1.0, tau=tau, dt=dt)
-            time_average_distribution(series, bins=SMALL_LATTICE_JE["evolution"]["bins"])
+            PositionDistribution.from_histogram(series.values, SMALL_LATTICE_JE["evolution"]["bins"])
     except ValueError:
         return False
     return True
@@ -1078,6 +1114,22 @@ def test_an_out_dir_that_is_a_file_exits_2(tmp_path, capsys, under):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize("name", ["sub", "ensemble_a.csv", "manifest.json"])
+def test_a_directory_by_a_name_the_run_writes_exits_2(tmp_path, capsys, name):
+    """A directory in ``out_dir`` named like a file the run writes, a
+    ``filenames`` value or one of the run's own names, is refused before the
+    first file; the run used to write the ensembles and then end in an
+    IsADirectoryError."""
+    (tmp_path / "o" / name).mkdir(parents=True)
+    raw = {"kind": "temperature", "model": {"type": "oscillator"}, "quench": {"dlam": 1},
+           "filenames": {"temperature": "sub"}}
+    code, violations = main_violations(tmp_path, capsys, raw)
+    assert code == 2
+    assert violations == [f"out_dir: '{name}' is a directory where the run writes a file"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == [name]
+    assert not any((tmp_path / "o" / name).iterdir())
+
+
 @pytest.mark.parametrize(
     "raw",
     [with_changes(SMALL_OSC_JE, filenames={"featured_histogram": "profile.csv"}),
@@ -1321,12 +1373,12 @@ def any_config(draw, kind):
     """A config of ``kind`` built from the FIELDS rows: the required fields of
     the kind's sections always, every other field or not, and now and then
     one unknown key, one value of the wrong type or one model float field
-    that is NaN, infinite or a bool."""
+    that is NaN, infinite, a bool or an integer past int64."""
     mtype = KINDS[kind].model or draw(st.sampled_from(list(FUZZ_MODELS)))
     raw = {"kind": kind, "model": draw(FUZZ_MODELS[mtype])}
-    if draw(st.integers(0, 2)) == 2:  # one model float field that is not a finite number
+    if draw(st.integers(0, 2)) == 2:  # one model float field that is not a finite float
         key = draw(st.sampled_from(FUZZ_MODEL_FLOATS[mtype]))
-        raw["model"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, True]))
+        raw["model"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, True, 10**30]))
     for section, specs in FIELDS.items():
         values = {}
         for key, spec in specs.items():

@@ -21,6 +21,7 @@ from oracles import (
     overlap_probability,
     quench_moments,
 )
+from quenchwork.distributions import PositionDistribution
 from quenchwork.ensembles import mean_energy
 from quenchwork.lattice import (
     _PAIR_TOLERANCE,
@@ -39,7 +40,6 @@ from quenchwork.lattice import (
     ground_state,
     series_samples,
     spectrum,
-    time_average_distribution,
 )
 
 DEFAULTS = LatticeParams()
@@ -699,12 +699,14 @@ def test_evolution_warns_when_trap_reaches_edge():
 
 
 def test_time_series_validation():
-    with pytest.raises(ValueError):
-        TimeSeries(dt=1.0, values=np.array([0.5, 2.0]), n_sites=4)
+    values = np.full(2000, 2.0)
+    values[1] = 0.5
+    with pytest.raises(ValueError, match="^center of mass left the chain"):
+        TimeSeries(dt=1.0, values=values, n_sites=4)
 
 
 def test_time_series_warns_from_its_edge_occupancy():
-    values = np.array([1.5, 2.0])
+    values = np.full(2000, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         TimeSeries(dt=1.0, values=values, n_sites=4, edge_occupancy=1e-6)
@@ -714,36 +716,36 @@ def test_time_series_warns_from_its_edge_occupancy():
 
 def test_time_average_distribution_constant_series():
     series = TimeSeries(dt=40.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
-    dist = time_average_distribution(series, bins=40)
+    dist = PositionDistribution.from_histogram(series.values, bins=40)
     assert np.count_nonzero(dist.density) == 1
     assert abs(np.trapezoid(dist.density, dist.x) - 1.0) < 1e-9
 
 
 def test_time_average_distribution_needs_samples_and_span():
-    short = TimeSeries(dt=40.0 / 499, values=np.full(500, 2.5), n_sites=6)
+    """A series is built only on a grid that series_samples accepts: 10^3
+    samples, and a horizon of N^2, which its time average needs to dephase."""
     with pytest.raises(ValueError, match="^dt: "):
-        time_average_distribution(short)
-    brief = TimeSeries(dt=10.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
+        TimeSeries(dt=40.0 / 499, values=np.full(500, 2.5), n_sites=6)
     with pytest.raises(ValueError, match="^tau: "):
-        time_average_distribution(brief)
+        TimeSeries(dt=10.0 / 1999, values=np.full(2000, 2.5), n_sites=6)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
 def test_a_step_not_above_zero_or_infinite_fails_the_grid_rule(dt):
     """Every dt that gives no grid raises the rule's dt: ValueError, in
-    series_samples, the evolution and a hand-built series' histogram."""
+    series_samples, the evolution and a hand-built series."""
     for tau in (None, 64.0):
         with pytest.raises(ValueError, match="^dt: "):
             series_samples(SMALL.n_sites, tau, dt)
         with pytest.raises(ValueError, match="^dt: "):
             evolve_center_of_mass(SMALL, 3.0, 1.0, tau=tau, dt=dt)
     with pytest.raises(ValueError, match="^dt: "):
-        time_average_distribution(TimeSeries(dt=dt, values=np.full(2000, 2.5), n_sites=6))
+        TimeSeries(dt=dt, values=np.full(2000, 2.5), n_sites=6)
 
 
 def test_time_average_distribution_double_peak_and_tau_stability():
     series = evolve_center_of_mass(DEFAULTS, 14.0, 1.0)
-    dist = time_average_distribution(series, bins=40)
+    dist = PositionDistribution.from_histogram(series.values, bins=40)
     assert count_peaks(dist, prominence_frac=0.10) == 2
 
     doubled = evolve_center_of_mass(DEFAULTS, 14.0, 1.0, tau=4 * DEFAULTS.n_sites**2)
