@@ -291,7 +291,7 @@ def validate(config: RunConfig) -> list[str]:
     if kind.model == "lattice":
         try:
             lattice.series_samples(params.n_sites, config.evolution["tau"], config.evolution["dt"])
-        except ValueError as exc:
+        except distributions.ModelLimitError as exc:
             violations.append(f"evolution.{exc}")
     featured = config.evolution["featured_lambda"]
     if "featured_histogram" in kind.outputs and featured is not None:
@@ -322,22 +322,19 @@ def _quenches(config: RunConfig) -> list[tuple[str, float, str, float]]:
 def _build_each(quenches: list, build) -> list:
     """``build(i, lambda, dlambda)`` of every quench i of ``quenches``, rows of
     ``_quenches``.  Rejected names each field at fault once, with its first failure:
-    a degenerate Fermi level under ``model``, a ValueError led by ``lam:`` under the
-    quench's lambda field (the first quench's, once that has failed), by ``dlam:`` or
-    ``y:`` under its dlambda field.  Anything else is a bug and propagates."""
+    a degenerate Fermi level under ``model``, a ModelLimitError of ``lam`` under the
+    quench's lambda field (the first quench's, once that has failed), one of ``dlam``
+    or ``y`` under its dlambda field.  Anything else is a bug and propagates."""
     built, violations = [], {}
     for i, (lam_key, lam, dlam_key, dlam) in enumerate(quenches):
         try:
             built.append(build(i, lam, dlam))
         except DegenerateFermiLevelError as exc:
             violations.setdefault("model", str(exc))
-        except ValueError as exc:
-            prefix, _, detail = str(exc).partition(": ")
-            if prefix not in ("lam", "dlam", "y"):
-                raise
-            if prefix == "lam" and quenches[0][0] in violations:
+        except distributions.ModelLimitError as exc:
+            if exc.arg == "lam" and quenches[0][0] in violations:
                 lam_key = quenches[0][0]
-            violations.setdefault(lam_key if prefix == "lam" else dlam_key, detail)
+            violations.setdefault(lam_key if exc.arg == "lam" else dlam_key, exc.detail)
     if violations:
         raise Rejected([f"{key}: {detail}" for key, detail in violations.items()])
     return built

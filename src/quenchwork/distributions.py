@@ -26,6 +26,14 @@ _GUIDE = 1 << 14  # cells of the inverse-CDF guide table
 _BLOCK = 4096  # draws per block of the inverse-CDF search
 
 
+class ModelLimitError(ValueError):
+    """A value of ``arg`` (lam, dlam, y, dt or tau) past a model's limit; str() is "arg: detail"."""
+
+    def __init__(self, arg: str, detail: str):
+        super().__init__(f"{arg}: {detail}")
+        self.arg, self.detail = arg, detail
+
+
 def histogram_span(lo: float, hi: float) -> float:
     """Width of a histogram range over samples in [lo, hi]: hi - lo, unless
     that is (nearly) constant, where a window is opened wide enough that the
@@ -52,7 +60,7 @@ class QuenchProtocol:
     @property
     def lambdas(self) -> np.ndarray:
         # silent where a station passes the float range: the model rejects
-        # the inf it gets with its own lam:/y: error
+        # the inf it gets with its own ModelLimitError
         with np.errstate(over="ignore"):
             return self.lambda_start + self.step * np.arange(self.stations)
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import PositionDistribution
+from .distributions import ModelLimitError, PositionDistribution
 from .ensembles import DiagonalEnsemble, finite_real, mean_energy
 
 _EDGE_OCCUPANCY_WARN = 1e-6
@@ -171,12 +171,12 @@ def spectrum(params: LatticeParams, lam: float):
     The cache holds the 32 latest spectra, 32 N^2 doubles (1.1 GB at
     ``MAX_SITES``): a run that needs at most 32 (an s-station protocol needs
     s to 2(s - 1)) computes each once, a longer one computes them again.
-    Raises ValueError, led by ``lam:``, where lambda overflows the matrix."""
+    Raises a ModelLimitError of ``lam`` where lambda overflows the matrix."""
     k = params.sites
     with np.errstate(over="ignore", invalid="ignore"):
         diag = params.trap * (k - params.center) ** 2 + params.trap * (k - lam) ** 2
     if not np.isfinite(diag).all():
-        raise ValueError(f"lam: the one-body matrix of H(lambda={lam:g}) is not finite")
+        raise ModelLimitError("lam", f"the one-body matrix of H(lambda={lam:g}) is not finite")
     hop = np.full(params.n_sites - 1, -params.hopping)
     result = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
     result.eigenvalues.flags.writeable = result.eigenvectors.flags.writeable = False
@@ -203,15 +203,12 @@ def _quench_amplitudes(params: LatticeParams, lam: float, dlam: float):
     """Spectrum of H(lambda) and the quench amplitudes b = U^T P0, where P0
     is the ground state of H(lambda - dlambda): row alpha is level alpha's
     overlap with each pre-quench orbital.  Once H(lambda) is built, a
-    ValueError of H(lambda - dlambda) is the amplitude's and is led by
-    ``dlam:``; a degenerate Fermi level is the model's and passes as it is."""
+    ModelLimitError of H(lambda - dlambda) is the amplitude's, of ``dlam``."""
     spec = spectrum(params, lam)
     try:
         return spec, spec.eigenvectors.T @ ground_state(params, lam - dlam)
-    except DegenerateFermiLevelError:
-        raise
-    except ValueError as exc:
-        raise ValueError("dlam" + str(exc).removeprefix("lam")) from None
+    except ModelLimitError as exc:
+        raise ModelLimitError("dlam", exc.detail) from None
 
 
 def quench_energy(params: LatticeParams, lam: float, dlam: float) -> float:
@@ -395,15 +392,16 @@ def series_samples(n_sites: int, tau: float | None, dt: float) -> int:
     """Length of evolve_center_of_mass's grid np.arange(0, tau + dt/2, dt), tau=None
     meaning 2 N^2.  The one rule for that grid: it must hold
     ``MIN_SERIES_SAMPLES`` to ``MAX_SERIES_SAMPLES`` samples, checked first,
-    and reach N^2; otherwise ValueError, its message led by the argument at fault."""
+    and reach N^2; otherwise a ModelLimitError of the argument at fault."""
     n2 = n_sites**2
     count = ((2.0 * n2 if tau is None else tau) + dt / 2.0) / dt if dt > 0 else math.inf
     # ceil would overflow past the cap
     samples = math.ceil(count) if count <= MAX_SERIES_SAMPLES else math.inf
     if not MIN_SERIES_SAMPLES <= samples <= MAX_SERIES_SAMPLES:
-        raise ValueError(f"dt: tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples")
+        raise ModelLimitError(
+            "dt", f"tau/dt must give {MIN_SERIES_SAMPLES} to {MAX_SERIES_SAMPLES} samples")
     if (tau is not None and tau < n2) or (samples - 1) * dt < n2:
-        raise ValueError(f"tau: the time grid must reach n_sites**2 = {n2}")
+        raise ModelLimitError("tau", f"the time grid must reach n_sites**2 = {n2}")
     return samples
 
 
@@ -447,7 +445,7 @@ def evolve_center_of_mass(
     units) and never stored: its offsets and block starts are integers times
     ``dt``, bit for bit the values of np.arange's grid.
 
-    A grid that ``series_samples`` rejects raises its ValueError before any
+    A grid that ``series_samples`` rejects raises its ModelLimitError before any
     work: a horizon below N^2 (poorly converged averages), or too few or too
     many samples.
     """

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import PositionDistribution, QuenchProtocol
+from .distributions import ModelLimitError, PositionDistribution, QuenchProtocol
 from .ensembles import DiagonalEnsemble, finite_real
 
 _MAX_LEVELS = 200
@@ -33,10 +33,6 @@ MAX_TAIL_TOL = 1e-6  # loosest Poisson truncation poisson_probs accepts
 MAX_POISSON_MEAN = 1e6  # largest y the entropy sums accept; S stays within ~1e-8
 MIN_GRID_MASS = 1.0 - 1e-4  # least mass a position grid, and the kept Poisson levels, must hold
 MAX_OFFSET_SPACING = 1e-6  # coarsest float spacing of k*lambda^2/4 that poisson_ensemble takes
-
-
-class GridTooNarrowError(ValueError):
-    """Position grid misses too much probability mass."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ def y_parameter(params: OscillatorParams, dlam: float) -> float:
 
 
 def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson occupations up to the first n with tail mass < tail_tol; raises ValueError
-    past the level cap n = _MAX_LEVELS, where the kept levels hold < MIN_GRID_MASS."""
+    """Poisson occupations up to the first n with tail mass < tail_tol; raises ModelLimitError
+    of ``y`` past the level cap n = _MAX_LEVELS, where the kept levels hold < MIN_GRID_MASS."""
     if y < 0:
         raise ValueError("y must be non-negative")
     if not 0.0 < tail_tol <= MAX_TAIL_TOL:
@@ -112,7 +108,7 @@ def poisson_probs(y: float, tail_tol: float = 1e-12) -> np.ndarray:
         probs.append(probs[-1] * y / n)
         cum += probs[-1]
     if not cum >= MIN_GRID_MASS:  # also a NaN sum
-        raise ValueError(f"y: Poisson mean y = {y:.4g} runs past the level cap n = {_MAX_LEVELS}")
+        raise ModelLimitError("y", f"Poisson mean y = {y:.4g} runs past the level cap n = {_MAX_LEVELS}")
     return np.array(probs)
 
 
@@ -122,15 +118,15 @@ def poisson_ensemble(
     """Diagonal ensemble of the quench (lambda - dlambda) -> lambda.
 
     Occupations are ``poisson_probs`` of ``y_parameter(params, dlam)``, a
-    ValueError past its level cap, which the ensemble normalizes, recording
+    ModelLimitError past its level cap, which the ensemble normalizes, recording
     the tail in ``discarded_mass``; energies are ``hbar*omega*(n + 1/2) + k*lambda^2/4``.
     A lambda whose offset has a float spacing above ``MAX_OFFSET_SPACING`` hbar*omega
-    (from 2.6e5 in the default units) raises a ValueError led by ``lam:``.
+    (from 2.6e5 in the default units) raises a ModelLimitError of ``lam``.
     """
     offset = params.stiffness * lam**2 / 4.0 if abs(lam) < 1e154 else math.inf  # lam**2 overflows
     if not math.ulp(offset) <= MAX_OFFSET_SPACING * params.hbar * params.omega:
-        raise ValueError(f"lam: at lambda = {lam:g} the offset k*lambda^2/4 = {offset:.4g} has "
-                         f"a float spacing above {MAX_OFFSET_SPACING:g} hbar*omega")
+        raise ModelLimitError("lam", f"at lambda = {lam:g} the offset k*lambda^2/4 = {offset:.4g} "
+                              f"has a float spacing above {MAX_OFFSET_SPACING:g} hbar*omega")
     probs = poisson_probs(y_parameter(params, dlam), tail_tol)
     energies = params.hbar * params.omega * (np.arange(probs.size) + 0.5) + offset
     return DiagonalEnsemble(energies, probs, label=f"oscillator lambda={lam:g} dlambda={dlam:g}")
@@ -140,7 +136,7 @@ def _poisson_log_probs(y: float) -> tuple[np.ndarray, np.ndarray]:
     """Levels n within 12 standard deviations (plus 40 levels) of the mean
     and their ln P_n = n ln y - y - ln n!, which stay finite for any y."""
     if not 0.0 < y <= MAX_POISSON_MEAN:
-        raise ValueError(f"y: y must lie in (0, {MAX_POISSON_MEAN:g}]")
+        raise ModelLimitError("y", f"y must lie in (0, {MAX_POISSON_MEAN:g}]")
     half = 12.0 * math.sqrt(y) + 40.0
     n = np.arange(max(0.0, math.floor(y - half)), math.ceil(y + half) + 1.0)
     return n, n * math.log(y) - y - np.array([math.lgamma(k + 1.0) for k in n])
@@ -215,7 +211,7 @@ def position_distribution(
     ``poisson_probs(y, tail_tol)`` keeps, the levels it sums, plus six
     ground-state widths of slack.  The result is renormalized once the grid
     holds 1 - 1e-4 of the mass; a grid too far out to resolve the well raises
-    GridTooNarrowError, led by ``lam:``.
+    a ModelLimitError of ``lam``.
     """
     probs = poisson_probs(y, tail_tol)
     half = (math.sqrt(2.0 * probs.size - 1.0) + 6.0) * params.ground_width
@@ -230,8 +226,8 @@ def position_distribution(
             raise ValueError(f"grid captures only {mass:.6f} of the probability mass")
         return PositionDistribution(x=grid, density=density / mass, dx=grid[1] - grid[0])
     except ValueError as exc:
-        raise GridTooNarrowError(
-            f"lam: lambda = {lam:g} is too far out for the position grid: {exc}") from None
+        raise ModelLimitError(
+            "lam", f"lambda = {lam:g} is too far out for the position grid: {exc}") from None
 
 
 class LowTemperatureExpansion(NamedTuple):

@@ -1,10 +1,11 @@
 """Helpers only the tests use: peak counting, reading ensemble CSVs back, a
-profile at a model's defaults, and lattice references built from explicit
-orbital matrices: the dense one-body Hamiltonian, single eigenstates and
-their overlaps, every minor of a quench's amplitudes, energies, the exact
-mean and variance of a quench's energy and its work generating function,
-the edge occupancies of explicitly evolved orbitals, and the mean and
-variance of x(t) over a time grid in closed form.
+profile at a model's defaults and its limit over infinitely many paths, the
+oscillator's per-step offset in closed form, and lattice references built
+from explicit orbital matrices: the dense one-body Hamiltonian, single
+eigenstates and their overlaps, every minor of a quench's amplitudes,
+energies, the exact mean and variance of a quench's energy and its work
+generating function, the edge occupancies of explicitly evolved orbitals,
+and the mean and variance of x(t) over a time grid in closed form.
 
 They stay out of the package so that the checks they feed are plainly
 independent of the code under test.
@@ -12,15 +13,18 @@ independent of the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks
+from scipy.special import i0e, logsumexp
 
 from quenchwork.distributions import PositionDistribution
 from quenchwork.ensembles import DiagonalEnsemble
 from quenchwork.jarzynski import profile_from_distributions
 from quenchwork.lattice import LatticeParams, ground_state, spectrum
+from quenchwork.oscillator import y_parameter
 
 
 def count_peaks(density, prominence_frac: float = 0.0) -> int:
@@ -35,13 +39,67 @@ def count_peaks(density, prominence_frac: float = 0.0) -> int:
     return int(peaks.size)
 
 
-def model_profile(params, protocol, beta: float, n_paths: int, seed: int):
-    """Profile of ``protocol`` from the ``station`` of each quench (lambda_i -
-    step) -> lambda_i at the model's defaults, every station built before any
-    distribution is made, and the model's ``traps``."""
+def model_stations(params, protocol) -> list[PositionDistribution]:
+    """The ``station`` of each quench (lambda_i - step) -> lambda_i at the
+    model's defaults, every station built before any distribution is made."""
     stations = [params.station(lam, protocol.step) for lam in protocol.lambdas[:-1]]
-    return profile_from_distributions([make() for make in stations], protocol.lambdas,
+    return [make() for make in stations]
+
+
+def model_profile(params, protocol, beta: float, n_paths: int, seed: int):
+    """Profile of ``protocol`` from its ``model_stations`` and the model's ``traps``."""
+    return profile_from_distributions(model_stations(params, protocol), protocol.lambdas,
                                       *params.traps, beta, n_paths, seed)
+
+
+def log_moment_generating_function(dist: PositionDistribution, s: float) -> float:
+    """ln<e^{s x}> of x drawn as ``dist.sample`` draws it, uniform within bin b
+    of mass m_b and lower edge lo_b = x_b - dx/2:
+
+        ln<e^{s x}> = logsumexp_b [ln m_b + s lo_b + ln(expm1(s dx) / (s dx))]."""
+    mass = dist.density * dist.dx
+    kept = mass > 0.0
+    t = s * dist.dx
+    within = math.log(math.expm1(t) / t) if t else 0.0
+    return float(logsumexp(np.log(mass[kept] / mass.sum()) + s * (dist.x[kept] - dist.dx / 2.0))
+                 + within)
+
+
+def infinite_path_profile(dists, lambdas, coupling: float, beta: float) -> np.ndarray:
+    """dF_inf, the limit of ``profile_from_distributions``'s estimate over
+    infinitely many paths.  Step i's work is A_i - B_i x_i with A_i = kappa
+    d_i (lambda_i + lambda_{i+1}), B_i = 2 kappa d_i and d_i = lambda_{i+1} -
+    lambda_i, and the x_i are independent, so <e^{-beta W}> factors over the
+    steps: dF_inf(lambda_n) = sum_{i<n} [A_i - ln<e^{beta B_i x_i}>/beta]."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    steps = [
+        coupling * d * (lo + hi) - log_moment_generating_function(dist, 2.0 * beta * coupling * d) / beta
+        for dist, lo, hi, d in zip(dists, lambdas, lambdas[1:], np.diff(lambdas))
+    ]
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def oscillator_step_offset(params, step, beta):
+    """Large-sample limit of one exponential-average step minus its target step.
+
+    The step work W = k*d*(lambda_i + d/2 - x) is linear in x, and x is drawn
+    from the station density sum_n p_n |phi_n|^2 with Poisson p_n of mean
+    y = m*omega*d^2/(8*hbar), centered at lambda_i/2.  With
+    <n|e^{a u}|n> = e^{a^2 l^2/4} L_n(-a^2 l^2/2) and
+    sum_n e^{-y} y^n/n! L_n(z) = J0(2 sqrt(y z)),
+
+        dF_i = k*d*lambda_i/2 + k*d^2/2 - a^2 l^2/(4 beta) - ln I0(a l sqrt(2y))/beta,
+
+    where a = beta*k*d and l^2 = hbar/(m*omega).  The target step
+    k*((lambda_i + d)^2 - lambda_i^2)/4 = k*d*lambda_i/2 + k*d^2/4 takes the
+    lambda_i term away, so the offset is the same at every step.
+    """
+    k, d = params.stiffness, step
+    l2 = params.ground_width**2
+    a = beta * k * d
+    z = a * math.sqrt(l2 * 2.0 * y_parameter(params, d))
+    ln_i0 = math.log(i0e(z)) + z  # i0e(z) = e^{-z} I0(z) for z >= 0
+    return k * d**2 / 4.0 - a**2 * l2 / (4.0 * beta) - ln_i0 / beta
 
 
 def read_ensemble(path: str | Path) -> tuple[DiagonalEnsemble, dict]:

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import i0e
 
 from fock_oracle import DenseFockModel
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     energy_series,
     model_profile,
     one_body_hamiltonian,
+    oscillator_step_offset,
     overlap_probability,
 )
 from quenchwork.distributions import PositionDistribution, QuenchProtocol
@@ -40,7 +40,6 @@ from quenchwork.oscillator import (
     poisson_ensemble,
     position_distribution,
     temperature_closed_form,
-    y_parameter,
 )
 
 OSC = OscillatorParams()
@@ -100,29 +99,6 @@ def test_criterion_03_expansion_cancellation():
     ok = worst < 1e-12 and elapsed < 1.0
     report(3, ok, f"max |dF_full - dF_target| = {worst:.2e} over {len(cases)} protocols",
            1.0, elapsed)
-
-
-def oscillator_step_offset(params, step, beta):
-    """Large-sample limit of one exponential-average step minus its target step.
-
-    The step work W = k*d*(lambda_i + d/2 - x) is linear in x, and x is drawn
-    from the station density sum_n p_n |phi_n|^2 with Poisson p_n of mean
-    y = m*omega*d^2/(8*hbar), centered at lambda_i/2.  With
-    <n|e^{a u}|n> = e^{a^2 l^2/4} L_n(-a^2 l^2/2) and
-    sum_n e^{-y} y^n/n! L_n(z) = J0(2 sqrt(y z)),
-
-        dF_i = k*d*lambda_i/2 + k*d^2/2 - a^2 l^2/(4 beta) - ln I0(a l sqrt(2y))/beta,
-
-    where a = beta*k*d and l^2 = hbar/(m*omega).  The target step
-    k*((lambda_i + d)^2 - lambda_i^2)/4 = k*d*lambda_i/2 + k*d^2/4 takes the
-    lambda_i term away, so the offset is the same at every step.
-    """
-    k, d = params.stiffness, step
-    l2 = params.ground_width**2
-    a = beta * k * d
-    z = a * math.sqrt(l2 * 2.0 * y_parameter(params, d))
-    ln_i0 = math.log(i0e(z)) + z  # i0e(z) = e^{-z} I0(z) for z >= 0
-    return k * d**2 / 4.0 - a**2 * l2 / (4.0 * beta) - ln_i0 / beta
 
 
 def test_criterion_04_oscillator_profile_tracks_target():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import count_peaks
-from quenchwork import oscillator
+from quenchwork import lattice, oscillator
 from quenchwork.distributions import (
     _BLOCK,
     _GUIDE,
     MAX_HISTOGRAM_BINS,
     MAX_STATIONS,
+    ModelLimitError,
     PositionDistribution,
     QuenchProtocol,
 )
@@ -207,3 +208,25 @@ def test_count_peaks_prominence_filter():
     wiggly = base * (1.0 + 0.01 * np.sin(40 * np.linspace(-3, 3, 301)))
     assert count_peaks(wiggly) > 1  # strict maxima see the ripples
     assert count_peaks(wiggly, prominence_frac=0.10) == 1
+
+
+CHAIN, WELL = lattice.LatticeParams(), oscillator.OscillatorParams()
+
+
+@pytest.mark.parametrize("arg, call", [
+    ("lam", lambda: lattice.spectrum(CHAIN, 1e200)),
+    ("dlam", lambda: lattice.quench_energy(CHAIN, 0.0, 1e200)),
+    ("dt", lambda: lattice.series_samples(40, None, 0.0)),
+    ("tau", lambda: lattice.series_samples(40, 100.0, 0.01)),
+    ("y", lambda: oscillator.poisson_probs(1e4)),
+    ("y", lambda: oscillator.entropy_derivative(1e7)),
+    ("lam", lambda: oscillator.poisson_ensemble(WELL, 1e8, 1.0)),
+    ("lam", lambda: oscillator.position_distribution(WELL, 1.4e5, 2.0)),
+])
+def test_a_model_limit_names_its_argument(arg, call):
+    """Each model limit is a ModelLimitError whose ``arg`` is the argument at
+    fault and whose str() is "arg: detail", the form the run files it by."""
+    with pytest.raises(ModelLimitError) as info:
+        call()
+    assert info.value.arg == arg
+    assert str(info.value) == f"{arg}: {info.value.detail}"

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import model_profile
+from oracles import infinite_path_profile, model_profile, model_stations, oscillator_step_offset
+from quenchwork.cli import PRESETS
 from quenchwork.distributions import PositionDistribution, QuenchProtocol
 from quenchwork.jarzynski import MAX_PATHS, estimates, profile_from_distributions, trap_work
 from quenchwork.lattice import LatticeParams
@@ -408,3 +409,24 @@ def test_the_estimator_imports_neither_model():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {name.rsplit(".", 1)[-1] for name in imported} & {"lattice", "oscillator"}
+
+
+@pytest.mark.parametrize("preset", ["fig3b", "fig3d", "fig4"])
+def test_a_preset_profile_tracks_its_infinite_path_limit(preset):
+    """At every station of the preset, at its own seed, the estimate lies within
+    four jackknife errors of dF_inf, the exact limit over infinitely many paths
+    of the stations' own histograms.  The oscillator's dF_inf is in turn within
+    1e-4 of criterion 4's I0 closed form, targets plus one offset per step."""
+    raw = PRESETS[preset]
+    params = LatticeParams() if raw["model"]["type"] == "lattice" else OscillatorParams()
+    proto, beta = QuenchProtocol(**raw["protocol"]), 1.0 / raw["temperature"]
+    dists = model_stations(params, proto)
+    profile = profile_from_distributions(dists, proto.lambdas, *params.traps, beta,
+                                         raw["sampler"]["n_paths"], raw["sampler"]["seed"])
+    limit = infinite_path_profile(dists, proto.lambdas, params.traps[0], beta)
+    z = (profile.delta_f - limit)[1:] / profile.jackknife[1:]
+    assert np.abs(z).max() <= 4.0
+    if isinstance(params, OscillatorParams):
+        offset = oscillator_step_offset(params, proto.step, beta)
+        reference = profile.targets + offset * np.arange(proto.stations)
+        assert np.abs(limit - reference).max() <= 1e-4

@@ -6,10 +6,9 @@ import pytest
 from scipy.special import eval_hermite
 
 from oracles import count_peaks, model_profile
-from quenchwork.distributions import QuenchProtocol
+from quenchwork.distributions import ModelLimitError, QuenchProtocol
 from quenchwork.ensembles import entropy, temperature_from_pair
 from quenchwork.oscillator import (
-    GridTooNarrowError,
     OscillatorParams,
     boson_reference,
     entropy_closed_form,
@@ -184,7 +183,7 @@ def test_position_distribution_narrow_grid_rejected():
     error names lambda."""
     for lam in (1.4e5, 1e155):
         message = f"lam: lambda = {lam:g} is too far out for the position grid: "
-        with pytest.raises(GridTooNarrowError, match="^" + re.escape(message)):
+        with pytest.raises(ModelLimitError, match="^" + re.escape(message)):
             position_distribution(PARAMS, lam=lam, y=2.0)
 
 
